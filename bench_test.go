@@ -421,36 +421,6 @@ func itoa(n int) string {
 	}
 }
 
-// BenchmarkAblationFusedDots measures the §VII fused-reduction variant.
-func BenchmarkAblationFusedDots(b *testing.B) {
-	for _, fused := range []bool{false, true} {
-		name := "separate"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := problem.CrookedPipeDeck(64, 64)
-			d.Solver = "cg"
-			d.Eps = 1e-8
-			d.Precond = "jac_diag"
-			d.FusedDots = fused
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				inst, err := core.NewSerial(d, par.Serial)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := inst.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(inst.Comm.Trace().Reductions)/float64(res.Iterations), "reductions/iter")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDeflation measures the §VII future-work deflation in
 // its two regimes: neutral at TeaLeaf's production Δt (λmin(A)=1 floor),
 // strongly accelerating in the stiff near-steady regime.

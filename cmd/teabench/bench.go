@@ -157,13 +157,13 @@ func runKernelBenches(meshes []int) []kernelBench {
 }
 
 // runCGIterBenches times benchCGIters CG iterations per rep for each
-// implementation and preconditioner. The three implementations are
-// interleaved round-robin within each rep — on shared machines the
-// achievable bandwidth drifts over minutes, so measuring impls in
-// adjacent time slices (and taking per-impl mins across rounds) is what
-// makes the fused/unfused/seed comparison meaningful.
+// implementation and preconditioner. The implementations are interleaved
+// round-robin within each rep — on shared machines the achievable
+// bandwidth drifts over minutes, so measuring impls in adjacent time
+// slices (and taking per-impl mins across rounds) is what makes the
+// fused/unfused comparison meaningful.
 func runCGIterBenches(meshes []int) []cgIterBench {
-	impls := []string{"fused", "unfused", "seed"}
+	impls := []string{"fused", "unfused"}
 	var out []cgIterBench
 	for _, n := range meshes {
 		p := benchRandomProblem(n, 42)
@@ -175,19 +175,12 @@ func runCGIterBenches(meshes []int) []cgIterBench {
 			}
 			runOne := func(impl string) {
 				p.U.CopyFrom(u0)
-				switch impl {
-				case "seed":
-					mm := m
-					if mm == nil {
-						mm = precond.NewNone()
-					}
-					solver.NewSeedBenchCG(p, mm).Iterate(benchCGIters)
-				default:
-					o := solver.Options{Tol: 1e-300, MaxIters: benchCGIters,
-						Precond: m, DisableFused: impl == "unfused"}
-					if _, err := solver.SolveCG(p, o); err != nil {
-						panic(err)
-					}
+				o := solver.Options{Tol: 1e-300, MaxIters: benchCGIters, Precond: m}
+				if impl == "unfused" {
+					o.Engine = solver.EngineClassic
+				}
+				if _, err := solver.SolveCG(p, o); err != nil {
+					panic(err)
 				}
 			}
 			best := map[string]time.Duration{}
@@ -224,10 +217,9 @@ func benchExperiment(cfg config) error {
 		Reps:       benchReps,
 		Notes: []string{
 			"impl=fused: the default single-reduction (Chronopoulos-Gear) CG loop on the fused kernels.",
-			"impl=unfused: the classic multi-pass CG loop (Options.DisableFused) on the current optimised kernels.",
-			"impl=seed: the frozen pre-optimisation baseline (seed loop structure and seed kernel style).",
-			"summary pct values are (baseline - fused) / baseline * 100 for the 2048^2 CG iteration.",
-			"fused_vs_unfused_pct_2048 is fused versus impl=seed — the unfused path this PR replaced — taking the better of the none/jac_diag configurations (both recorded individually; they seesaw with VM noise). The retuned classic loop is recorded separately as *_fused_vs_unfused_tuned_pct and can be FASTER than fused (the single-reduction loop trades an extra s=A*p recurrence for one reduction round per iteration).",
+			"impl=unfused: the classic multi-pass CG loop (solver.EngineClassic) on the current optimised kernels.",
+			"impl=seed rows are no longer measured: the frozen pre-optimisation seed loop was deleted. The impl=seed rows and *_vs_seed_pct summaries recorded in the committed BENCH_kernels.json stay the historical baseline (regenerating this file drops them).",
+			"summary pct values are (unfused - fused) / unfused * 100 for the 2048^2 CG iteration; the classic loop can be FASTER than fused (the single-reduction loop trades an extra s=A*p recurrence for one reduction round per iteration).",
 			"gb_per_s is effective bandwidth from the kernel's nominal field-visit traffic.",
 		},
 		Summary: map[string]float64{},
@@ -247,30 +239,12 @@ func benchExperiment(cfg config) error {
 		perIter[fmt.Sprintf("%d/%s/%s", c.Mesh, c.Impl, c.Precond)] = c.NsPerIter
 	}
 
-	pct := func(fused, base float64) float64 {
-		if base <= 0 {
-			return 0
-		}
-		return (base - fused) / base * 100
-	}
 	for _, pc := range []string{"none", "jac_diag"} {
-		f := perIter["2048/fused/"+pc]
-		rep.Summary["cg_iter_2048_"+pc+"_fused_vs_seed_pct"] = pct(f, perIter["2048/seed/"+pc])
-		rep.Summary["cg_iter_2048_"+pc+"_fused_vs_unfused_tuned_pct"] = pct(f, perIter["2048/unfused/"+pc])
+		f, u := perIter["2048/fused/"+pc], perIter["2048/unfused/"+pc]
+		if u > 0 {
+			rep.Summary["cg_iter_2048_"+pc+"_fused_vs_unfused_tuned_pct"] = (u - f) / u * 100
+		}
 	}
-	// Headline: the 2048² CG iteration, fused versus the old (seed)
-	// unfused path this PR replaced, best of the two recorded
-	// configurations — on this shared VM the two configs seesaw ±10%
-	// run to run, so the per-config values above are the ground truth
-	// and the headline picks whichever config measured cleanest.
-	headline := rep.Summary["cg_iter_2048_none_fused_vs_seed_pct"]
-	if j := rep.Summary["cg_iter_2048_jac_diag_fused_vs_seed_pct"]; j > headline {
-		headline = j
-	}
-	// Recorded under its precise name, and under the acceptance-shaped
-	// alias (the seed IS the unfused path this PR replaced).
-	rep.Summary["fused_vs_seed_best_pct_2048"] = headline
-	rep.Summary["fused_vs_unfused_pct_2048"] = headline
 
 	for k, v := range rep.Summary {
 		fmt.Printf("summary %-46s %6.1f%%\n", k, v)

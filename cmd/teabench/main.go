@@ -29,6 +29,7 @@ import (
 	"tealeaf/internal/output"
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
+	"tealeaf/internal/solver"
 )
 
 func main() {
@@ -699,6 +700,26 @@ func smokeExperiment(cfg config) error {
 		return fmt.Errorf("3D jac_block: %w", err)
 	}
 	fmt.Printf("3D  jac_block 10^3: iters=%d ie=%.6g\n", sum3.TotalIterations, sum3.InternalEnergy)
+
+	// Engine plan: tl_pipelined cannot fold jac_block into its sweeps,
+	// so the solve must run the classic engine and report the fallback.
+	dp := problem.BenchmarkDeck(16)
+	dp.Solver = "cg"
+	dp.Pipelined = true
+	dp.Precond = "jac_block"
+	instP, err := core.NewSerial(dp, par.NewPool(0))
+	if err != nil {
+		return err
+	}
+	resP, err := instP.Step()
+	if err != nil {
+		return fmt.Errorf("2D pipelined jac_block: %w", err)
+	}
+	if p := resP.Plan; p.Engine != solver.EngineClassic || len(p.Fallbacks) != 1 ||
+		!strings.HasPrefix(p.Fallbacks[0], "pipelined→classic: ") {
+		return fmt.Errorf("2D pipelined jac_block: plan %v, want the reported pipelined→classic fallback", p)
+	}
+	fmt.Printf("2D  pipelined jac_block 16^2: plan %v\n", resP.Plan)
 
 	// Distributed 2D (goroutine ranks).
 	dd := problem.BenchmarkDeck(16)

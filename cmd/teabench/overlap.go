@@ -70,7 +70,7 @@ func overlapRHS(i, j, n int) float64 {
 }
 
 type overlapConfig struct {
-	impl  string
+	impl  solver.Engine
 	split bool
 }
 
@@ -123,7 +123,7 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []overlapConfig) 
 			_, err := solver.SolveCG(p, solver.Options{
 				Tol: 1e-300, MaxIters: nIters, Comm: c,
 				Precond:     precond.NewJacobi(par.Serial, op),
-				Pipelined:   cfg.impl == "pipelined",
+				Engine:      cfg.impl,
 				SplitSweeps: cfg.split,
 			})
 			return err
@@ -166,7 +166,7 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []overlapConfig) 
 	for ci, cfg := range cfgs {
 		perIter := float64(best[ci].Nanoseconds()) / float64(iters)
 		rows[ci] = overlapRow{
-			Backend: backend, Ranks: ranks, Mesh: n, Impl: cfg.impl, Split: cfg.split,
+			Backend: backend, Ranks: ranks, Mesh: n, Impl: cfg.impl.String(), Split: cfg.split,
 			Iters: iters, NsPerIter: perIter, NsPerCell: perIter / float64(n*n),
 		}
 	}
@@ -243,10 +243,9 @@ func overlapExperiment(cfg config) error {
 		fmt.Printf("%-22s %5d²  %12.0f ns/op  %7.2f GB/s\n", k.Name, k.Mesh, k.NsOp, k.GBps)
 	}
 
-	allCfgs := []overlapConfig{
-		{"fused", false}, {"fused", true}, {"pipelined", false}, {"pipelined", true},
-	}
-	serialCfgs := []overlapConfig{{"fused", false}, {"pipelined", false}}
+	fused, piped := solver.EngineFused, solver.EnginePipelined
+	allCfgs := []overlapConfig{{fused, false}, {fused, true}, {piped, false}, {piped, true}}
+	serialCfgs := []overlapConfig{{fused, false}, {piped, false}}
 	cells := []struct {
 		backend string
 		px, py  int

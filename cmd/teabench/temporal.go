@@ -63,16 +63,16 @@ type temporalReport struct {
 const temporalTraffic = 12 * 8
 
 type temporalBenchVariant struct {
-	name      string
-	pipelined bool
-	deflated  bool
+	name     string
+	engine   solver.Engine
+	deflated bool
 }
 
 var temporalBenchVariants = []temporalBenchVariant{
-	{"fused", false, false},
-	{"pipelined", true, false},
-	{"deflated-fused", false, true},
-	{"deflated-pipelined", true, true},
+	{"fused", solver.EngineFused, false},
+	{"pipelined", solver.EnginePipelined, false},
+	{"deflated-fused", solver.EngineFused, true},
+	{"deflated-pipelined", solver.EnginePipelined, true},
 }
 
 // temporalCell2D times chained vs unchained deep-halo solves of every
@@ -114,7 +114,7 @@ func temporalCell2D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	for _, v := range temporalBenchVariants {
 		opts := solver.Options{
 			Tol: 1e-300, MaxIters: iters, Comm: c, Pool: pool,
-			HaloDepth: depth, Pipelined: v.pipelined,
+			HaloDepth: depth, Engine: v.engine,
 			Precond:        precond.NewJacobi(pool, op),
 			ChainBandCells: band,
 		}
@@ -190,7 +190,7 @@ func temporalCell3D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	for _, v := range temporalBenchVariants {
 		opts := solver.Options{
 			Tol: 1e-300, MaxIters: iters, Comm: c, Pool: pool,
-			HaloDepth: depth, Pipelined: v.pipelined,
+			HaloDepth: depth, Engine: v.engine,
 			Precond3D:      precond.NewJacobi3D(pool, op),
 			ChainBandCells: band,
 		}

@@ -31,6 +31,7 @@ import (
 	"tealeaf/internal/output"
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
+	"tealeaf/internal/solver"
 )
 
 func main() {
@@ -183,6 +184,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		printPlan(res.Summary.Plan, *quiet)
 		printSummary(res.Summary)
 		if *ascii {
 			fmt.Print(output.ASCIIHeatmap(res.Energy, 72, 36))
@@ -214,6 +216,9 @@ func run() error {
 		}
 		totalIters += res.Iterations
 		totalInner += res.TotalInner
+		if s == 0 {
+			printPlan(res.Plan, *quiet)
+		}
 		if !*quiet {
 			fmt.Printf("step %4d  time %8.4f  iters %5d  inner %6d  residual %.3e\n",
 				s+1, inst.Time(), res.Iterations, res.TotalInner, res.FinalResidual)
@@ -259,6 +264,7 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 		if err != nil {
 			return err
 		}
+		printPlan(res.Summary.Plan, quiet)
 		printSummary(res.Summary)
 		return nil
 	}
@@ -275,6 +281,9 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 		}
 		totalIters += res.Iterations
 		totalInner += res.TotalInner
+		if s == 0 {
+			printPlan(res.Plan, quiet)
+		}
 		if !quiet {
 			fmt.Printf("step %4d  time %8.4f  iters %5d  inner %6d  residual %.3e\n",
 				s+1, inst.Time(), res.Iterations, res.TotalInner, res.FinalResidual)
@@ -286,6 +295,15 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 	printSummary(sum)
 	fmt.Printf("comm trace: %s\n", inst.Comm.Trace())
 	return nil
+}
+
+// printPlan reports, unless quiet, the solver plan a run resolved: the
+// engine that ran, its cycle depth, chaining, split sweeps and every
+// fallback taken.
+func printPlan(p solver.Plan, quiet bool) {
+	if !quiet {
+		fmt.Printf("plan: %v\n", p)
+	}
 }
 
 func printSummary(s core.Summary) {

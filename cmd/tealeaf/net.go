@@ -89,6 +89,7 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 				return err
 			}
 			if rank == 0 {
+				printPlan(res.Summary.Plan, quiet)
 				printSummary(res.Summary)
 			}
 			return nil
@@ -98,6 +99,7 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 			return err
 		}
 		if rank == 0 {
+			printPlan(res.Summary.Plan, quiet)
 			printSummary(res.Summary)
 			if ascii {
 				fmt.Print(output.ASCIIHeatmap(res.Energy, 72, 36))

@@ -50,6 +50,15 @@ type Instance struct {
 	dt      float64
 }
 
+// engineFor maps the deck's engine key: tl_pipelined selects the
+// pipelined CG engine, anything else the default fused one.
+func engineFor(d *deck.Deck) solver.Engine {
+	if d.Pipelined {
+		return solver.EnginePipelined
+	}
+	return solver.EngineFused
+}
+
 // HaloFor returns the grid halo depth a deck requires: at least MinHalo,
 // and at least the matrix-powers exchange depth.
 func HaloFor(d *deck.Deck) int {
@@ -166,8 +175,7 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		EigenCGIters: d.EigenCGIters,
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
-		FusedDots:    d.FusedDots,
-		Pipelined:    d.Pipelined,
+		Engine:       engineFor(d),
 		SplitSweeps:  d.SplitSweeps,
 		Temporal:     d.Temporal,
 	}
@@ -289,6 +297,9 @@ type Summary struct {
 	// TotalIterations and TotalInner accumulate across Run.
 	TotalIterations int
 	TotalInner      int
+	// Plan is the solver plan this rank's last Run step resolved: the
+	// engine that ran and every fallback it took.
+	Plan solver.Plan
 }
 
 // Summarise computes the global field summary (collective: every rank
@@ -329,6 +340,7 @@ func (inst *Instance) Run(steps int) (Summary, error) {
 		steps = inst.Deck.Steps()
 	}
 	var totalIters, totalInner int
+	var plan solver.Plan
 	for s := 0; s < steps; s++ {
 		res, err := inst.Step()
 		if err != nil {
@@ -336,10 +348,12 @@ func (inst *Instance) Run(steps int) (Summary, error) {
 		}
 		totalIters += res.Iterations
 		totalInner += res.TotalInner
+		plan = res.Plan
 	}
 	sum := inst.Summarise()
 	sum.TotalIterations = totalIters
 	sum.TotalInner = totalInner
+	sum.Plan = plan
 	return sum, nil
 }
 

@@ -111,8 +111,7 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 		EigenCGIters: d.EigenCGIters,
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
-		FusedDots:    d.FusedDots,
-		Pipelined:    d.Pipelined,
+		Engine:       engineFor(d),
 		SplitSweeps:  d.SplitSweeps,
 		Temporal:     d.Temporal,
 	}
@@ -253,6 +252,7 @@ func (inst *Instance3D) Run(steps int) (Summary, error) {
 		steps = inst.Deck.Steps()
 	}
 	var totalIters, totalInner int
+	var plan solver.Plan
 	for s := 0; s < steps; s++ {
 		res, err := inst.Step()
 		if err != nil {
@@ -260,10 +260,12 @@ func (inst *Instance3D) Run(steps int) (Summary, error) {
 		}
 		totalIters += res.Iterations
 		totalInner += res.TotalInner
+		plan = res.Plan
 	}
 	sum := inst.Summarise()
 	sum.TotalIterations = totalIters
 	sum.TotalInner = totalInner
+	sum.Plan = plan
 	return sum, nil
 }
 

@@ -15,21 +15,19 @@ import (
 type tiledVariant struct {
 	name      string
 	solver    string
-	fused     bool
 	pipelined bool
 }
 
 var tiledVariants = []tiledVariant{
-	{"cg-fused", "cg", true, false},
-	{"cg-pipelined", "cg", false, true},
-	{"ppcg", "ppcg", false, false},
+	{"cg-fused", "cg", false},
+	{"cg-pipelined", "cg", true},
+	{"ppcg", "ppcg", false},
 }
 
 func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field2D {
 	t.Helper()
 	d := problem.BenchmarkDeck(48)
 	d.Solver = v.solver
-	d.FusedDots = v.fused
 	d.Pipelined = v.pipelined
 	d.Eps = 1e-11
 	d.EigenCGIters = 10
@@ -56,7 +54,6 @@ func runTiled3D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Fiel
 	t.Helper()
 	d := problem.BenchmarkDeck3D(16)
 	d.Solver = v.solver
-	d.FusedDots = v.fused
 	d.Pipelined = v.pipelined
 	d.Eps = 1e-11
 	d.EigenCGIters = 10
@@ -136,7 +133,7 @@ func TestTiledAutoShapeFromDeck(t *testing.T) {
 	v := tiledVariants[0]
 	ref := runTiled2D(t, v, false, 1)
 	d := problem.BenchmarkDeck(48)
-	d.Solver, d.FusedDots = v.solver, v.fused
+	d.Solver = v.solver
 	d.Eps = 1e-11
 	d.Tiling = true // all edges 0 = auto
 	inst, err := NewSerial(d, nil)
@@ -234,7 +231,6 @@ func TestDeepHaloFusedCGDeckTrace(t *testing.T) {
 	run := func(depth int) (*Instance, int) {
 		d := problem.BenchmarkDeck(32)
 		d.Solver = "cg"
-		d.FusedDots = true
 		d.HaloDepth = depth
 		d.Eps = 1e-11
 		inst, err := NewSerial(d, nil)
@@ -273,7 +269,6 @@ func TestDeepHaloDeflatedCGDeckTrace(t *testing.T) {
 	run := func(depth int) (*Instance, int) {
 		d := problem.BenchmarkDeck(32)
 		d.Solver = "cg"
-		d.FusedDots = true
 		d.UseDeflation = true
 		d.DeflationBlocks = 4
 		d.HaloDepth = depth

@@ -5,9 +5,11 @@
 // starting with '!' or '#'.
 //
 // Beyond stock TeaLeaf, the dialect adds: dims/z_cells/zmin/zmax (3D
-// decks), tl_fused_dots (fused ρ/‖r‖ reductions on the unfused loops),
-// tl_pipelined (Ghysels–Vanroose pipelined CG: the iteration's single
-// reduction round overlaps the matvec sweep), tl_split_sweeps
+// decks), tl_pipelined (Ghysels–Vanroose pipelined CG: the iteration's
+// single reduction round overlaps the matvec sweep; falls back to the
+// classic engine, and the run reports it, where the preconditioner cannot
+// fold), tl_fused_dots (accepted for older decks; the classic loop now
+// always shares the ρ and ‖r‖ round), tl_split_sweeps
 // (interior/boundary split matvec sweeps so halo exchanges overlap the
 // interior pass), and the deflation keys tl_use_deflation /
 // tl_deflation_blocks=N / tl_deflation_levels=L (subdomain deflation as
@@ -73,14 +75,14 @@ type Deck struct {
 	EigenCGIters int
 	Precond      string // none | jac_diag | jac_block
 	Coefficient  string // density | recip_density
-	FusedDots    bool
 	ProfilerOn   bool
 	// Pipelined selects the Ghysels–Vanroose pipelined CG engine
-	// (tl_pipelined): each iteration's single fused reduction round is
-	// started before the matvec sweep and finished after it, hiding the
-	// collective's latency behind a full sweep of local work. Same
-	// applicability rules as the fused engine (diagonal or identity
-	// preconditioner); falls back to fused/classic otherwise.
+	// (tl_pipelined, solver.EnginePipelined): each iteration's single
+	// fused reduction round is started before the matvec sweep and
+	// finished after it, hiding the collective's latency behind a full
+	// sweep of local work. Same applicability rules as the default fused
+	// engine (diagonal or identity preconditioner); otherwise the solve
+	// falls back to the classic engine and reports it in its plan.
 	Pipelined bool
 	// SplitSweeps splits the fused/pipelined engines' A·(M⁻¹r) sweep into
 	// an interior pass overlapped with the halo exchange plus a
@@ -265,7 +267,8 @@ func (d *Deck) parseLine(line string) error {
 		d.Solver = "ppcg"
 		return nil
 	case "tl_fused_dots":
-		d.FusedDots = true
+		// Accepted for older decks: the classic loop always shares the ρ
+		// and ‖r‖ reduction round now.
 		return nil
 	case "tl_pipelined":
 		d.Pipelined = true

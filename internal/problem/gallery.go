@@ -45,8 +45,8 @@ func GalleryHotStripDeck() *deck.Deck {
 // GalleryDeflatedPointsDeck is promoted from fuzz seed 1, deck 24 — the
 // hardest deck of the corpus (~275 iterations per step). A stiff
 // operator (Δt ≈ 2.27 on ~0.17-wide cells, rx ≈ 77) over a 44× density
-// contrast, seeded with two point states, solved by the pipelined
-// fused-dot CG with two-block subdomain deflation and depth-3 halos —
+// contrast, seeded with two point states, solved by the pipelined CG
+// with two-block subdomain deflation and depth-3 halos —
 // the exact configuration stack whose interplay the fuzzer exists to
 // cross-check.
 func GalleryDeflatedPointsDeck() *deck.Deck {
@@ -61,7 +61,6 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 	d.Coefficient = "density"
 	d.Eps = 1e-9
 	d.HaloDepth = 3
-	d.FusedDots = true
 	d.Pipelined = true
 	d.UseDeflation = true
 	d.DeflationBlocks = 2

@@ -321,25 +321,23 @@ func checkConserve(h *harness) error {
 	return nil
 }
 
-// checkEngines: the fused (default), classic (DisableFused) and
-// pipelined solver engines agree on the final field. Engines that do
-// not apply to the deck's solver/preconditioner fall back silently, in
-// which case the comparison is trivially exact — also correct.
+// checkEngines: the fused (default), classic and pipelined solver
+// engines agree on the final field. Engines that do not apply to the
+// deck's solver/preconditioner fall back (reported in the solve's plan),
+// in which case the comparison is trivially exact — also correct.
 func checkEngines(h *harness) error {
 	base, err := h.baseRun()
 	if err != nil {
 		return err
 	}
 	classic, err := h.runSerial(h.d, "classic", 1, func(o *solver.Options) {
-		o.DisableFused = true
-		o.Pipelined = false
+		o.Engine = solver.EngineClassic
 	})
 	if err != nil {
 		return err
 	}
 	piped, err := h.runSerial(h.d, "pipelined", 1, func(o *solver.Options) {
-		o.DisableFused = false
-		o.Pipelined = true
+		o.Engine = solver.EnginePipelined
 	})
 	if err != nil {
 		return err

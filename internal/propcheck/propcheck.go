@@ -178,9 +178,6 @@ func deckAxes(d *deck.Deck) []string {
 	if d.HaloDepth > 1 {
 		axes = append(axes, fmt.Sprintf("halo=%d", d.HaloDepth))
 	}
-	if d.FusedDots {
-		axes = append(axes, "fused_dots")
-	}
 	if d.Pipelined {
 		axes = append(axes, "pipelined")
 	}

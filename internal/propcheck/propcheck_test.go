@@ -180,7 +180,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d.Precond = "jac_diag"
 	d.Pipelined = true
 	d.SplitSweeps = true
-	d.FusedDots = true
 	d.HaloDepth = 3
 	d.Tiling = true
 	d.TileX, d.TileY = 4, 4
@@ -206,7 +205,7 @@ func TestShrinkReachesFloors(t *testing.T) {
 	if len(shrunk.States) != 1 {
 		t.Errorf("states = %d, want 1", len(shrunk.States))
 	}
-	if shrunk.UseDeflation || shrunk.Pipelined || shrunk.SplitSweeps || shrunk.FusedDots || shrunk.Tiling {
+	if shrunk.UseDeflation || shrunk.Pipelined || shrunk.SplitSweeps || shrunk.Tiling {
 		t.Errorf("options not fully stripped: %+v", shrunk)
 	}
 	if shrunk.Precond != "none" || shrunk.HaloDepth != 1 || shrunk.Solver != "cg" {

@@ -66,25 +66,25 @@ func smoothProblem3D(t *testing.T, n int) Problem3D {
 // residual-growth guard must detect it, re-bootstrap with more CG
 // iterations, and still converge — in both the fused and unfused loops.
 func TestChebyBootstrapGuard2D(t *testing.T) {
-	for _, disableFused := range []bool{false, true} {
+	for _, eng := range []Engine{EngineFused, EngineClassic} {
 		p := smoothProblem2D(t, 32)
 		res, err := SolveChebyshev(p, Options{
-			Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000, DisableFused: disableFused,
+			Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000, Engine: eng,
 		})
 		if err != nil {
-			t.Fatalf("fused=%v: %v", !disableFused, err)
+			t.Fatalf("%v: %v", eng, err)
 		}
 		if !res.Converged {
-			t.Fatalf("fused=%v: did not converge: %+v", !disableFused, res)
+			t.Fatalf("%v: did not converge: %+v", eng, res)
 		}
 		if res.Rebootstraps < 1 {
-			t.Errorf("fused=%v: guard did not fire (Rebootstraps=0) — the λmax underestimate went undetected", !disableFused)
+			t.Errorf("%v: guard did not fire (Rebootstraps=0) — the λmax underestimate went undetected", eng)
 		}
 		if rr := trueRelResidual(t, p); rr > 1e-8 {
-			t.Errorf("fused=%v: true residual %v", !disableFused, rr)
+			t.Errorf("%v: true residual %v", eng, rr)
 		}
-		t.Logf("fused=%v: converged in %d iterations after %d re-bootstrap(s)",
-			!disableFused, res.Iterations, res.Rebootstraps)
+		t.Logf("%v: converged in %d iterations after %d re-bootstrap(s)",
+			eng, res.Iterations, res.Rebootstraps)
 	}
 }
 

@@ -127,20 +127,20 @@ func TestDeflationWithPreconditioner(t *testing.T) {
 	if err != nil || !plainRes.Converged {
 		t.Fatalf("plain CG: %v", err)
 	}
-	for _, disableFused := range []bool{false, true} {
+	for _, eng := range []Engine{EngineFused, EngineClassic} {
 		p := stiffProblem(t, 32)
-		res, err := SolveCG(p, Options{Tol: 1e-9, DisableFused: disableFused,
+		res, err := SolveCG(p, Options{Tol: 1e-9, Engine: eng,
 			Deflation: newDeflation(t, p.Op, 4, 1),
 			Precond:   precondJacobi(t, p.Op)})
 		if err != nil || !res.Converged {
-			t.Fatalf("deflated+jacobi CG (fused=%v): %v %+v", !disableFused, err, res)
+			t.Fatalf("deflated+jacobi CG (%v): %v %+v", eng, err, res)
 		}
 		if d := p.U.MaxDiff(plain.U); d > 1e-6 {
-			t.Errorf("deflated+jacobi solution (fused=%v) differs by %v", !disableFused, d)
+			t.Errorf("deflated+jacobi solution (%v) differs by %v", eng, d)
 		}
 		if res.Iterations >= plainRes.Iterations {
-			t.Errorf("deflated+jacobi CG (fused=%v) took %d iterations, plain %d",
-				!disableFused, res.Iterations, plainRes.Iterations)
+			t.Errorf("deflated+jacobi CG (%v) took %d iterations, plain %d",
+				eng, res.Iterations, plainRes.Iterations)
 		}
 	}
 }
@@ -151,21 +151,21 @@ func TestDeflationWithPreconditioner(t *testing.T) {
 func TestDeflationFusedMatchesClassic(t *testing.T) {
 	const n = 48
 	for _, withPrecond := range []bool{false, true} {
-		run := func(disableFused bool) (Result, Problem) {
+		run := func(eng Engine) (Result, Problem) {
 			p := stiffProblem(t, n)
-			o := Options{Tol: 1e-10, DisableFused: disableFused,
+			o := Options{Tol: 1e-10, Engine: eng,
 				Deflation: newDeflation(t, p.Op, 6, 1)}
 			if withPrecond {
 				o.Precond = precondJacobi(t, p.Op)
 			}
 			res, err := SolveCG(p, o)
 			if err != nil || !res.Converged {
-				t.Fatalf("deflated CG (fused=%v precond=%v): %v %+v", !disableFused, withPrecond, err, res)
+				t.Fatalf("deflated CG (%v precond=%v): %v %+v", eng, withPrecond, err, res)
 			}
 			return res, p
 		}
-		fused, pf := run(false)
-		classic, pc := run(true)
+		fused, pf := run(EngineFused)
+		classic, pc := run(EngineClassic)
 		if d := fused.Iterations - classic.Iterations; d < -1 || d > 1 {
 			t.Errorf("precond=%v: fused took %d iterations, classic %d (want ±1)",
 				withPrecond, fused.Iterations, classic.Iterations)
@@ -242,17 +242,16 @@ func TestDeflatedPPCGOnStiffProblem(t *testing.T) {
 // The projection's communication price, pinned by trace: a deflated CG
 // iteration performs exactly ONE more reduction round than its plain
 // counterpart — the coarse-residual allreduce — on the fused engine
-// (1 → 2 rounds) and the classic engine (2 → 3 with fused dots) alike.
+// (1 → 2 rounds) and the classic engine (2 → 3) alike.
 // Measured as the slope of rounds over iterations so startup rounds
 // cancel.
 func TestDeflationTraceExtraReductionRound(t *testing.T) {
 	const n = 32
-	rounds := func(disableFused, deflated bool, iters int) (reductions, itersRan int) {
+	rounds := func(eng Engine, deflated bool, iters int) (reductions, itersRan int) {
 		t.Helper()
 		p := stiffProblem(t, n)
 		c := comm.NewSerial()
-		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c,
-			DisableFused: disableFused, FusedDots: true}
+		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c, Engine: eng}
 		if deflated {
 			defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{},
 				deflate.Config{BX: 4, BY: 4})
@@ -267,10 +266,10 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		}
 		return c.Trace().Reductions, res.Iterations
 	}
-	for _, disableFused := range []bool{false, true} {
+	for _, eng := range []Engine{EngineFused, EngineClassic} {
 		slope := func(deflated bool) int {
-			r1, i1 := rounds(disableFused, deflated, 10)
-			r2, i2 := rounds(disableFused, deflated, 20)
+			r1, i1 := rounds(eng, deflated, 10)
+			r2, i2 := rounds(eng, deflated, 20)
 			if i2 == i1 {
 				t.Fatalf("iteration counts did not differ (%d vs %d)", i1, i2)
 			}
@@ -282,8 +281,8 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		plain := slope(false)
 		defl := slope(true)
 		if defl != plain+1 {
-			t.Errorf("fused=%v: deflated CG performs %d reduction rounds/iteration, plain %d — want exactly one more",
-				!disableFused, defl, plain)
+			t.Errorf("%v: deflated CG performs %d reduction rounds/iteration, plain %d — want exactly one more",
+				eng, defl, plain)
 		}
 	}
 }

@@ -84,11 +84,15 @@ const (
 )
 
 func goldenOpts(c comm.Communicator, m precond.Preconditioner, m3 precond.Preconditioner3D, fused bool) Options {
+	engine := EngineFused
+	if !fused {
+		engine = EngineClassic
+	}
 	return Options{
 		Tol: goldenTol, Comm: c,
 		Precond: m, Precond3D: m3,
 		EigenCGIters: 10, InnerSteps: 4, HaloDepth: 1,
-		DisableFused: !fused,
+		Engine: engine,
 	}
 }
 

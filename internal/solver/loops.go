@@ -25,30 +25,17 @@ type cgState[F comparable] struct {
 	base float64
 }
 
-// runCGCore dispatches to the pipelined engine (Options.Pipelined), the
-// fused single-reduction engine, or the classic multi-pass engine. All
-// three record the (α, β) scalars and return the final state for solvers
-// that continue the run.
-//
-// Folding a diagonal preconditioner needs minv valid one cell beyond the
-// interior. The Jacobi constructors can only evaluate the matrix diagonal
-// on the padded region minus its outermost layer, so on a halo-1 grid the
-// ring the fused matvec reads is exactly that missing layer. Single-rank
-// that is harmless (physical-boundary face coefficients are zero, so the
-// ring is multiplied away), but across rank boundaries the coupling is
-// real — fall back to the classic loop rather than silently dropping it.
-// Deflated solves run on either engine: the projection is applied to the
-// matvec result, at the cost of one extra reduction round per iteration.
+// runCGCore runs the CG engine the plan resolved (see resolvePlan for
+// the fallbacks): pipelined, fused single-reduction or classic
+// multi-pass. All three record the (α, β) scalars and return the final
+// state for solvers that continue the run. Deflated solves run on every
+// engine, at the cost of one extra reduction round per iteration.
 func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
-	if e.o.Pipelined || e.o.Fused {
-		if minv, ok := e.sys.FoldableDiag(); ok {
-			if isZeroF(minv) || e.c.Size() == 1 || e.sys.GridHalo() >= 2 {
-				if e.o.Pipelined {
-					return runCGPipelinedCore(e, minv, maxIters, tol)
-				}
-				return runCGFusedCore(e, minv, maxIters, tol)
-			}
-		}
+	switch e.plan.Engine {
+	case EnginePipelined:
+		return runCGPipelinedCore(e, maxIters, tol)
+	case EngineFused:
+		return runCGFusedCore(e, maxIters, tol)
 	}
 	return runCGClassicCore(e, maxIters, tol)
 }
@@ -133,7 +120,7 @@ func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
 //
 // The diagonal preconditioner is folded into the sweeps (u' is never
 // materialised); a zero minv is the identity, for which γ == rr. With
-// Options.SplitSweeps the exchange overlaps sweep 3's interior pass
+// split sweeps in the plan the exchange overlaps sweep 3's interior pass
 // (applyPreDotX).
 //
 // With a deflator configured the same recurrences run on the projected
@@ -159,10 +146,11 @@ func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
 // messages, the same latency-for-bandwidth trade the PPCG inner powers
 // schedule makes. Deflated solves join the cycle via ProjectWBounds,
 // which maintains w = P·A·u' on the extended bounds (deepDeflator).
-func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
-	var result Result
+	minv := e.minv
+	result := Result{Plan: e.plan}
 
 	defl := sys.Deflation()
 	var zd F // deflated-path M⁻¹r scratch (δ must see the projected w)
@@ -240,7 +228,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 	}
 
-	depth := e.haloCycleDepth(defl)
+	depth := e.plan.CycleDepth
 	if depth > 1 && !isZeroF(minv) {
 		// The folded diagonal is sweep input on the full extended bounds;
 		// it never changes during the solve, so one deep exchange suffices.
@@ -248,7 +236,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth, defl)
+	cs := newChainState(e)
 
 	alpha := gamma / delta
 	beta := 0.0
@@ -355,7 +343,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 }
 
 // runCGPipelinedCore is the pipelined (Ghysels–Vanroose) single-reduction
-// PCG engine behind Options.Pipelined. Where the Chronopoulos–Gear fused
+// PCG engine behind EnginePipelined. Where the Chronopoulos–Gear fused
 // engine coalesces each iteration's reductions into one round, this
 // engine removes that round from the critical path entirely: two extra
 // recurrences (s tracking A·M⁻¹p and z tracking A·M⁻¹s) shift the matvec
@@ -377,7 +365,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 // that detects it has already computed the next n); fusing all six
 // recurrences into ONE sweep (rather than the textbook direction/update
 // pair) keeps the engine's memory traffic at parity with the fused
-// engine — see kernels.PipelinedCGStep. With Options.SplitSweeps the
+// engine — see kernels.PipelinedCGStep. With split sweeps in the plan the
 // overlapped matvec additionally splits into interior and boundary-ring
 // passes so the w exchange also hides behind compute (applyPreDotX).
 //
@@ -400,10 +388,11 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 // reads w one cell beyond its bounds and the recurrences that produced
 // that w read the others at the same cell. Dots stay interior-only, so
 // the reduced scalars match depth 1.
-func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
-	var result Result
+	minv := e.minv
+	result := Result{Plan: e.plan}
 
 	defl := sys.Deflation()
 	var zd F // deflated-path M⁻¹r scratch (startup δ must see the projected w)
@@ -457,7 +446,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 		delta = e.deflDelta(minv, zd, r, w)
 	}
 
-	depth := e.haloCycleDepth(defl)
+	depth := e.plan.CycleDepth
 	if depth > 1 && !isZeroF(minv) {
 		// One-time deep refresh of the folded diagonal (sweep input on the
 		// full extended bounds, constant across the solve).
@@ -465,7 +454,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth, defl)
+	cs := newChainState(e)
 	var sdefl splitDeflator[F, B] // non-nil exactly when cs chains a deflated solve
 	if cs != nil && defl != nil {
 		sdefl = defl.(splitDeflator[F, B])
@@ -640,18 +629,20 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 }
 
 // runCGClassicCore is the seed's multi-pass PCG engine, the reference
-// path behind Options.DisableFused and for preconditioners that cannot
-// be folded into fused sweeps. With a deflator configured the iteration
-// runs on the projected operator P·A (every matvec is projected, one
-// extra reduction round per iteration), the initial residual is aligned
-// with the deflated subspace by a coarse correction, and a final coarse
-// correction recovers the deflation-space component of the solution the
-// projected iteration cannot see — the same composition the fused engine
-// applies to its recurrences.
+// path behind EngineClassic and the fallback for preconditioners that
+// cannot be folded into fused sweeps. With a non-identity preconditioner
+// ρ = r·z and ‖r‖² share one sweep and one reduction round (dotPair).
+// With a deflator configured the iteration runs on the projected
+// operator P·A (every matvec is projected, one extra reduction round per
+// iteration), the initial residual is aligned with the deflated subspace
+// by a coarse correction, and a final coarse correction recovers the
+// deflation-space component of the solution the projected iteration
+// cannot see — the same composition the fused engine applies to its
+// recurrences.
 func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
-	var result Result
+	result := Result{Plan: e.plan}
 
 	r := sys.NewVec()
 	w := sys.NewVec()
@@ -707,11 +698,8 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	if z == r {
 		rz = e.dot(r, r)
 		rr = rz
-	} else if e.o.FusedDots {
-		rz, rr = e.dotPair(z, r)
 	} else {
-		rz = e.dot(r, z)
-		rr = e.dot(r, r)
+		rz, rr = e.dotPair(z, r)
 	}
 
 	for it := 0; it < maxIters; it++ {
@@ -751,11 +739,8 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		if z == r {
 			rzNew = e.dot(r, r)
 			rrNew = rzNew
-		} else if e.o.FusedDots {
-			rzNew, rrNew = e.dotPair(z, r)
 		} else {
-			rzNew = e.dot(r, z)
-			rrNew = e.dot(r, r)
+			rzNew, rrNew = e.dotPair(z, r)
 		}
 
 		beta := rzNew / rz
@@ -810,9 +795,9 @@ const chebyMaxRebootstraps = 3
 // solveChebyCore runs the stand-alone Chebyshev iteration: EigenCGIters
 // of CG estimate the extremal eigenvalues (§III-D), then the main loop is
 // reduction-free except for a convergence check every CheckEvery
-// iterations. On the fused path each iteration is three sweeps — the
-// matvec, a fused u/r update, and the direction update with the diagonal
-// preconditioner folded in — versus five unfused.
+// iterations. With the diagonal folded (Plan.Folded) each iteration is
+// three sweeps — the matvec, a fused u/r update, and the direction update
+// with the preconditioner folded in — versus five unfolded.
 //
 // A residual-growth guard protects the bootstrap (ROADMAP): a short CG
 // bootstrap can underestimate λmax on smooth problems, which makes the
@@ -826,7 +811,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	o := e.o
 	sys := e.sys
 	in := e.in
-	var result Result
+	result := Result{Plan: e.plan}
 	var zscr F // lazily allocated preconditioner scratch
 	var rr0 float64
 	bootIters := o.EigenCGIters
@@ -906,9 +891,6 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		}
 		pvec := st.pvec
 
-		minv, foldable := sys.FoldableDiag()
-		fused := o.Fused && foldable
-
 		e.applyPrecond(in, r, z)
 		sys.ScaleTo(in, 1/sched.Theta, z, pvec) // p = z/θ
 		e.vectorPass(in)
@@ -926,12 +908,12 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 				step = sched.Steps() - 1 // coefficients have converged by then
 			}
 			e.matvec(in, pvec, w)
-			if fused {
+			if e.plan.Folded {
 				// u += p and r −= A·p share one sweep; the direction update
 				// p = α·p + β·M⁻¹r folds the preconditioner into a second.
 				sys.AxpyAxpy(in, 1, pvec, e.u, -1, w, r)
 				e.vectorPass(in)
-				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], minv, r)
+				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], e.minv, r)
 				e.vectorPass(in)
 			} else {
 				sys.Axpy(in, 1, pvec, e.u) // u += p
@@ -995,11 +977,11 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // extended bounds that shrink by one cell per step, trading a little
 // redundant computation for d× fewer messages.
 //
-// On the fused path (Options.Fused with a diagonal-foldable inner
-// preconditioner) each inner step is two sweeps — the matvec plus one
-// fused residual-update/preconditioner/direction/accumulate kernel —
-// versus five unfused, and the outer updates and dot products use the
-// fused two-in-one kernels.
+// With the diagonal folded (Plan.Folded) each inner step is two sweeps —
+// the matvec plus one fused residual-update/preconditioner/direction/
+// accumulate kernel — versus five unfolded. On every engine the outer
+// u/r update shares one sweep and ρ = r·z and ‖r‖² share one sweep and
+// one reduction round.
 //
 // With a deflator configured the outer PCG runs on the projected operator
 // P·A (the bootstrap CG already ran deflated and left Wᵀ·r = 0): each
@@ -1020,6 +1002,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		return boot, err
 	}
 	result := Result{
+		Plan:           e.plan,
 		Iterations:     boot.Iterations,
 		BootstrapIters: boot.Iterations,
 		History:        boot.History,
@@ -1094,29 +1077,15 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			}
 		}
 		alpha := rz / pw
-		if o.Fused {
-			// u += α·p and r −= α·w share one sweep.
-			sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, w, r)
-			e.vectorPass(in)
-		} else {
-			sys.Axpy(in, alpha, pvec, e.u)
-			sys.Axpy(in, -alpha, w, r)
-			e.vectorPass(in)
-			e.vectorPass(in)
-		}
+		sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, w, r)
+		e.vectorPass(in)
 
 		if err := inner.apply(r); err != nil {
 			return result, err
 		}
 		result.TotalInner += o.InnerSteps
 
-		var rzNew, rrNew float64
-		if o.Fused || o.FusedDots {
-			rzNew, rrNew = e.dotPair(z, r)
-		} else {
-			rzNew = e.dot(r, z)
-			rrNew = e.dot(r, r)
-		}
+		rzNew, rrNew := e.dotPair(z, r)
 		beta := rzNew / rz
 		rz = rzNew
 		result.Iterations++
@@ -1162,20 +1131,14 @@ type innerCore[F comparable, B any] struct {
 	sd     F
 	zscr   F
 	w      F
-	// minv is the folded diagonal preconditioner for the fused step (zero
-	// = identity); fused reports whether the fused kernel path is usable.
-	minv  F
-	fused bool
 }
 
 func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B],
 	z, rtemp, sd, zscr F) *innerCore[F, B] {
-	minv, foldable := e.sys.FoldableDiag()
 	return &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
 		z: z, rtemp: rtemp, sd: sd, zscr: zscr,
-		w:    e.sys.NewVec(),
-		minv: minv, fused: e.o.Fused && foldable,
+		w: e.sys.NewVec(),
 	}
 }
 
@@ -1187,8 +1150,9 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 //	    sd    ← α_k·sd + β_k·M⁻¹rtemp
 //	    z     ← z + sd              (interior only)
 //
-// leaving the polynomial-preconditioned residual in s.z. On the fused
-// path everything after the matvec is one sweep (FusedPPCGInner).
+// leaving the polynomial-preconditioned residual in s.z. With the
+// diagonal folded everything after the matvec is one sweep
+// (FusedPPCGInner).
 func (s *innerCore[F, B]) apply(r F) error {
 	e := s.e
 	sys := e.sys
@@ -1199,9 +1163,9 @@ func (s *innerCore[F, B]) apply(r F) error {
 	sys.CopyAll(s.rtemp, r)
 	e.vectorPass(in)
 
-	if s.fused {
+	if e.plan.Folded {
 		// sd = (M⁻¹rtemp)/θ with the preconditioner folded, then z = sd.
-		sys.AxpbyPre(in, 0, s.sd, 1/s.sched.Theta, s.minv, s.rtemp)
+		sys.AxpbyPre(in, 0, s.sd, 1/s.sched.Theta, e.minv, s.rtemp)
 		e.vectorPass(in)
 	} else {
 		e.applyPrecond(in, s.rtemp, s.zscr)
@@ -1240,9 +1204,9 @@ func (s *innerCore[F, B]) apply(r F) error {
 		}
 
 		e.matvec(b, s.sd, s.w)
-		if s.fused {
+		if e.plan.Folded {
 			sys.FusedPPCGInner(b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
-				s.w, s.rtemp, s.minv, s.sd, s.z)
+				s.w, s.rtemp, e.minv, s.sd, s.z)
 			e.vectorPass(b)
 			continue
 		}

@@ -59,7 +59,7 @@ func TestPipelinedCGDrainsReductionOnExchangeFailure(t *testing.T) {
 		for failAfter := 0; failAfter <= 8; failAfter++ {
 			p := buildProblem(t, 16, 16, 2, 11)
 			fc := &faultComm{Communicator: comm.NewSerial(), failAfter: failAfter}
-			o := Options{Tol: 1e-12, Pipelined: true, SplitSweeps: split, Comm: fc}
+			o := Options{Tol: 1e-12, Engine: EnginePipelined, SplitSweeps: split, Comm: fc}
 			_, err := SolveCG(p, o)
 			if fc.started != fc.finished {
 				t.Fatalf("split=%v failAfter=%d: %d split-phase rounds started but %d finished (err=%v)",

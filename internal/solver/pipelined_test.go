@@ -33,7 +33,7 @@ func TestPipelinedCGMatchesFusedSerial(t *testing.T) {
 		if precondName == "jac_diag" {
 			oCl.Precond = precondJacobi(t, classic.Op)
 		}
-		oCl.DisableFused = true
+		oCl.Engine = EngineClassic
 		clRes, err := SolveCG(classic, oCl)
 		if err != nil || !clRes.Converged {
 			t.Fatalf("%s classic reference: %v %+v", precondName, err, clRes)
@@ -41,7 +41,7 @@ func TestPipelinedCGMatchesFusedSerial(t *testing.T) {
 
 		for _, split := range []bool{false, true} {
 			p := buildProblem(t, 24, 24, 2, 11)
-			o := Options{Tol: 1e-12, Pipelined: true, SplitSweeps: split}
+			o := Options{Tol: 1e-12, Engine: EnginePipelined, SplitSweeps: split}
 			if precondName == "jac_diag" {
 				o.Precond = precondJacobi(t, p.Op)
 			}
@@ -83,7 +83,7 @@ func TestPipelinedCG3DMatchesFused(t *testing.T) {
 		}
 		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
 		res, err := SolveCG3D(p, Options{
-			Tol: 1e-12, Pipelined: true, SplitSweeps: split,
+			Tol: 1e-12, Engine: EnginePipelined, SplitSweeps: split,
 			Precond3D: precond.NewJacobi3D(par.Serial, op),
 		})
 		if err != nil || !res.Converged {
@@ -110,7 +110,7 @@ func TestPipelinedCGTraceCounts(t *testing.T) {
 		for _, split := range []bool{false, true} {
 			p := buildProblem(t, 16, 16, 2, 17)
 			c := comm.NewSerial()
-			o := Options{Tol: 1e-9, Comm: c, Pipelined: true, SplitSweeps: split}
+			o := Options{Tol: 1e-9, Comm: c, Engine: EnginePipelined, SplitSweeps: split}
 			if precondName == "jac_diag" {
 				o.Precond = precondJacobi(t, p.Op)
 			}
@@ -150,7 +150,7 @@ func TestPipelinedDeflatedTraceRounds(t *testing.T) {
 		t.Helper()
 		p := stiffProblem(t, 32)
 		c := comm.NewSerial()
-		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c, Pipelined: true}
+		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c, Engine: EnginePipelined}
 		if deflated {
 			defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{},
 				deflate.Config{BX: 4, BY: 4})
@@ -194,7 +194,7 @@ func TestPipelinedDeflatedMatchesFused(t *testing.T) {
 	for _, split := range []bool{false, true} {
 		p := stiffProblem(t, 32)
 		res, err := SolveCG(p, Options{
-			Tol: tol, Pipelined: true, SplitSweeps: split,
+			Tol: tol, Engine: EnginePipelined, SplitSweeps: split,
 			Deflation: newDeflation(t, p.Op, 4, 1),
 		})
 		if err != nil || !res.Converged {
@@ -237,7 +237,7 @@ func solvePipelinedRank2D(t *testing.T, c comm.Communicator, part *grid.Partitio
 	if err != nil {
 		return err
 	}
-	o := Options{Tol: 1e-12, Comm: c, Pipelined: true, SplitSweeps: split}
+	o := Options{Tol: 1e-12, Comm: c, Engine: EnginePipelined, SplitSweeps: split}
 	if precondName == "jac_diag" {
 		o.Precond = precond.NewJacobi(par.Serial, op)
 	}
@@ -404,7 +404,7 @@ func TestPipelinedCG3DHubMatchesSerialFused(t *testing.T) {
 			}
 			p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
 			res, err := SolveCG3D(p, Options{
-				Tol: 1e-12, Comm: c, Pipelined: true, SplitSweeps: split,
+				Tol: 1e-12, Comm: c, Engine: EnginePipelined, SplitSweeps: split,
 				Precond3D: precond.NewJacobi3D(par.Serial, op),
 			})
 			if err != nil {

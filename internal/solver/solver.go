@@ -140,43 +140,15 @@ type Options struct {
 	// entry is not deep-halo compatible (jac_block in either dimension),
 	// and the classic (unfused) CG loop ignores it.
 	HaloDepth int
-	// FusedDots combines the ρ and ‖r‖ reductions of each PCG iteration
-	// into a single allreduce (§VII future work). Affects communication
-	// count only, not results. It applies to the unfused loops; the fused
-	// loops always share one reduction round.
-	FusedDots bool
-	// Fused reports whether the fused single-reduction iteration loops
-	// are in effect (default on): a Chronopoulos–Gear CG whose iteration
-	// is three grid sweeps and one reduction round, with diagonal
-	// preconditioners folded into the sweeps, and fused Chebyshev/PPCG
-	// inner updates. The field is DERIVED: withDefaults sets it to
-	// !DisableFused, so assigning Fused directly has no effect — the one
-	// and only opt-out knob is DisableFused (this keeps the zero Options
-	// value defaulting to on). Preconditioners that are not pure diagonal
-	// scalings (block-Jacobi) and folded preconditioners on halo-1 grids
-	// in multi-rank runs fall back to the unfused loops regardless.
-	// Deflated solves run fused too: the projection inserts one coarse
-	// reduction round after the matvec and the curvature dot joins the
-	// iteration's single scalar round.
-	Fused bool
-	// DisableFused forces the original multi-pass solver loops; it is
-	// how equivalence tests and benchmarks select the reference path.
-	DisableFused bool
-	// Pipelined selects the pipelined (Ghysels–Vanroose) CG engine
-	// (tl_pipelined): extra s = A·M⁻¹p and z = A·M⁻¹s recurrences let each
-	// iteration START its single three-scalar reduction before the matvec
-	// sweep and FINISH it after, hiding the reduction latency behind a full
-	// grid sweep instead of serialising them (§III-A identifies the
-	// allreduce as CG's scaling bottleneck; this removes it from the
-	// critical path entirely, where the Chronopoulos–Gear fused engine only
-	// coalesces it). Costs one extra vector (plus one matvec target) of
-	// memory and slightly more vector traffic per iteration. Same
-	// applicability rules as the fused engine: the preconditioner must be
-	// diagonal-foldable, and folded preconditioners on halo-1 grids in
-	// multi-rank runs fall back (to fused or classic). Deflated solves run
-	// pipelined with the projection applied after the reduction finishes —
-	// collectives are forbidden while a split-phase reduction is in flight.
-	Pipelined bool
+	// Engine selects the CG engine (see Engine; the zero value is
+	// EngineFused). EnginePipelined is tl_pipelined. The fused and
+	// pipelined engines need a diagonal-foldable preconditioner, and a
+	// folded non-identity one needs grid halo >= 2 on multi-rank runs;
+	// otherwise the solve falls back to EngineClassic and says so in
+	// Result.Plan. Deflated solves run on every engine: fused and classic
+	// project the matvec result, pipelined projects after its split-phase
+	// round finishes (no other collective may run while it is in flight).
+	Engine Engine
 	// SplitSweeps overlaps each CG matvec's halo exchange with the
 	// interior stencil sweep (tl_split_sweeps): the sweep is split into an
 	// interior pass that never reads halo cells and a one-cell boundary
@@ -191,9 +163,9 @@ type Options struct {
 	// once per sweep. Per-tile dot partials are folded in fixed tile order
 	// at the end of each chained sweep, so the iterates are bit-identical
 	// to the unchained deep-halo path for every band size, worker count
-	// and rank count. On an untiled pool the engines silently fall back to
-	// the unchained cycle (the deck layer raises a validation error
-	// instead); at HaloDepth <= 1 and on the classic loop it is a no-op.
+	// and rank count. On an untiled pool, at HaloDepth <= 1 and on the
+	// classic loop the engines run the unchained cycle and report the
+	// fallback in Result.Plan (the deck layer refuses an untiled pool).
 	// A deflated pipelined solve additionally posts the projector's coarse
 	// round split-phase on its own tag, keeping two tagged reductions in
 	// flight across the chained matvec block — at the cost of exactly one
@@ -242,7 +214,6 @@ func (o Options) withDefaults() Options {
 	if o.CheckEvery <= 0 {
 		o.CheckEvery = 10
 	}
-	o.Fused = !o.DisableFused
 	return o
 }
 
@@ -250,6 +221,9 @@ func (o Options) withDefaults() Options {
 // halo depth against the grid, preconditioner capability against the
 // unified registry, and the deflation composition rules.
 func (o Options) validateCommon(gridHalo int, precondName string, dims int) error {
+	if o.Engine < EngineFused || o.Engine > EngineClassic {
+		return fmt.Errorf("solver: unknown engine %v", o.Engine)
+	}
 	if o.HaloDepth > gridHalo {
 		return fmt.Errorf("solver: halo depth %d exceeds grid halo %d", o.HaloDepth, gridHalo)
 	}
@@ -333,6 +307,9 @@ type Result struct {
 	Alphas, Betas []float64
 	// Eigen is the extremal eigenvalue estimate used (Chebyshev/PPCG).
 	Eigen *eigen.Estimate
+	// Plan is the engine configuration the solve resolved and ran
+	// (CG, Chebyshev and PPCG), with every fallback it took.
+	Plan Plan
 }
 
 // isNone reports whether m is the identity preconditioner.

@@ -44,12 +44,10 @@ func benchProblem(nx, ny int, seed int64) Problem {
 	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
-// benchCGIterations times benchIters CG iterations per op. Tol is set
-// unreachably low so the solver always spends the full budget. impl picks
-// the path: "fused" (default single-reduction loop), "unfused" (the
-// classic loop structure on the current kernels, via DisableFused), or
-// "seed" (the frozen pre-optimisation reference in refbench.go).
-func benchCGIterations(b *testing.B, n int, impl, precondName string) {
+// benchCGIterations times benchIters CG iterations per op on the given
+// engine. Tol is set unreachably low so the solver always spends the
+// full budget.
+func benchCGIterations(b *testing.B, n int, eng Engine, precondName string) {
 	p := benchProblem(n, n, 42)
 	u0 := p.U.Clone()
 	var m precond.Preconditioner
@@ -63,15 +61,7 @@ func benchCGIterations(b *testing.B, n int, impl, precondName string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.U.CopyFrom(u0)
-		if impl == "seed" {
-			mm := m
-			if mm == nil {
-				mm = precond.NewNone()
-			}
-			NewSeedBenchCG(p, mm).Iterate(benchIters)
-			continue
-		}
-		o := Options{Tol: 1e-300, MaxIters: benchIters, Precond: m, DisableFused: impl == "unfused"}
+		o := Options{Tol: 1e-300, MaxIters: benchIters, Precond: m, Engine: eng}
 		if _, err := SolveCG(p, o); err != nil {
 			b.Fatal(err)
 		}
@@ -83,10 +73,10 @@ func benchCGIterations(b *testing.B, n int, impl, precondName string) {
 
 func BenchmarkCGIteration(b *testing.B) {
 	for _, n := range []int{1024, 2048} {
-		for _, impl := range []string{"fused", "unfused", "seed"} {
+		for _, eng := range []Engine{EngineFused, EngineClassic} {
 			for _, precondName := range []string{"none", "jac_diag"} {
-				b.Run(fmt.Sprintf("%dx%d/%s/%s", n, n, impl, precondName), func(b *testing.B) {
-					benchCGIterations(b, n, impl, precondName)
+				b.Run(fmt.Sprintf("%dx%d/%s/%s", n, n, eng, precondName), func(b *testing.B) {
+					benchCGIterations(b, n, eng, precondName)
 				})
 			}
 		}
@@ -94,19 +84,15 @@ func BenchmarkCGIteration(b *testing.B) {
 }
 
 // BenchmarkPPCGInnerStep times the Chebyshev inner smoothing steps that
-// dominate PPCG wall time, fused versus unfused.
+// dominate PPCG wall time, folded (fused engine) versus unfolded (classic).
 func BenchmarkPPCGInnerStep(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		label := "fused"
-		if disable {
-			label = "unfused"
-		}
-		b.Run(label, func(b *testing.B) {
+	for _, eng := range []Engine{EngineFused, EngineClassic} {
+		b.Run(eng.String(), func(b *testing.B) {
 			n := 1024
 			p := benchProblem(n, n, 43)
 			u0 := p.U.Clone()
 			o := Options{Tol: 1e-300, MaxIters: 4, EigenCGIters: 2, InnerSteps: 8,
-				Precond: precond.NewJacobi(par.Serial, p.Op), DisableFused: disable}
+				Precond: precond.NewJacobi(par.Serial, p.Op), Engine: eng}
 			b.SetBytes(int64(o.MaxIters) * int64(o.InnerSteps) * int64(n) * int64(n) * 8 * 7)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

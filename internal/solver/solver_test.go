@@ -160,27 +160,6 @@ func TestPreconditioningReducesIterations(t *testing.T) {
 	}
 }
 
-func TestFusedDotsIdenticalResults(t *testing.T) {
-	a := buildProblem(t, 24, 24, 1, 6)
-	b := buildProblem(t, 24, 24, 1, 6)
-	m1 := precond.NewJacobi(par.Serial, a.Op)
-	m2 := precond.NewJacobi(par.Serial, b.Op)
-	r1, err := SolveCG(a, Options{Tol: 1e-11, Precond: m1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SolveCG(b, Options{Tol: 1e-11, Precond: m2, FusedDots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Errorf("fused dots changed iteration count: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	if d := a.U.MaxDiff(b.U); d != 0 {
-		t.Errorf("fused dots changed the solution by %v", d)
-	}
-}
-
 func TestSolveJacobiConverges(t *testing.T) {
 	p := buildProblem(t, 16, 16, 1, 7)
 	res, err := SolveJacobi(p, Options{Tol: 1e-9, MaxIters: 50000})
@@ -378,7 +357,7 @@ func TestParseKind(t *testing.T) {
 func TestCGTraceCounts(t *testing.T) {
 	p := buildProblem(t, 16, 16, 1, 17)
 	c := comm.NewSerial()
-	res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, DisableFused: true})
+	res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, Engine: EngineClassic})
 	if err != nil || !res.Converged {
 		t.Fatal(err)
 	}
@@ -526,7 +505,7 @@ func TestFusedMatchesUnfusedCG(t *testing.T) {
 			if err != nil || !resF.Converged {
 				t.Fatalf("%s w%d fused: %v (converged=%v)", precondName, workers, err, resF.Converged)
 			}
-			resU, err := SolveCG(pu, Options{Tol: 1e-10, Pool: pool, Precond: fusedPrecondFor(precondName, pu), DisableFused: true})
+			resU, err := SolveCG(pu, Options{Tol: 1e-10, Pool: pool, Precond: fusedPrecondFor(precondName, pu), Engine: EngineClassic})
 			if err != nil || !resU.Converged {
 				t.Fatalf("%s w%d unfused: %v", precondName, workers, err)
 			}
@@ -552,7 +531,7 @@ func TestFusedMatchesUnfusedChebyshev(t *testing.T) {
 	if err != nil || !resF.Converged {
 		t.Fatalf("fused: %v (converged=%v)", err, resF.Converged)
 	}
-	resU, err := SolveChebyshev(pu, Options{Tol: 1e-9, EigenCGIters: 8, Precond: mu, DisableFused: true})
+	resU, err := SolveChebyshev(pu, Options{Tol: 1e-9, EigenCGIters: 8, Precond: mu, Engine: EngineClassic})
 	if err != nil || !resU.Converged {
 		t.Fatalf("unfused: %v", err)
 	}
@@ -575,7 +554,7 @@ func TestFusedMatchesUnfusedPPCG(t *testing.T) {
 				Precond: fusedPrecondFor(precondName, pf)}
 			ou := of
 			ou.Precond = fusedPrecondFor(precondName, pu)
-			ou.DisableFused = true
+			ou.Engine = EngineClassic
 			resF, err := SolvePPCG(pf, of)
 			if err != nil || !resF.Converged {
 				t.Fatalf("%s d%d fused: %v (converged=%v)", precondName, depth, err, resF.Converged)
@@ -597,17 +576,28 @@ func TestFusedMatchesUnfusedPPCG(t *testing.T) {
 }
 
 func TestFusedCGIsDefault(t *testing.T) {
-	o := Options{}.withDefaults()
-	if !o.Fused {
-		t.Error("zero Options must default Fused to on")
+	if o := (Options{}).withDefaults(); o.Engine != EngineFused {
+		t.Errorf("zero Options must default to the fused engine, got %v", o.Engine)
 	}
-	o = Options{DisableFused: true}.withDefaults()
-	if o.Fused {
-		t.Error("DisableFused must turn the fused path off")
+	p := buildProblem(t, 16, 16, 1, 21)
+	res, err := SolveCG(p, Options{Tol: 1e-9})
+	if err != nil || !res.Converged {
+		t.Fatalf("default: %v (converged=%v)", err, res.Converged)
+	}
+	if res.Plan.Engine != EngineFused {
+		t.Errorf("zero Options resolved to plan %v, want the fused engine", res.Plan)
+	}
+	p = buildProblem(t, 16, 16, 1, 21)
+	res, err = SolveCG(p, Options{Tol: 1e-9, Engine: EngineClassic})
+	if err != nil || !res.Converged {
+		t.Fatalf("classic: %v (converged=%v)", err, res.Converged)
+	}
+	if res.Plan.Engine != EngineClassic {
+		t.Errorf("EngineClassic must turn the fused path off, got plan %v", res.Plan)
 	}
 }
 
-// fakeMultiRank wraps comm.Serial but reports two ranks, so dispatch
+// fakeMultiRank wraps comm.Serial but reports two ranks, so plan
 // decisions that depend on Comm.Size() can be tested without a hub.
 type fakeMultiRank struct{ *comm.Serial }
 
@@ -631,12 +621,14 @@ func TestFusedJacobiFoldRequiresHaloOnMultiRank(t *testing.T) {
 		if err != nil || !res.Converged {
 			t.Fatalf("halo=%d: %v (converged=%v)", tc.halo, err, res.Converged)
 		}
+		if gotFused := res.Plan.Engine == EngineFused; gotFused != tc.wantFused {
+			t.Errorf("halo=%d: plan %v, want fused=%v", tc.halo, res.Plan, tc.wantFused)
+		}
 		// The fused engine produces every per-iteration dot product inside
 		// fused sweeps — its only standalone dot is the startup ‖b‖² stop
 		// baseline; the classic engine records standalone dot passes every
 		// iteration.
-		gotFused := c.Trace().Dots <= 1
-		if gotFused != tc.wantFused {
+		if gotFused := c.Trace().Dots <= 1; gotFused != tc.wantFused {
 			t.Errorf("halo=%d: fused=%v (dots=%d), want fused=%v",
 				tc.halo, gotFused, c.Trace().Dots, tc.wantFused)
 		}

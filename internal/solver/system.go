@@ -216,14 +216,22 @@ type engine[F comparable, B any] struct {
 	// u holds the initial guess on entry and the solution on exit; rhs is
 	// the right-hand side. Both live on the system's grid.
 	u, rhs F
+	// plan is the engine choice resolved once for the solve; every loop
+	// reads it. minv is the folded inverse diagonal (zero = identity) and
+	// bands the temporal-blocking bands (non-nil exactly when chained).
+	plan  Plan
+	minv  F
+	bands []par.ChainBand
 }
 
 func newEngine[F comparable, B any](sys system[F, B], o Options, u, rhs F) *engine[F, B] {
 	in := sys.Interior()
-	return &engine[F, B]{
+	e := &engine[F, B]{
 		sys: sys, o: o, c: o.Comm, tr: o.Comm.Trace(),
 		in: in, cells: sys.Cells(in), u: u, rhs: rhs,
 	}
+	e.plan, e.minv, e.bands = resolvePlan(sys, o, o.Comm.Size())
+	return e
 }
 
 // exchange refreshes halos through the communicator.
@@ -283,15 +291,15 @@ func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
 
 // applyPreDotX refreshes r's depth-1 halo and computes w = A·(minv⊙r)
 // over the interior, returning the local (minv⊙r)·w dot. It is the
-// matvec step of the fused and pipelined CG engines. With
-// Options.SplitSweeps the exchange runs concurrently with the interior
+// matvec step of the fused and pipelined CG engines. With split sweeps
+// in the plan the exchange runs concurrently with the interior
 // sweep — the exchange only writes halo cells and reads the interior ring,
 // which the interior sweep never touches — and the boundary-ring pass
 // completes the field once the fresh halo has landed. The exchange runs in
 // a plain goroutine (the comm paths never touch the par.Pool, which is not
 // reentrant); the channel receive orders its Trace writes before ours.
 func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
-	if !e.o.SplitSweeps {
+	if !e.plan.Split {
 		if err := e.exchange(1, r); err != nil {
 			return 0, err
 		}
@@ -324,22 +332,6 @@ func (e *engine[F, B]) applyPreDotDeep(mb B, minv, r, w F) float64 {
 	}
 	e.tr.AddMatvec(e.sys.Cells(mb))
 	return d
-}
-
-// haloCycleDepth resolves the matrix-powers cycle depth for the fused and
-// pipelined engines: Options.HaloDepth, capped to 1 when a configured
-// deflator cannot maintain the projection on extended bounds.
-func (e *engine[F, B]) haloCycleDepth(defl deflator[F]) int {
-	depth := e.o.HaloDepth
-	if depth <= 1 {
-		return 1
-	}
-	if defl != nil {
-		if _, ok := defl.(deepDeflator[F, B]); !ok {
-			return 1
-		}
-	}
-	return depth
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and

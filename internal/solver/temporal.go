@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the temporal-blocked deep-halo solve cycles
-// behind Options.Temporal (PR 10). A deep-halo CG iteration cannot be
+// behind Options.Temporal. A deep-halo CG iteration cannot be
 // chained ACROSS iterations bit-identically — each iteration's α and β
 // depend on the previous iteration's global reduction — so the chaining
 // happens WITHIN each iteration: the fused engine's three sweeps (and
@@ -59,32 +59,23 @@ type chainState[F comparable, B any] struct {
 	h1             comm.ReduceHandle // posted split-phase coarse round, nil once consumed
 }
 
-// newChainState resolves the temporal-blocking schedule for a fused or
-// pipelined CG engine: nil (the unchained cycle) unless Options.Temporal
-// is set, the cycle is deep, and the pool is tiled — par.ChainBands'
-// requirement for bit-stable folds; the deck layer refuses tl_temporal
-// on untiled pools so the silent fallback here only serves direct
-// library use. A deflated pipelined solve additionally needs the
-// projector to support the split-phase coarse round (splitDeflator).
-func newChainState[F comparable, B any](e *engine[F, B], depth int, defl deflator[F]) *chainState[F, B] {
-	if !e.o.Temporal || depth <= 1 {
+// newChainState builds a temporal-blocked solve's chain state over the
+// bands the plan resolved: nil (the unchained cycle) unless the plan
+// chains — Options.Temporal on a deep fused or pipelined cycle over a
+// tiled pool (par.ChainBands' requirement for bit-stable folds), and for
+// a deflated pipelined solve a projector that posts its coarse round
+// split-phase (splitDeflator). The plan reports each fallback; the deck
+// layer refuses tl_temporal on untiled pools outright.
+func newChainState[F comparable, B any](e *engine[F, B]) *chainState[F, B] {
+	if !e.plan.Chained {
 		return nil
 	}
-	if e.o.Pipelined && defl != nil {
-		if _, ok := defl.(splitDeflator[F, B]); !ok {
-			return nil
-		}
-	}
-	bands := e.sys.ChainBands(e.o.ChainBandCells)
-	if bands == nil {
-		return nil
-	}
-	cs := &chainState[F, B]{bands: bands}
+	cs := &chainState[F, B]{bands: e.bands}
 	// Width 2 everywhere the matvec dot lands: the 3D identity path
 	// shares ApplyDot2's two-lane tile body, and a two-wide fold's slot 0
 	// is bit-identical to the one-wide fold of the same partials.
 	cs.accM = e.sys.NewChainAccum(2)
-	if e.o.Pipelined {
+	if e.plan.Engine == EnginePipelined {
 		cs.accS = e.sys.NewChainAccum(3)
 	} else {
 		cs.accU = e.sys.NewChainAccum(2)

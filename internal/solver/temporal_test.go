@@ -22,16 +22,16 @@ import (
 
 // temporalVariant names one engine combination under test.
 type temporalVariant struct {
-	name      string
-	pipelined bool
-	deflated  bool
+	name     string
+	engine   Engine
+	deflated bool
 }
 
 var temporalVariants = []temporalVariant{
-	{"fused", false, false},
-	{"pipelined", true, false},
-	{"deflated-fused", false, true},
-	{"deflated-pipelined", true, true},
+	{"fused", EngineFused, false},
+	{"pipelined", EnginePipelined, false},
+	{"deflated-fused", EngineFused, true},
+	{"deflated-pipelined", EnginePipelined, true},
 }
 
 // temporalPool builds a rank's tiled worker pool with tile rows short
@@ -47,7 +47,7 @@ func temporalPool(workers, dims int) *par.Pool {
 func temporalOpts(v temporalVariant, pool *par.Pool, c comm.Communicator, depth int, temporal bool) Options {
 	return Options{
 		Tol: 1e-10, Comm: c, Pool: pool,
-		HaloDepth: depth, Pipelined: v.pipelined,
+		HaloDepth: depth, Engine: v.engine,
 		Temporal: temporal, ChainBandCells: 5,
 	}
 }
@@ -237,7 +237,7 @@ func checkTemporalTrace(t *testing.T, label string, v temporalVariant, depth int
 			label, ch.Matvecs, ch.MatvecCells, un.Matvecs, un.MatvecCells)
 	}
 	wantRed, wantVals := un.Reductions, un.ReducedValues
-	if v.pipelined && v.deflated {
+	if v.engine == EnginePipelined && v.deflated {
 		wantRed++
 		wantVals += coarseDim
 	}
@@ -307,9 +307,9 @@ func TestTemporalWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Temporal on an untiled pool must fall back to the unchained cycle
-// (silently at the library layer — the deck layer rejects it instead),
-// and a depth-1 solve must ignore the flag entirely.
+// Temporal on an untiled pool must fall back to the unchained cycle (the
+// deck layer rejects it instead), and a depth-1 solve must ignore the
+// flag entirely; both report the fallback in the plan.
 func TestTemporalFallbacks(t *testing.T) {
 	build := func(pool *par.Pool, temporal bool, depth int) (Result, *grid.Field2D) {
 		const n = 24
@@ -347,10 +347,19 @@ func TestTemporalFallbacks(t *testing.T) {
 	if ch.Iterations != un.Iterations || cU.MaxDiff(uU) != 0 {
 		t.Errorf("temporal on an untiled pool must be the unchained cycle exactly")
 	}
+	checkUnchained(t, ch.Plan, "temporal→unchained: the pool is not tiled")
 	tiled := temporalPool(2, 2)
 	un, uU = build(tiled, false, 1)
 	ch, cU = build(tiled, true, 1)
 	if ch.Iterations != un.Iterations || cU.MaxDiff(uU) != 0 {
 		t.Errorf("temporal at depth 1 must be a no-op")
+	}
+	checkUnchained(t, ch.Plan, "temporal→unchained: the cycle depth is 1")
+}
+
+func checkUnchained(t *testing.T, p Plan, why string) {
+	t.Helper()
+	if p.Chained || len(p.Fallbacks) != 1 || p.Fallbacks[0] != why {
+		t.Errorf("plan %v, want unchained with the one fallback %q", p, why)
 	}
 }

@@ -1,4 +1,4 @@
-// Package stats collects operation counts and timings from solver runs.
+// Package stats collects operation counts from solver runs.
 // The counts are the raw material for the strong-scaling performance model
 // (internal/model): a solver run records how many matrix-vector products,
 // vector-kernel passes, global reductions and halo exchanges (by depth and
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Trace accumulates the communication- and bandwidth-relevant operations
@@ -141,44 +140,4 @@ func (t *Trace) String() string {
 		b.WriteByte('}')
 	}
 	return b.String()
-}
-
-// Timer is a simple section timer keyed by name, used by the drivers to
-// report kernel-level time breakdowns the way TeaLeaf's profiler flag does.
-type Timer struct {
-	sections map[string]time.Duration
-	starts   map[string]time.Time
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer {
-	return &Timer{
-		sections: make(map[string]time.Duration),
-		starts:   make(map[string]time.Time),
-	}
-}
-
-// Start begins (or resumes) the named section.
-func (tm *Timer) Start(name string) { tm.starts[name] = time.Now() }
-
-// Stop ends the named section, accumulating its elapsed time. Stopping a
-// section that was never started is a no-op.
-func (tm *Timer) Stop(name string) {
-	if s, ok := tm.starts[name]; ok {
-		tm.sections[name] += time.Since(s)
-		delete(tm.starts, name)
-	}
-}
-
-// Total returns the accumulated time of the named section.
-func (tm *Timer) Total(name string) time.Duration { return tm.sections[name] }
-
-// Sections returns the section names in sorted order.
-func (tm *Timer) Sections() []string {
-	out := make([]string, 0, len(tm.sections))
-	for n := range tm.sections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
