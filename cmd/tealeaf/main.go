@@ -57,7 +57,6 @@ func run() error {
 		deflBlk   = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
 		deflLvl   = flag.Int("deflate-levels", 0, "override nested deflation hierarchy depth (tl_deflation_levels)")
 		pipelined = flag.Bool("pipelined", false, "use pipelined CG: overlap each iteration's reduction with the matvec (tl_pipelined)")
-		split     = flag.Bool("split", false, "split matvec sweeps: overlap halo exchanges with the interior sweep (tl_split_sweeps)")
 		tiled     = flag.Bool("tiled", false, "route hot sweeps through the cache-tiled scheduler (tl_tiling; shape auto-sized from the LLC model unless -tile-x/y/z)")
 		tileX     = flag.Int("tile-x", 0, "override tile x edge (tl_tile_x; implies -tiled; 0 = auto)")
 		tileY     = flag.Int("tile-y", 0, "override tile y edge (tl_tile_y; implies -tiled; 0 = auto)")
@@ -119,9 +118,6 @@ func run() error {
 	}
 	if *pipelined {
 		d.Pipelined = true
-	}
-	if *split {
-		d.SplitSweeps = true
 	}
 	if *tiled || *tileX > 0 || *tileY > 0 || *tileZ > 0 {
 		d.Tiling = true
@@ -298,8 +294,7 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 }
 
 // printPlan reports, unless quiet, the solver plan a run resolved: the
-// engine that ran, its cycle depth, chaining, split sweeps and every
-// fallback taken.
+// engine that ran, its cycle depth, chaining and every fallback taken.
 func printPlan(p solver.Plan, quiet bool) {
 	if !quiet {
 		fmt.Printf("plan: %v\n", p)

@@ -36,7 +36,7 @@ func exchangeOverlap(c comm.Communicator, x []float64) ([]float64, error) {
 }
 
 // overlapGoroutine overlaps the round with an exchange on a plain
-// goroutine, the split-sweeps idiom of engine.applyPreDotX.
+// goroutine that neither starts nor finishes a round.
 func overlapGoroutine(c comm.Communicator, x []float64) []float64 {
 	h := c.AllReduceSumNStart(x)
 	done := make(chan error, 1)

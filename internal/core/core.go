@@ -176,7 +176,6 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
 		Engine:       engineFor(d),
-		SplitSweeps:  d.SplitSweeps,
 		Temporal:     d.Temporal,
 	}
 	inst.opts.ChainBandCells = chainBandCells(d, g.NX, g.NY, 0)

@@ -112,7 +112,6 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
 		Engine:       engineFor(d),
-		SplitSweeps:  d.SplitSweeps,
 		Temporal:     d.Temporal,
 	}
 	inst.opts.ChainBandCells = chainBandCells(d, g.NX, g.NY, g.NZ)

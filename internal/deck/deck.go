@@ -9,13 +9,13 @@
 // single reduction round overlaps the matvec sweep; falls back to the
 // classic engine, and the run reports it, where the preconditioner cannot
 // fold), tl_fused_dots (accepted for older decks; the classic loop now
-// always shares the ρ and ‖r‖ round), tl_split_sweeps
-// (interior/boundary split matvec sweeps so halo exchanges overlap the
-// interior pass), and the deflation keys tl_use_deflation /
-// tl_deflation_blocks=N / tl_deflation_levels=L (subdomain deflation as
-// an outer Krylov projector; N coarse blocks per direction over the
-// global mesh, default 8, with an L-deep nested hierarchy — composes
-// with tl_use_cg and tl_use_ppcg in 2D and 3D, single- or multi-rank).
+// always shares the ρ and ‖r‖ round), tl_split_sweeps (accepted for
+// older decks; the split sweeps were removed), and the deflation keys
+// tl_use_deflation / tl_deflation_blocks=N / tl_deflation_levels=L
+// (subdomain deflation as an outer Krylov projector; N coarse blocks per
+// direction over the global mesh, default 8, with an L-deep nested
+// hierarchy — composes with tl_use_cg and tl_use_ppcg in 2D and 3D,
+// single- or multi-rank).
 package deck
 
 import (
@@ -84,10 +84,6 @@ type Deck struct {
 	// engine (diagonal or identity preconditioner); otherwise the solve
 	// falls back to the classic engine and reports it in its plan.
 	Pipelined bool
-	// SplitSweeps splits the fused/pipelined engines' A·(M⁻¹r) sweep into
-	// an interior pass overlapped with the halo exchange plus a
-	// boundary-ring completion (tl_split_sweeps).
-	SplitSweeps bool
 	// UseDeflation composes subdomain deflation as an outer projector
 	// around the CG or PPCG solve (tl_use_deflation; §VII future work).
 	// Works in 2D and 3D, single- and multi-rank: the coarse space is
@@ -274,7 +270,7 @@ func (d *Deck) parseLine(line string) error {
 		d.Pipelined = true
 		return nil
 	case "tl_split_sweeps":
-		d.SplitSweeps = true
+		// Accepted for older decks: every CG matvec runs one unsplit sweep.
 		return nil
 	case "tl_use_deflation":
 		d.UseDeflation = true

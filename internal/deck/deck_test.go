@@ -1,7 +1,9 @@
 package deck
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -220,6 +222,24 @@ func TestFusedDotsAndEigenIters(t *testing.T) {
 	// tl_fused_dots is an accepted no-op: the behaviour is always on.
 	if d.EigenCGIters != 8 || d.HaloDepth != 4 {
 		t.Errorf("extensions not parsed: %+v", d)
+	}
+
+	// tl_split_sweeps is an accepted no-op too: a deck carrying it parses
+	// to the same Deck as one without it, and Format never writes it.
+	const body = "*tea\nstate 1 density=1 energy=1\ntl_pipelined\n%s*endtea"
+	with, err := ParseString(fmt.Sprintf(body, "tl_split_sweeps\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := ParseString(fmt.Sprintf(body, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Errorf("tl_split_sweeps changed the parsed deck:\n with    %+v\n without %+v", with, without)
+	}
+	if f := with.Format(); strings.Contains(f, "tl_split_sweeps") {
+		t.Errorf("Format emitted tl_split_sweeps:\n%s", f)
 	}
 }
 

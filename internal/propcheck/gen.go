@@ -33,8 +33,8 @@ const (
 // and cell sizes, density/recip_density conductivity, a background plus
 // up to four high-contrast regions (boxes, discs/spheres, points), the
 // implicit-step stiffness regime (via dt), cg/ppcg, all three
-// preconditioners, deep halos, fused dots, pipelined, split sweeps,
-// tiling with explicit or auto tile edges, and the deflation hierarchy.
+// preconditioners, deep halos, pipelined, tiling with explicit or auto
+// tile edges, and the deflation hierarchy.
 func Gen(r *rand.Rand) *deck.Deck {
 	d := deck.Default()
 	d.EndStep = 1 + r.Intn(genMaxSteps)
@@ -106,9 +106,8 @@ func Gen(r *rand.Rand) *deck.Deck {
 	if r.Float64() < 0.25 {
 		d.Pipelined = true
 	}
-	if r.Float64() < 0.25 {
-		d.SplitSweeps = true
-	}
+	// The retired tl_split_sweeps axis consumes its draw too.
+	_ = r.Float64()
 	if r.Float64() < 0.30 {
 		d.Tiling = true
 		if r.Float64() < 0.5 {

@@ -181,9 +181,6 @@ func deckAxes(d *deck.Deck) []string {
 	if d.Pipelined {
 		axes = append(axes, "pipelined")
 	}
-	if d.SplitSweeps {
-		axes = append(axes, "split_sweeps")
-	}
 	if d.UseDeflation {
 		axes = append(axes, fmt.Sprintf("deflation=%dx%d", d.DeflationBlocks, d.DeflationLevels))
 	}

@@ -179,7 +179,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d.Solver = "ppcg"
 	d.Precond = "jac_diag"
 	d.Pipelined = true
-	d.SplitSweeps = true
 	d.HaloDepth = 3
 	d.Tiling = true
 	d.TileX, d.TileY = 4, 4
@@ -205,7 +204,7 @@ func TestShrinkReachesFloors(t *testing.T) {
 	if len(shrunk.States) != 1 {
 		t.Errorf("states = %d, want 1", len(shrunk.States))
 	}
-	if shrunk.UseDeflation || shrunk.Pipelined || shrunk.SplitSweeps || shrunk.Tiling {
+	if shrunk.UseDeflation || shrunk.Pipelined || shrunk.Tiling {
 		t.Errorf("options not fully stripped: %+v", shrunk)
 	}
 	if shrunk.Precond != "none" || shrunk.HaloDepth != 1 || shrunk.Solver != "cg" {

@@ -85,13 +85,6 @@ var shrinkSteps = []shrinkStep{
 		d.Pipelined = false
 		return true
 	}},
-	{"no-split-sweeps", func(d *deck.Deck) bool {
-		if !d.SplitSweeps {
-			return false
-		}
-		d.SplitSweeps = false
-		return true
-	}},
 	{"precond-none", func(d *deck.Deck) bool {
 		if d.Precond == "none" {
 			return false

@@ -119,9 +119,7 @@ func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
 //	β = γ'/γ,  α = γ'/(δ − β·γ'/α)
 //
 // The diagonal preconditioner is folded into the sweeps (u' is never
-// materialised); a zero minv is the identity, for which γ == rr. With
-// split sweeps in the plan the exchange overlaps sweep 3's interior pass
-// (applyPreDotX).
+// materialised); a zero minv is the identity, for which γ == rr.
 //
 // With a deflator configured the same recurrences run on the projected
 // operator P·A: the matvec sweep is followed by the (collective)
@@ -365,9 +363,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 // that detects it has already computed the next n); fusing all six
 // recurrences into ONE sweep (rather than the textbook direction/update
 // pair) keeps the engine's memory traffic at parity with the fused
-// engine — see kernels.PipelinedCGStep. With split sweeps in the plan the
-// overlapped matvec additionally splits into interior and boundary-ring
-// passes so the w exchange also hides behind compute (applyPreDotX).
+// engine — see kernels.PipelinedCGStep.
 //
 // With a deflator configured the recurrences run on the projected
 // operator P·A: the projection is applied to n strictly AFTER the round
@@ -381,7 +377,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 // cycle as the fused engine: one depth-d exchange of all five recurrence
 // vectors per d passes, placed INSIDE the overlap window (after the
 // round is posted — exchanges are point-to-point and safe to interleave
-// with a split reduction, exactly as applyPreDotX's overlapped exchange
+// with a split reduction, exactly as applyPreDotX's depth-1 exchange
 // already is). Pass j of a cycle computes its matvec on ext(d−1−j) and
 // then extends ALL five vector recurrences over that same region's rings
 // — p, s, z must age in lockstep with r, w because pass j+1's matvec

@@ -54,23 +54,21 @@ func (f *faultComm) AllReduceSumNStart(vals []float64) comm.ReduceHandle {
 }
 
 func TestPipelinedCGDrainsReductionOnExchangeFailure(t *testing.T) {
-	for _, split := range []bool{false, true} {
-		exercised := false
-		for failAfter := 0; failAfter <= 8; failAfter++ {
-			p := buildProblem(t, 16, 16, 2, 11)
-			fc := &faultComm{Communicator: comm.NewSerial(), failAfter: failAfter}
-			o := Options{Tol: 1e-12, Engine: EnginePipelined, SplitSweeps: split, Comm: fc}
-			_, err := SolveCG(p, o)
-			if fc.started != fc.finished {
-				t.Fatalf("split=%v failAfter=%d: %d split-phase rounds started but %d finished (err=%v)",
-					split, failAfter, fc.started, fc.finished, err)
-			}
-			if err != nil && fc.started > 0 {
-				exercised = true // the failure landed between Start and Finish
-			}
+	exercised := false
+	for failAfter := 0; failAfter <= 8; failAfter++ {
+		p := buildProblem(t, 16, 16, 2, 11)
+		fc := &faultComm{Communicator: comm.NewSerial(), failAfter: failAfter}
+		o := Options{Tol: 1e-12, Engine: EnginePipelined, Comm: fc}
+		_, err := SolveCG(p, o)
+		if fc.started != fc.finished {
+			t.Fatalf("failAfter=%d: %d split-phase rounds started but %d finished (err=%v)",
+				failAfter, fc.started, fc.finished, err)
 		}
-		if !exercised {
-			t.Fatalf("split=%v: no injected failure hit the in-flight window; widen the failAfter sweep", split)
+		if err != nil && fc.started > 0 {
+			exercised = true // the failure landed between Start and Finish
 		}
+	}
+	if !exercised {
+		t.Fatal("no injected failure hit the in-flight window; widen the failAfter sweep")
 	}
 }

@@ -59,9 +59,6 @@ type Plan struct {
 	CycleDepth int
 	// Chained reports temporal-blocked deep-halo cycles (Options.Temporal).
 	Chained bool
-	// Split reports split interior/boundary matvec sweeps
-	// (Options.SplitSweeps).
-	Split bool
 	// Fallbacks holds one line per fallback taken, e.g.
 	// "pipelined→classic: ...".
 	Fallbacks []string
@@ -69,8 +66,8 @@ type Plan struct {
 
 func (p Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s folded=%t cycle-depth=%d chained=%t split=%t",
-		p.Engine, p.Folded, p.CycleDepth, p.Chained, p.Split)
+	fmt.Fprintf(&b, "engine=%s folded=%t cycle-depth=%d chained=%t",
+		p.Engine, p.Folded, p.CycleDepth, p.Chained)
 	for _, f := range p.Fallbacks {
 		b.WriteString("; fallback ")
 		b.WriteString(f)
@@ -134,17 +131,6 @@ func resolvePlan[F comparable, B any](sys system[F, B], o Options, ranks int) (P
 			}
 		}
 		p.Chained = bands != nil
-	}
-
-	if o.SplitSweeps {
-		switch {
-		case p.Engine == EngineClassic:
-			p.fallback("split→unsplit: the classic engine has no fused matvec sweep")
-		case p.CycleDepth > 1:
-			p.fallback("split→unsplit: the deep-halo cycle exchanges once per cycle, not per matvec")
-		default:
-			p.Split = true
-		}
 	}
 	return p, minv, bands
 }

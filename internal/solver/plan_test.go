@@ -69,8 +69,8 @@ func TestPlanResolution(t *testing.T) {
 							!strings.HasPrefix(got.Fallbacks[0], eng.String()+"→classic: "+why)):
 							t.Errorf("%s: fallbacks %q, want one starting %q", label, got.Fallbacks, eng.String()+"→classic: "+why)
 						}
-						if got.CycleDepth != 1 || got.Chained || got.Split {
-							t.Errorf("%s: depth-1 plan with no chaining or split expected, got %v", label, got)
+						if got.CycleDepth != 1 || got.Chained {
+							t.Errorf("%s: depth-1 plan with no chaining expected, got %v", label, got)
 						}
 					}
 				}

@@ -149,12 +149,6 @@ type Options struct {
 	// project the matvec result, pipelined projects after its split-phase
 	// round finishes (no other collective may run while it is in flight).
 	Engine Engine
-	// SplitSweeps overlaps each CG matvec's halo exchange with the
-	// interior stencil sweep (tl_split_sweeps): the sweep is split into an
-	// interior pass that never reads halo cells and a one-cell boundary
-	// ring swept after the exchange lands. Applies to the fused and
-	// pipelined engines' A·(M⁻¹r) sweeps.
-	SplitSweeps bool
 	// Temporal enables temporal-blocked deep-halo solve cycles
 	// (tl_temporal): with HaloDepth > 1 and a tiled pool, each deep-halo
 	// iteration of the fused and pipelined CG engines executes its grid

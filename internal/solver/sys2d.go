@@ -104,14 +104,6 @@ func (s *sys2d) ApplyPreDotInit(b grid.Bounds, minv, r, w *grid.Field2D) (gamma,
 	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
 }
 
-func (s *sys2d) ApplyPreDotInterior(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return s.op.ApplyPreDotInterior(s.p, b, minv, r, w)
-}
-
-func (s *sys2d) ApplyPreDotBoundary(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return s.op.ApplyPreDotBoundary(s.p, b, minv, r, w)
-}
-
 func (s *sys2d) Dot(b grid.Bounds, x, y *grid.Field2D) float64 {
 	return kernels.Dot(s.p, b, x, y)
 }

@@ -122,14 +122,6 @@ func (s *sys3d) ApplyPreDotInit(b grid.Bounds3D, minv, r, w *grid.Field3D) (gamm
 	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
 }
 
-func (s *sys3d) ApplyPreDotInterior(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
-	return s.op.ApplyPreDotInterior(s.p, b, minv, r, w)
-}
-
-func (s *sys3d) ApplyPreDotBoundary(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
-	return s.op.ApplyPreDotBoundary(s.p, b, minv, r, w)
-}
-
 func (s *sys3d) Dot(b grid.Bounds3D, x, y *grid.Field3D) float64 {
 	return kernels.Dot3D(s.p, b, x, y)
 }

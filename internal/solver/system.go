@@ -63,13 +63,6 @@ type system[F comparable, B any] interface {
 	// ApplyPreDotInit is the fused-CG startup sweep: w = A·(minv⊙r) with
 	// the local γ = r·(minv⊙r), δ = (minv⊙r)·w and ‖r‖² scalars.
 	ApplyPreDotInit(b B, minv, r, w F) (gamma, delta, rr float64)
-	// ApplyPreDotInterior is the interior pass of the split ApplyPreDot:
-	// the cells of b whose stencil never reads b's one-cell surround, so a
-	// depth-1 halo exchange of r can run concurrently with the sweep.
-	ApplyPreDotInterior(b B, minv, r, w F) float64
-	// ApplyPreDotBoundary is the matching one-cell-ring pass, run after
-	// the exchange has landed; the two dot partials sum to ApplyPreDot's.
-	ApplyPreDotBoundary(b B, minv, r, w F) float64
 
 	// Dot computes the local x·y over b.
 	Dot(b B, x, y F) float64
@@ -291,29 +284,12 @@ func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
 
 // applyPreDotX refreshes r's depth-1 halo and computes w = A·(minv⊙r)
 // over the interior, returning the local (minv⊙r)·w dot. It is the
-// matvec step of the fused and pipelined CG engines. With split sweeps
-// in the plan the exchange runs concurrently with the interior
-// sweep — the exchange only writes halo cells and reads the interior ring,
-// which the interior sweep never touches — and the boundary-ring pass
-// completes the field once the fresh halo has landed. The exchange runs in
-// a plain goroutine (the comm paths never touch the par.Pool, which is not
-// reentrant); the channel receive orders its Trace writes before ours.
+// matvec step of the fused and pipelined CG engines.
 func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
-	if !e.plan.Split {
-		if err := e.exchange(1, r); err != nil {
-			return 0, err
-		}
-		d := e.sys.ApplyPreDot(e.in, minv, r, w)
-		e.tr.AddMatvec(e.cells)
-		return d, nil
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- e.exchange(1, r) }()
-	d := e.sys.ApplyPreDotInterior(e.in, minv, r, w)
-	if err := <-errc; err != nil {
+	if err := e.exchange(1, r); err != nil {
 		return 0, err
 	}
-	d += e.sys.ApplyPreDotBoundary(e.in, minv, r, w)
+	d := e.sys.ApplyPreDot(e.in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	return d, nil
 }

@@ -8,8 +8,8 @@ import (
 // TestTraceOwnershipHandoff pins the documented threading contract under
 // the race detector: a Trace is owned by a single rank (goroutine) and
 // must never be written concurrently — cross-goroutine movement is by
-// handoff over a channel or by merging per-rank traces after join, the
-// two patterns the Hub ranks and the split-sweep engine actually use.
+// handoff over a channel or by merging per-rank traces after join.
+// Nothing else is safe.
 // With -race this fails if either blessed pattern ever stops
 // establishing happens-before (say, Merge grows an unsynchronized
 // shortcut), and it documents the contract executable-y: there is no
@@ -49,9 +49,9 @@ func TestTraceOwnershipHandoff(t *testing.T) {
 		t.Fatalf("merged %d exchanges by depth, want %d", got, ranks*200)
 	}
 
-	// Pattern 2: handoff, the split-sweep idiom — the owner lends the
-	// Trace to a helper goroutine and does not touch it until the
-	// channel receive orders the helper's writes before its own.
+	// Pattern 2: handoff — the owner lends the Trace to a helper
+	// goroutine and does not touch it until the channel receive orders
+	// the helper's writes before its own.
 	tr := &Trace{}
 	done := make(chan struct{})
 	go func() {

@@ -400,3 +400,67 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 		t.Errorf("identity ApplyPreDotInit = (%v,%v,%v)", gamma, delta, rr)
 	}
 }
+
+// TestApplyDot2MatchesApplyDot pins the rewritten 4-way-unrolled
+// ApplyDot2 to ApplyDot on the same inputs.
+func TestApplyDot2MatchesApplyDot(t *testing.T) {
+	g := grid.UnitGrid2D(23, 11, 2)
+	op, err := BuildOperator2D(par.Serial, randomDensity(g, 7), 0.05, RecipConductivity, AllPhysical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randomField(g, 8)
+	b := g.Interior()
+	w1 := grid.NewField2D(g)
+	pwWant := op.ApplyDot(par.Serial, b, p, w1)
+	w2 := grid.NewField2D(g)
+	pw, ww := op.ApplyDot2(par.Serial, b, p, w2)
+	if math.Abs(pw-pwWant) > 1e-10*(1+math.Abs(pwWant)) {
+		t.Errorf("pw %g != %g", pw, pwWant)
+	}
+	var wwWant float64
+	for k := 0; k < g.NY; k++ {
+		for j := 0; j < g.NX; j++ {
+			if w1.At(j, k) != w2.At(j, k) {
+				t.Fatalf("w(%d,%d) %g != %g", j, k, w2.At(j, k), w1.At(j, k))
+			}
+			wwWant += w1.At(j, k) * w1.At(j, k)
+		}
+	}
+	if math.Abs(ww-wwWant) > 1e-10*(1+wwWant) {
+		t.Errorf("ww %g != %g", ww, wwWant)
+	}
+}
+
+func benchOp2D(b *testing.B, n int) (*Operator2D, *grid.Field2D, *grid.Field2D) {
+	g := grid.UnitGrid2D(n, n, 2)
+	den := grid.NewField2D(g)
+	den.Fill(1.7)
+	op, err := BuildOperator2D(par.Serial, den, 0.04, Conductivity, AllPhysical)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return op, randomField(g, 1), grid.NewField2D(g)
+}
+
+func BenchmarkApplyDotFull2048(b *testing.B) {
+	op, p, w := benchOp2D(b, 2048)
+	in := op.Grid.Interior()
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += op.ApplyPreDot(par.Serial, in, nil, p, w)
+	}
+	_ = sink
+}
+
+func BenchmarkApplyDotFull1024(b *testing.B) {
+	op, p, w := benchOp2D(b, 1024)
+	in := op.Grid.Interior()
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += op.ApplyPreDot(par.Serial, in, nil, p, w)
+	}
+	_ = sink
+}
