@@ -139,9 +139,9 @@ func BenchmarkFig8Efficiency(b *testing.B) {
 
 // ---- Kernel benchmarks (the memory-bandwidth-bound primitives) ----
 
-func benchField(n int, seed int64) (*grid.Grid2D, *grid.Field2D) {
-	g := grid.UnitGrid2D(n, n, 2)
-	f := grid.NewField2D(g)
+func benchField(n int, seed int64) (*grid.Grid, *grid.Field) {
+	g := grid.UnitGrid(n, n, 1, 2)
+	f := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()
@@ -151,13 +151,13 @@ func benchField(n int, seed int64) (*grid.Grid2D, *grid.Field2D) {
 
 func BenchmarkKernelMatvec256(b *testing.B) {
 	g, p := benchField(256, 1)
-	den := grid.NewField2D(g)
+	den := grid.NewField(g)
 	den.Fill(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := grid.NewField2D(g)
+	w := grid.NewField(g)
 	cells := int64(g.Cells())
 	b.SetBytes(cells * 40)
 	b.ResetTimer()
@@ -168,13 +168,13 @@ func BenchmarkKernelMatvec256(b *testing.B) {
 
 func BenchmarkKernelMatvecDotFused256(b *testing.B) {
 	g, p := benchField(256, 2)
-	den := grid.NewField2D(g)
+	den := grid.NewField(g)
 	den.Fill(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := grid.NewField2D(g)
+	w := grid.NewField(g)
 	b.SetBytes(int64(g.Cells()) * 40)
 	b.ResetTimer()
 	var sink float64
@@ -208,14 +208,14 @@ func BenchmarkKernelAxpy256(b *testing.B) {
 
 func BenchmarkKernelBlockJacobiApply(b *testing.B) {
 	g, r := benchField(256, 7)
-	den := grid.NewField2D(g)
+	den := grid.NewField(g)
 	den.Fill(2)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := precond.NewBlockJacobi(par.Serial, op, 4)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	b.SetBytes(int64(g.Cells()) * 48)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,8 +227,8 @@ func BenchmarkHaloExchangeDepth1(b *testing.B)  { benchExchange(b, 1) }
 func BenchmarkHaloExchangeDepth16(b *testing.B) { benchExchange(b, 16) }
 
 func benchExchange(b *testing.B, depth int) {
-	part := grid.MustPartition(128, 128, 2, 2)
-	gg := grid.MustGrid2D(128, 128, 16, 0, 1, 0, 1)
+	part := grid.MustPartition(128, 128, 1, 2, 2, 1)
+	gg := grid.MustGrid(128, 128, 1, 16, 0, 1, 0, 1, 0, 1)
 	b.ResetTimer()
 	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
@@ -236,7 +236,7 @@ func benchExchange(b *testing.B, depth int) {
 		if err != nil {
 			return err
 		}
-		f := grid.NewField2D(sub)
+		f := grid.NewField(sub)
 		for i := 0; i < b.N; i++ {
 			if err := c.Exchange(depth, f); err != nil {
 				return err
@@ -425,15 +425,15 @@ func itoa(n int) string {
 // its two regimes: neutral at TeaLeaf's production Δt (λmin(A)=1 floor),
 // strongly accelerating in the stiff near-steady regime.
 func BenchmarkAblationDeflation(b *testing.B) {
-	g := grid.MustGrid2D(64, 64, 2, 0, 1, 0, 1)
-	den := grid.NewField2D(g)
+	g := grid.MustGrid(64, 64, 1, 2, 0, 1, 0, 1, 0, 1)
+	den := grid.NewField(g)
 	den.Fill(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 10.0, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 10.0, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
-	rhs.FillBounds(grid.Bounds{X0: 0, X1: 16, Y0: 0, Y1: 16}, 1)
+	rhs := grid.NewField(g)
+	rhs.FillBounds(grid.Bounds{X0: 0, X1: 16, Y0: 0, Y1: 16, Z0: 0, Z1: 1}, 1)
 	b.Run("plain-cg", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
@@ -469,7 +469,7 @@ func BenchmarkDistributed4Ranks(b *testing.B) {
 	d.Eps = 1e-8
 	d.HaloDepth = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunDistributed(d, 2, 2, 1, 1); err != nil {
+		if _, err := core.RunDistributed(d, 2, 2, 1, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

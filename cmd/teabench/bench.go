@@ -70,8 +70,8 @@ func minTime(reps int, f func()) time.Duration {
 }
 
 func benchRandomProblem(n int, seed int64) solver.Problem {
-	g := grid.UnitGrid2D(n, n, 2)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(n, n, 1, 2)
+	den := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
@@ -79,11 +79,11 @@ func benchRandomProblem(n int, seed int64) solver.Problem {
 		}
 	}
 	den.ReflectHalos(g.Halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		panic(err)
 	}
-	rhs := grid.NewField2D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			v := 0.1
@@ -96,8 +96,8 @@ func benchRandomProblem(n int, seed int64) solver.Problem {
 	return solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
-func benchField(g *grid.Grid2D, seed int64) *grid.Field2D {
-	f := grid.NewField2D(g)
+func benchField(g *grid.Grid, seed int64) *grid.Field {
+	f := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()*2 - 1
@@ -111,10 +111,10 @@ func runKernelBenches(meshes []int) []kernelBench {
 	var out []kernelBench
 	var sink float64
 	for _, n := range meshes {
-		g := grid.UnitGrid2D(n, n, 2)
-		den := grid.NewField2D(g)
+		g := grid.UnitGrid(n, n, 1, 2)
+		den := grid.NewField(g)
 		den.Fill(1.7)
-		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 		if err != nil {
 			panic(err)
 		}

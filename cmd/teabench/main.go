@@ -427,9 +427,9 @@ func scale3D(cfg config) error {
 	var rows []row
 	// The first sweep cell (1 rank, depth 1) doubles as the reference
 	// every other configuration is checked against.
-	var ref *core.DistResult3D
+	var ref *core.DistResult
 	for _, ranks := range []int{1, 2, 4, 8} {
-		px, py, pz := grid.FactorNearCube(ranks, n, n, n)
+		px, py, pz := grid.FactorRanks(ranks, n, n, n)
 		for _, depth := range []int{1, 2, 4} {
 			start := time.Now()
 			res, err := run3DConfig(n, steps, px, py, pz, depth)
@@ -469,10 +469,10 @@ func scale3D(cfg config) error {
 	return nil
 }
 
-func run3DConfig(n, steps, px, py, pz, depth int) (*core.DistResult3D, error) {
+func run3DConfig(n, steps, px, py, pz, depth int) (*core.DistResult, error) {
 	d := problem.BenchmarkDeck3D(n)
 	d.HaloDepth = depth
-	return core.RunDistributed3D(d, px, py, pz, steps, 1)
+	return core.RunDistributed(d, px, py, pz, steps, 1)
 }
 
 // ---- Deflation: the §VII future-work direction, measured ----
@@ -567,20 +567,20 @@ func deflationExperiment(cfg config) error {
 		var err error
 		switch {
 		case r.dims == 3 && r.ranks > 1:
-			var res *core.DistResult3D
-			res, err = core.RunDistributed3D(d, 2, 2, 1, steps, 1, core.WithBackend(r.backend))
+			var res *core.DistResult
+			res, err = core.RunDistributed(d, 2, 2, 1, steps, 1, core.WithBackend(r.backend))
 			if err == nil {
 				sum = res.Summary
 			}
 		case r.ranks > 1:
 			var res *core.DistResult
-			res, err = core.RunDistributed(d, 2, 2, steps, 1, core.WithBackend(r.backend))
+			res, err = core.RunDistributed(d, 2, 2, 1, steps, 1, core.WithBackend(r.backend))
 			if err == nil {
 				sum = res.Summary
 			}
 		case r.dims == 3:
-			var inst *core.Instance3D
-			inst, err = core.NewSerial3D(d, par.NewPool(0))
+			var inst *core.Instance
+			inst, err = core.NewSerial(d, par.NewPool(0))
 			if err == nil {
 				sum, err = inst.Run(steps)
 			}
@@ -691,7 +691,7 @@ func smokeExperiment(cfg config) error {
 	// entry).
 	d3 := problem.BenchmarkDeck3D(10)
 	d3.Precond = "jac_block"
-	inst3, err := core.NewSerial3D(d3, par.NewPool(0))
+	inst3, err := core.NewSerial(d3, par.NewPool(0))
 	if err != nil {
 		return err
 	}
@@ -723,7 +723,7 @@ func smokeExperiment(cfg config) error {
 
 	// Distributed 2D (goroutine ranks).
 	dd := problem.BenchmarkDeck(16)
-	if _, err := core.RunDistributed(dd, 2, 2, 2, 1); err != nil {
+	if _, err := core.RunDistributed(dd, 2, 2, 1, 2, 1); err != nil {
 		return fmt.Errorf("2D distributed: %w", err)
 	}
 	fmt.Println("2D  distributed 2x2: ok")
@@ -745,7 +745,7 @@ func smokeExperiment(cfg config) error {
 	// global mesh, the projector allreduces through the rank communicator.
 	dd2 := problem.StiffDeck(32)
 	dd2.UseDeflation = true
-	resD, err := core.RunDistributed(dd2, 2, 2, 2, 1)
+	resD, err := core.RunDistributed(dd2, 2, 2, 1, 2, 1)
 	if err != nil {
 		return fmt.Errorf("distributed deflation: %w", err)
 	}
@@ -782,7 +782,7 @@ func smokeExperiment(cfg config) error {
 	dtd.TileY = 4
 	dtd.HaloDepth = 3
 	dtd.Temporal = true
-	resT, err := core.RunDistributed(dtd, 2, 2, 2, 1)
+	resT, err := core.RunDistributed(dtd, 2, 2, 1, 2, 1)
 	if err != nil {
 		return fmt.Errorf("2D distributed temporal: %w", err)
 	}
@@ -793,7 +793,7 @@ func smokeExperiment(cfg config) error {
 	ds3.UseDeflation = true
 	ds3.DeflationBlocks = 4
 	ds3.DeflationLevels = 2
-	resD3, err := core.RunDistributed3D(ds3, 2, 2, 1, 1, 1)
+	resD3, err := core.RunDistributed(ds3, 2, 2, 1, 1, 1)
 	if err != nil {
 		return fmt.Errorf("3D distributed deflation: %w", err)
 	}

@@ -68,10 +68,10 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []solver.Engine) 
 	rankFn := func(c comm.Communicator) error {
 		var part *grid.Partition
 		var ext grid.Extent
-		gg := grid.UnitGrid2D(n, n, 2)
+		gg := grid.UnitGrid(n, n, 1, 2)
 		sub := gg
 		if ranks > 1 {
-			part = grid.MustPartition(n, n, px, py)
+			part = grid.MustPartition(n, n, 1, px, py, 1)
 			ext = part.ExtentOf(c.Rank())
 			var err error
 			sub, err = gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
@@ -79,8 +79,8 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []solver.Engine) 
 				return err
 			}
 		}
-		den := grid.NewField2D(sub)
-		rhs := grid.NewField2D(sub)
+		den := grid.NewField(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				den.Set(j, k, overlapDen(ext.X0+j, ext.Y0+k))
@@ -95,8 +95,8 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []solver.Engine) 
 			den.ReflectHalos(sub.Halo)
 		}
 		phys := c.Physical()
-		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 		if err != nil {
 			return err
 		}
@@ -136,9 +136,9 @@ func runOverlapCell(backend string, px, py, n, iters int, cfgs []solver.Engine) 
 	case "serial":
 		err = rankFn(comm.NewSerial())
 	case "hub":
-		err = comm.Run(grid.MustPartition(n, n, px, py), func(c *comm.RankComm) error { return rankFn(c) })
+		err = comm.Run(grid.MustPartition(n, n, 1, px, py, 1), func(c *comm.RankComm) error { return rankFn(c) })
 	case "tcp":
-		err = comm.RunTCP(grid.MustPartition(n, n, px, py), rankFn)
+		err = comm.RunTCP(grid.MustPartition(n, n, 1, px, py, 1), rankFn)
 	default:
 		err = fmt.Errorf("unknown backend %q", backend)
 	}

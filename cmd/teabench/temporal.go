@@ -82,8 +82,8 @@ func temporalCell2D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	if halo < 2 {
 		halo = 2
 	}
-	g := grid.UnitGrid2D(n, n, halo)
-	den, rhs := grid.NewField2D(g), grid.NewField2D(g)
+	g := grid.UnitGrid(n, n, 1, halo)
+	den, rhs := grid.NewField(g), grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			den.Set(j, k, overlapDen(j, k))
@@ -103,7 +103,7 @@ func temporalCell2D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	pool := par.Serial.WithTiles(0, tileRows, 0)
 	band := dev.ChainBandRows(n, n, 1, 8, depth)
 
-	op, err := stencil.BuildOperator2D(pool, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(pool, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		return err
 	}
@@ -137,7 +137,7 @@ func temporalCell2D(rep *temporalReport, dev machine.Device, n, depth, iters int
 			}
 		}
 		solveOne(false) // warm-up: page faults, operator diagonals
-		var sols [2]*grid.Field2D
+		var sols [2]*grid.Field
 		for mi, temporal := range []bool{false, true} {
 			dur := minTime(rep.Reps, func() { solveOne(temporal) })
 			sols[mi] = p.U.Clone()
@@ -156,17 +156,17 @@ func temporalCell3D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	if halo < 2 {
 		halo = 2
 	}
-	g := grid.UnitGrid3D(n, n, n, halo)
-	den, rhs := grid.NewField3D(g), grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, halo)
+	den, rhs := grid.NewField(g), grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				den.Set(i, j, k, 0.5+4*float64((i*37+j*61+k*13)%101)/101)
+				den.SetCell(i, j, k, 0.5+4*float64((i*37+j*61+k*13)%101)/101)
 				r := 0.1
 				if i > n/4 && i < n/2 && j > n/4 && j < n/2 && k > n/4 && k < n/2 {
 					r = 10
 				}
-				rhs.Set(i, j, k, r)
+				rhs.SetCell(i, j, k, r)
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func temporalCell3D(rep *temporalReport, dev machine.Device, n, depth, iters int
 	pool := par.Serial.WithTiles(0, 0, tz)
 	band := dev.ChainBandRows(n, n, n, 9, depth)
 
-	op, err := stencil.BuildOperator3D(pool, den, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(pool, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		return err
 	}
@@ -191,29 +191,29 @@ func temporalCell3D(rep *temporalReport, dev machine.Device, n, depth, iters int
 		opts := solver.Options{
 			Tol: 1e-300, MaxIters: iters, Comm: c, Pool: pool,
 			HaloDepth: depth, Engine: v.engine,
-			Precond3D:      precond.NewJacobi3D(pool, op),
+			Precond:        precond.NewJacobi(pool, op),
 			ChainBandCells: band,
 		}
 		if v.deflated {
-			defl, err := deflate.New3D(par.Serial, c, op,
-				deflate.Geometry3D{GlobalNX: n, GlobalNY: n, GlobalNZ: n},
+			defl, err := deflate.New(par.Serial, c, op,
+				deflate.Geometry{GlobalNX: n, GlobalNY: n, GlobalNZ: n},
 				deflate.Config{BX: 4, BY: 4, BZ: 4, Levels: 1})
 			if err != nil {
 				return err
 			}
-			opts.Deflation3D = defl
+			opts.Deflation = defl
 		}
 		u0 := rhs.Clone()
-		p := solver.Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+		p := solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 		solveOne := func(temporal bool) {
 			p.U.CopyFrom(u0)
 			opts.Temporal = temporal
-			if _, err := solver.SolveCG3D(p, opts); err != nil {
+			if _, err := solver.SolveCG(p, opts); err != nil {
 				panic(err)
 			}
 		}
 		solveOne(false)
-		var sols [2]*grid.Field3D
+		var sols [2]*grid.Field
 		for mi, temporal := range []bool{false, true} {
 			dur := minTime(rep.Reps, func() { solveOne(temporal) })
 			sols[mi] = p.U.Clone()

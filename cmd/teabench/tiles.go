@@ -57,9 +57,9 @@ type tilesReport struct {
 // independent, at the price of recomputing the overlap rows. Physical
 // edges need no widening: their face coefficients are zero. The result
 // is bit-identical to s full-mesh applications.
-func applyChain(op *stencil.Operator2D, bandRows, s int, src, t1, t2, dst *grid.Field2D) {
+func applyChain(op *stencil.Operator, bandRows, s int, src, t1, t2, dst *grid.Field) {
 	g := op.Grid
-	scratch := [2]*grid.Field2D{t1, t2}
+	scratch := [2]*grid.Field{t1, t2}
 	for y0 := 0; y0 < g.NY; y0 += bandRows {
 		y1 := min(y0+bandRows, g.NY)
 		cur := src
@@ -69,7 +69,7 @@ func applyChain(op *stencil.Operator2D, bandRows, s int, src, t1, t2, dst *grid.
 				out = dst
 			}
 			b := grid.Bounds{X0: 0, X1: g.NX,
-				Y0: max(0, y0-(s-1-j)), Y1: min(g.NY, y1+(s-1-j))}
+				Y0: max(0, y0-(s-1-j)), Y1: min(g.NY, y1+(s-1-j)), Z0: 0, Z1: 1}
 			op.Apply(par.Serial, b, cur, out)
 			cur = out
 		}
@@ -77,14 +77,14 @@ func applyChain(op *stencil.Operator2D, bandRows, s int, src, t1, t2, dst *grid.
 }
 
 func tilesBench2D(rep *tilesReport, n int, dev machine.Device) {
-	g := grid.UnitGrid2D(n, n, 2)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(n, n, 1, 2)
+	den := grid.NewField(g)
 	den.Fill(1.7)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		panic(err)
 	}
-	a, c := benchField(g, 1), grid.NewField2D(g)
+	a, c := benchField(g, 1), grid.NewField(g)
 	in := g.Interior()
 	mesh := fmt.Sprintf("%d^2", n)
 	passBytes := float64(n) * float64(n) * 8 * 5 // the repo's 5-field apply convention
@@ -150,7 +150,7 @@ func tilesBench2D(rep *tilesReport, n int, dev machine.Device) {
 		// losses that the ideal capacity model does not see.
 		bands = append(bands, half)
 	}
-	t1, t2, ref := grid.NewField2D(g), grid.NewField2D(g), grid.NewField2D(g)
+	t1, t2, ref := grid.NewField(g), grid.NewField(g), grid.NewField(g)
 	best := bestSpatial
 	for _, bandRows := range bands {
 		for _, s := range []int{2, 4, 8, 16} {
@@ -163,7 +163,7 @@ func tilesBench2D(rep *tilesReport, n int, dev machine.Device) {
 			// applies bit-for-bit (same kernel, same per-cell arithmetic).
 			chainRef(op, s, a, t1, t2, ref)
 			for k := 0; k < n; k++ {
-				base := g.Index(0, k)
+				base := g.Index(0, k, 0)
 				for j := 0; j < n; j++ {
 					if c.Data[base+j] != ref.Data[base+j] {
 						panic(fmt.Sprintf("apply_chain s=%d diverges from %d sequential applies at (%d,%d)", s, s, j, k))
@@ -181,9 +181,9 @@ func tilesBench2D(rep *tilesReport, n int, dev machine.Device) {
 // chainRef computes s sequential full-mesh applies src→…→dst (the
 // reference the banded chain is checked against), ping-ponging through
 // the two scratch fields.
-func chainRef(op *stencil.Operator2D, s int, src, t1, t2, dst *grid.Field2D) {
+func chainRef(op *stencil.Operator, s int, src, t1, t2, dst *grid.Field) {
 	in := op.Grid.Interior()
-	scratch := [2]*grid.Field2D{t1, t2}
+	scratch := [2]*grid.Field{t1, t2}
 	cur := src
 	for j := 0; j < s; j++ {
 		out := scratch[j%2]
@@ -196,14 +196,14 @@ func chainRef(op *stencil.Operator2D, s int, src, t1, t2, dst *grid.Field2D) {
 }
 
 func tilesBench3D(rep *tilesReport, n int, dev machine.Device) {
-	g := grid.UnitGrid3D(n, n, n, 2)
-	den := grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, 2)
+	den := grid.NewField(g)
 	den.Fill(1.7)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		panic(err)
 	}
-	a, c := grid.NewField3D(g), grid.NewField3D(g)
+	a, c := grid.NewField(g), grid.NewField(g)
 	for i := range a.Data {
 		a.Data[i] = float64(i%17)*0.21 - 1
 	}

@@ -176,7 +176,7 @@ func run() error {
 
 	if *px**py > 1 {
 		fmt.Printf("decomposition: %dx%d ranks, %d workers/rank\n", *px, *py, *workers)
-		res, err := core.RunDistributed(d, *px, *py, nSteps, *workers)
+		res, err := core.RunDistributed(d, *px, *py, 1, nSteps, *workers)
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func run() error {
 			return err
 		}
 		defer f.Close()
-		return output.WriteVTK(f, "tealeaf", map[string]*grid.Field2D{
+		return output.WriteVTK(f, "tealeaf", map[string]*grid.Field{
 			"energy": inst.Energy, "density": inst.Density, "u": inst.U,
 		})
 	}
@@ -256,7 +256,7 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 
 	if px*py*pz > 1 {
 		fmt.Printf("decomposition: %dx%dx%d ranks, %d workers/rank\n", px, py, pz, workers)
-		res, err := core.RunDistributed3D(d, px, py, pz, nSteps, workers)
+		res, err := core.RunDistributed(d, px, py, pz, nSteps, workers)
 		if err != nil {
 			return err
 		}
@@ -265,7 +265,7 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 		return nil
 	}
 
-	inst, err := core.NewSerial3D(d, par.NewPool(workers))
+	inst, err := core.NewSerial(d, par.NewPool(workers))
 	if err != nil {
 		return err
 	}
@@ -326,7 +326,7 @@ func deflNote(d *deck.Deck) string {
 	return note
 }
 
-func writePPM(path string, f *grid.Field2D) error {
+func writePPM(path string, f *grid.Field) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
@@ -337,11 +337,11 @@ func writePPM(path string, f *grid.Field2D) error {
 
 // writeVTKEnergy writes a gathered energy field as VTK (the distributed
 // paths gather energy only; the serial path also writes density and u).
-func writeVTKEnergy(path string, energy *grid.Field2D) error {
+func writeVTKEnergy(path string, energy *grid.Field) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer out.Close()
-	return output.WriteVTK(out, "tealeaf", map[string]*grid.Field2D{"energy": energy})
+	return output.WriteVTK(out, "tealeaf", map[string]*grid.Field{"energy": energy})
 }

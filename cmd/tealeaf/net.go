@@ -37,10 +37,10 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 			return fmt.Errorf("-peers entry %d is empty", i)
 		}
 	}
-	ranks := px * py
-	if d.Dims == 3 {
-		ranks *= pz
+	if d.Dims != 3 {
+		pz = 1
 	}
+	ranks := px * py * pz
 	if len(peers) != ranks {
 		return fmt.Errorf("-peers lists %d addresses but -px/-py/-pz describe %d ranks", len(peers), ranks)
 	}
@@ -48,20 +48,15 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 		return fmt.Errorf("-rank %d outside [0,%d)", rank, ranks)
 	}
 
-	cfg := comm.TCPConfig{Rank: rank, Peers: peers}
-	var part *grid.Partition
-	var part3 *grid.Partition3D
-	var err error
-	if d.Dims == 3 {
-		part3, err = grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, px, py, pz)
-		cfg.Part3 = part3
-	} else {
-		part, err = grid.NewPartition(d.XCells, d.YCells, px, py)
-		cfg.Part = part
-	}
+	gg, err := core.GlobalGrid(d)
 	if err != nil {
 		return err
 	}
+	part, err := grid.Decompose(gg.NX, gg.NY, gg.NZ, px, py, pz)
+	if err != nil {
+		return err
+	}
+	cfg := comm.TCPConfig{Rank: rank, Peers: peers, Part: part}
 	c, err := comm.NewTCP(cfg)
 	if err != nil {
 		return err
@@ -83,20 +78,14 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 	// Protect converts a transport failure inside a reduction (which the
 	// Communicator contract cannot return) into an ordinary error.
 	return c.Protect(func() error {
-		if d.Dims == 3 {
-			res, err := core.RunRank3D(d, part3, c, nSteps, workers)
-			if err != nil {
-				return err
-			}
-			if rank == 0 {
-				printPlan(res.Summary.Plan, quiet)
-				printSummary(res.Summary)
-			}
-			return nil
-		}
 		res, err := core.RunRank(d, part, c, nSteps, workers)
 		if err != nil {
 			return err
+		}
+		if rank == 0 && d.Dims == 3 {
+			printPlan(res.Summary.Plan, quiet)
+			printSummary(res.Summary)
+			return nil
 		}
 		if rank == 0 {
 			printPlan(res.Summary.Plan, quiet)

@@ -28,7 +28,7 @@
 // restriction over the global coarse partition, one allreduce per
 // projection, an optional nested multi-level hierarchy — reachable from
 // deck keys (tl_use_deflation, tl_deflation_blocks, tl_deflation_levels)
-// through solver.Options.Deflation and Options.Deflation3D.
+// through solver.Options.Deflation and Options.Deflation.
 //
 // Entry points:
 //

@@ -74,7 +74,7 @@ func main() {
 	// spans the global mesh, restriction is rank-local, and the projector
 	// reduces through the rank communicator — iteration counts and the
 	// solution are rank-invariant.
-	dist, err := core.RunDistributed(parse("tl_use_deflation\ntl_deflation_blocks=8"), 2, 2, 0, 1)
+	dist, err := core.RunDistributed(parse("tl_use_deflation\ntl_deflation_blocks=8"), 2, 2, 1, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func writeVTK(path, name string, inst *core.Instance) error {
 		return err
 	}
 	defer f.Close()
-	return output.WriteVTK(f, "tealeaf gallery: "+name, map[string]*grid.Field2D{
+	return output.WriteVTK(f, "tealeaf gallery: "+name, map[string]*grid.Field{
 		"density": inst.Density,
 		"energy":  inst.Energy,
 	})

@@ -22,7 +22,7 @@ func main() {
 	const steps = 3
 
 	// Single-rank reference.
-	serial, err := core.NewSerial3D(d, par.NewPool(0))
+	serial, err := core.NewSerial(d, par.NewPool(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func main() {
 
 	// The same deck over 2×2×1 goroutine ranks: every face exchange and
 	// reduction now crosses the comm layer, same answer.
-	dist, err := core.RunDistributed3D(d, 2, 2, 1, steps, 1)
+	dist, err := core.RunDistributed(d, 2, 2, 1, steps, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

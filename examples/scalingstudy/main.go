@@ -36,8 +36,8 @@ func main() {
 				d.HaloDepth = 1
 			}
 
-			part := grid.MustPartition(d.XCells, d.YCells, ranks[0], ranks[1])
-			gg := grid.MustGrid2D(d.XCells, d.YCells, core.HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
+			part := grid.MustPartition(d.XCells, d.YCells, 1, ranks[0], ranks[1], 1)
+			gg := grid.MustGrid(d.XCells, d.YCells, 1, core.HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax, 0, 1)
 			var reductions, exchanges, messages, iters int
 			err := comm.Run(part, func(c *comm.RankComm) error {
 				ext := part.ExtentOf(c.Rank())

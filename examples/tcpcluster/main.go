@@ -24,11 +24,11 @@ func main() {
 	d.Solver = "ppcg"
 	const steps, px, py = 3, 2, 2
 
-	hub, err := core.RunDistributed(d, px, py, steps, 1)
+	hub, err := core.RunDistributed(d, px, py, 1, steps, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tcp, err := core.RunDistributed(d, px, py, steps, 1, core.WithBackend(core.BackendTCP))
+	tcp, err := core.RunDistributed(d, px, py, 1, steps, 1, core.WithBackend(core.BackendTCP))
 	if err != nil {
 		log.Fatal(err)
 	}

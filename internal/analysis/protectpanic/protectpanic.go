@@ -1,7 +1,7 @@
 // Package protectpanic checks the error-channel contract of the TCP
 // communication backend. The Communicator reduction methods have no error
 // return, so *comm.TCP reports transport failures by panicking with a
-// *comm.TCPError; (*TCP).Protect and the RunTCP/RunTCP3D harnesses
+// *comm.TCPError; (*TCP).Protect and the RunTCP harness
 // recover that panic and convert it back into an ordinary error. Code
 // outside internal/comm that holds a concrete *comm.TCP must therefore
 // only invoke the panic-capable methods inside such a recovery scope, and
@@ -67,7 +67,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // collectScopes gathers the protecting literal ranges (FuncLit arguments
-// of Protect/RunTCP/RunTCP3D) and the goroutine-body ranges that cancel
+// of Protect/RunTCP) and the goroutine-body ranges that cancel
 // them for one file.
 func collectScopes(pass *analysis.Pass, f *ast.File) []interval {
 	var scopes []interval
@@ -109,7 +109,7 @@ func isProtector(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "RunTCP", "RunTCP3D":
+	case "RunTCP":
 		_, _, isMethod := analysis.RecvNamed(fn)
 		return !isMethod
 	case "Protect":

@@ -55,3 +55,13 @@ func escapeUnprotected(t *comm.TCP) float64 {
 func helperTakingTCP(t *comm.TCP, x, y float64) (float64, float64) {
 	return t.AllReduceSum2(x, y) // want `\(\*comm.TCP\).AllReduceSum2 can panic with \*TCPError`
 }
+
+// goInsideRunTCP spawns a goroutine from a RunTCP rank function — the one
+// harness for flat and 3D partitions alike: its recovery does not reach
+// the spawned goroutine.
+func goInsideRunTCP(t *comm.TCP, ranks int) error {
+	return comm.RunTCP(ranks, func(c comm.Communicator) error {
+		go t.Barrier() // want `\(\*comm.TCP\).Barrier can panic with \*TCPError`
+		return nil
+	})
+}

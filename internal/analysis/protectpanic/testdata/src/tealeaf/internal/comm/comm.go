@@ -1,6 +1,6 @@
 // Package comm is the analysistest stub of the TCP backend surface the
 // protectpanic analyzer matches on: the panic-capable reduction methods,
-// the recovery scopes (Protect, RunTCP, RunTCP3D), and the Communicator
+// the recovery scopes (Protect, RunTCP), and the Communicator
 // interface a *TCP can escape into.
 package comm
 
@@ -56,6 +56,3 @@ func (t *TCP) Protect(fn func() error) error { return fn() }
 
 // RunTCP mirrors comm.RunTCP: each rank function runs under recovery.
 func RunTCP(ranks int, fn func(c Communicator) error) error { return nil }
-
-// RunTCP3D mirrors comm.RunTCP3D.
-func RunTCP3D(ranks int, fn func(c Communicator) error) error { return nil }

@@ -42,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // explicitly allowed — overlapping them is the point of the split).
 var blockingCollectives = []string{
 	"AllReduceSum", "AllReduceSum2", "AllReduceSumN", "AllReduceMax",
-	"Barrier", "GatherInterior", "GatherInterior3D",
+	"Barrier", "GatherInterior",
 }
 
 func run(pass *analysis.Pass) error {

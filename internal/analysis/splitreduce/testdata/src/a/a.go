@@ -80,3 +80,12 @@ func wrappedCollective(c comm.Communicator) []float64 {
 func fallsOffEnd(c comm.Communicator) {
 	c.AllReduceSumNStart([]float64{1})
 } // want `function ends with a split-phase reduction in flight`
+
+// gatherInFlight gathers the one N-d field type while a round is in
+// flight: GatherInterior is a blocking collective.
+func gatherInFlight(c comm.Communicator, local, dst []float64) error {
+	h := c.AllReduceSumNStart([]float64{1})
+	err := c.GatherInterior(local, dst) // want `blocking collective GatherInterior while a split-phase reduction is in flight`
+	h.Finish()
+	return err
+}

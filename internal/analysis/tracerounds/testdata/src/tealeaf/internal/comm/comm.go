@@ -22,5 +22,4 @@ type Communicator interface {
 	AllReduceMax(x float64) float64
 	Barrier()
 	GatherInterior(local, dst []float64) error
-	GatherInterior3D(local, dst []float64) error
 }

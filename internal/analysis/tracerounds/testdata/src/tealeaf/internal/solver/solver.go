@@ -31,18 +31,30 @@ func (e *engine) reduceNStart(vals []float64) comm.ReduceHandle {
 	return e.c.AllReduceSumNStart(vals)
 }
 
-// sys2d mirrors the 2D system backend; Exchange is its allowed
-// pass-through.
-type sys2d struct {
+// system mirrors the solver's one execution backend; Exchange is its
+// allowed pass-through.
+type system struct {
 	c comm.Communicator
 }
 
-func (s *sys2d) Exchange(depth int, fields ...[]float64) error {
+func (s *system) Exchange(depth int, fields ...[]float64) error {
 	return s.c.Exchange(depth, fields...)
 }
 
 // NewPowers only queries rank-local topology: Size is not a collective.
-func (s *sys2d) NewPowers() int { return s.c.Size() }
+func (s *system) NewPowers() int { return s.c.Size() }
+
+// Residual is not on the allowlist: a system method other than the
+// Exchange pass-through must not reach the communicator either.
+func (s *system) Residual(r []float64) error {
+	return s.c.Exchange(1, r) // want `direct Communicator Exchange in the solver`
+}
+
+// exchange3D reaches the communicator through its 3D-named face, which is
+// the same collective.
+func (e *engine) exchange3D(r []float64) error {
+	return e.c.Exchange3D(1, r) // want `direct Communicator Exchange3D in the solver`
+}
 
 // runLoop is an iteration loop: collectives must go through wrappers.
 func (e *engine) runLoop(iters int, r []float64) float64 {

@@ -8,8 +8,8 @@
 // implementation.
 //
 // The wrapper surface is an explicit allowlist — engine.dot, dotPair,
-// matvecDot, reduce, reduceN, reduceNStart, and the system
-// implementations' Exchange pass-throughs. Adding a wrapper means adding
+// matvecDot, reduce, reduceN, reduceNStart, and the system's Exchange
+// pass-through. Adding a wrapper means adding
 // it here; that is the point of the check.
 package tracerounds
 
@@ -39,15 +39,13 @@ var collectives = map[string]bool{
 	"AllReduceMax":       true,
 	"Barrier":            true,
 	"GatherInterior":     true,
-	"GatherInterior3D":   true,
 }
 
 // wrappers is the allowed surface: receiver type name → method names
 // that may touch the raw Communicator.
 var wrappers = map[string][]string{
 	"engine": {"dot", "dotPair", "matvecDot", "reduce", "reduceN", "reduceNStart"},
-	"sys2d":  {"Exchange"},
-	"sys3d":  {"Exchange"},
+	"system": {"Exchange"},
 }
 
 func run(pass *analysis.Pass) error {

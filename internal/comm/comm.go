@@ -35,11 +35,12 @@ type Communicator interface {
 	Size() int
 	// Exchange refreshes depth halo layers of the given fields: neighbour
 	// data across internal boundaries, reflective (zero-flux) mirrors on
-	// physical boundaries. depth must not exceed the fields' grid halo.
-	Exchange(depth int, fields ...*grid.Field2D) error
-	// Exchange3D is Exchange for 3D fields: six faces, with edge and
-	// corner halo cells made coherent by the three-phase ordering.
-	// Multi-rank communicators must have been built over a Partition3D.
+	// physical boundaries, with edge and corner halo cells made coherent
+	// by the x, y, z phase ordering (no z phase on a flat mesh). depth must
+	// not exceed the fields' grid halo.
+	Exchange(depth int, fields ...*grid.Field) error
+	// Exchange3D is Exchange for fields under the name the 3D solve path
+	// has always used.
 	Exchange3D(depth int, fields ...*grid.Field3D) error
 	// AllReduceSum returns the sum of x over all ranks.
 	AllReduceSum(x float64) float64
@@ -95,13 +96,10 @@ type Communicator interface {
 	// field dst on rank 0 (dst may be nil on other ranks). Collective:
 	// every rank must call it. Used for output and verification, not in
 	// solver inner loops.
-	GatherInterior(local *grid.Field2D, dst *grid.Field2D) error
-	// GatherInterior3D is GatherInterior for 3D fields.
-	GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) error
-	// Physical reports which sides of this rank touch the domain boundary.
-	Physical() PhysicalSides
-	// Physical3D is Physical for the six faces of a 3D sub-domain.
-	Physical3D() PhysicalSides3D
+	GatherInterior(local *grid.Field, dst *grid.Field) error
+	// Physical reports which sides of this rank touch the domain boundary
+	// (both z sides of a flat mesh do).
+	Physical() grid.Sides
 	// Trace returns this rank's communication trace (never nil).
 	Trace() *stats.Trace
 }
@@ -121,17 +119,6 @@ type doneHandle []float64
 
 func (h doneHandle) Finish() []float64 { return h }
 
-// PhysicalSides mirrors stencil.PhysicalSides without importing it (comm
-// sits below stencil in the dependency order).
-type PhysicalSides struct {
-	Left, Right, Down, Up bool
-}
-
-// PhysicalSides3D is PhysicalSides for the six faces of a 3D sub-domain.
-type PhysicalSides3D struct {
-	Left, Right, Down, Up, Back, Front bool
-}
-
 // Serial is the single-rank communicator: halo exchanges reduce to
 // reflective boundary fills and reductions are identities. It still
 // records every operation in its trace so single-rank runs produce the
@@ -150,37 +137,26 @@ func (s *Serial) Rank() int { return 0 }
 func (s *Serial) Size() int { return 1 }
 
 // Physical implements Communicator: every side is the domain boundary.
-func (s *Serial) Physical() PhysicalSides {
-	return PhysicalSides{Left: true, Right: true, Down: true, Up: true}
-}
+func (s *Serial) Physical() grid.Sides { return grid.AllSides }
 
-// Physical3D implements Communicator: every face is the domain boundary.
-func (s *Serial) Physical3D() PhysicalSides3D {
-	return PhysicalSides3D{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true}
-}
-
-// Exchange implements Communicator by reflecting all four sides. It
+// Exchange implements Communicator by reflecting every side. It
 // validates exactly as the multi-rank exchange does — depth against the
 // halo, and a shared grid shape across all fields — so a mixed-shape
 // multi-field exchange fails identically single- and multi-rank.
-func (s *Serial) Exchange(depth int, fields ...*grid.Field2D) error {
+func (s *Serial) Exchange(depth int, fields ...*grid.Field) error {
 	if len(fields) == 0 {
 		return nil
 	}
-	g := fields[0].Grid
-	if depth < 1 || depth > g.Halo {
-		return fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
+	if err := checkFields(depth, fields); err != nil {
+		return err
 	}
-	if depth > g.NX || depth > g.NY {
+	g := fields[0].Grid
+	if depth > g.NX || depth > g.NY || (!g.Flat() && depth > g.NZ) {
 		// A zero-flux mirror deeper than the domain would read outside the
 		// interior — reject it like the multi-rank exchange does for
 		// sub-domains thinner than the depth.
-		return fmt.Errorf("comm: exchange depth %d exceeds the domain extent %dx%d", depth, g.NX, g.NY)
-	}
-	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.Halo != g.Halo {
-			return fmt.Errorf("comm: all fields in one exchange must share grid shape")
-		}
+		return fmt.Errorf("comm: exchange depth %d exceeds the domain extent %s",
+			depth, extentString(g.Flat(), g.NX, g.NY, g.NZ))
 	}
 	for _, f := range fields {
 		f.ReflectHalos(depth)
@@ -189,28 +165,9 @@ func (s *Serial) Exchange(depth int, fields ...*grid.Field2D) error {
 	return nil
 }
 
-// Exchange3D implements Communicator by reflecting all six faces.
+// Exchange3D implements Communicator.
 func (s *Serial) Exchange3D(depth int, fields ...*grid.Field3D) error {
-	if len(fields) == 0 {
-		return nil
-	}
-	g := fields[0].Grid
-	if depth < 1 || depth > g.Halo {
-		return fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
-	}
-	if depth > g.NX || depth > g.NY || depth > g.NZ {
-		return fmt.Errorf("comm: exchange depth %d exceeds the domain extent %dx%dx%d", depth, g.NX, g.NY, g.NZ)
-	}
-	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.NZ != g.NZ || f.Grid.Halo != g.Halo {
-			return fmt.Errorf("comm: all fields in one exchange must share grid shape")
-		}
-	}
-	for _, f := range fields {
-		f.ReflectHalos(depth)
-	}
-	s.trace.AddExchange(depth, 0, 0)
-	return nil
+	return s.Exchange(depth, asFields(fields)...)
 }
 
 // AllReduceSum implements Communicator.
@@ -257,30 +214,14 @@ func (s *Serial) Barrier() {}
 
 // GatherInterior implements Communicator: single-rank, the "gather" is a
 // straight interior copy into dst (which must match the local shape).
-func (s *Serial) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
+func (s *Serial) GatherInterior(local *grid.Field, dst *grid.Field) error {
+	g := local.Grid
 	if dst == nil {
 		return fmt.Errorf("comm: rank 0 needs a destination field")
 	}
-	g := local.Grid
-	if dst.Grid.NX != g.NX || dst.Grid.NY != g.NY {
-		return fmt.Errorf("comm: destination %dx%d does not match global %dx%d",
-			dst.Grid.NX, dst.Grid.NY, g.NX, g.NY)
-	}
-	for k := 0; k < g.NY; k++ {
-		copy(dst.Row(k, 0, g.NX), local.Row(k, 0, g.NX))
-	}
-	return nil
-}
-
-// GatherInterior3D implements Communicator: the 3D twin of GatherInterior.
-func (s *Serial) GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) error {
-	if dst == nil {
-		return fmt.Errorf("comm: rank 0 needs a destination field")
-	}
-	g := local.Grid
 	if dst.Grid.NX != g.NX || dst.Grid.NY != g.NY || dst.Grid.NZ != g.NZ {
-		return fmt.Errorf("comm: destination %dx%dx%d does not match global %dx%dx%d",
-			dst.Grid.NX, dst.Grid.NY, dst.Grid.NZ, g.NX, g.NY, g.NZ)
+		return fmt.Errorf("comm: destination %s does not match global %s",
+			extentString(g.Flat(), dst.Grid.NX, dst.Grid.NY, dst.Grid.NZ), extentString(g.Flat(), g.NX, g.NY, g.NZ))
 	}
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {

@@ -9,8 +9,8 @@ import (
 )
 
 func TestSerialExchangeReflects(t *testing.T) {
-	g := grid.UnitGrid2D(4, 4, 2)
-	f := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 4, 1, 2)
+	f := grid.NewField(g)
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
 			f.Set(j, k, float64(j+10*k))
@@ -67,8 +67,8 @@ func cellValue(j, k int) float64 { return float64(j)*1000 + float64(k) }
 // holds (or the mirror for physical sides).
 func runExchangeTest(t *testing.T, nx, ny, px, py, halo, depth int) {
 	t.Helper()
-	part := grid.MustPartition(nx, ny, px, py)
-	gg := grid.MustGrid2D(nx, ny, halo, 0, 1, 0, 1)
+	part := grid.MustPartition(nx, ny, 1, px, py, 1)
+	gg := grid.MustGrid(nx, ny, 1, halo, 0, 1, 0, 1, 0, 1)
 
 	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
@@ -76,7 +76,7 @@ func runExchangeTest(t *testing.T, nx, ny, px, py, halo, depth int) {
 		if err != nil {
 			return err
 		}
-		f := grid.NewField2D(sub)
+		f := grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				f.Set(j, k, cellValue(ext.X0+j, ext.Y0+k))
@@ -128,12 +128,12 @@ func TestExchangeColumn(t *testing.T)        { runExchangeTest(t, 6, 24, 1, 6, 2
 func TestExchangeDepth16(t *testing.T)       { runExchangeTest(t, 96, 96, 2, 2, 16, 16) }
 
 func TestExchangeMultipleFields(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 2)
+	part := grid.MustPartition(8, 8, 1, 2, 2, 1)
 	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub := grid.MustGrid2D(ext.NX(), ext.NY(), 2, 0, 1, 0, 1)
-		a := grid.NewField2D(sub)
-		b := grid.NewField2D(sub)
+		sub := grid.MustGrid(ext.NX(), ext.NY(), 1, 2, 0, 1, 0, 1, 0, 1)
+		a := grid.NewField(sub)
+		b := grid.NewField(sub)
 		a.FillBounds(sub.Interior(), float64(c.Rank()+1))
 		b.FillBounds(sub.Interior(), float64(c.Rank()+1)*100)
 		if err := c.Exchange(1, a, b); err != nil {
@@ -155,10 +155,10 @@ func TestExchangeMultipleFields(t *testing.T) {
 }
 
 func TestExchangeShapeMismatch(t *testing.T) {
-	part := grid.MustPartition(4, 4, 1, 1)
+	part := grid.MustPartition(4, 4, 1, 1, 1, 1)
 	err := Run(part, func(c *RankComm) error {
-		a := grid.NewField2D(grid.UnitGrid2D(4, 4, 2))
-		b := grid.NewField2D(grid.UnitGrid2D(5, 4, 2))
+		a := grid.NewField(grid.UnitGrid(4, 4, 1, 2))
+		b := grid.NewField(grid.UnitGrid(5, 4, 1, 2))
 		if err := c.Exchange(1, a, b); err == nil {
 			t.Error("mismatched field shapes must error")
 		}
@@ -170,7 +170,7 @@ func TestExchangeShapeMismatch(t *testing.T) {
 }
 
 func TestAllReduceSum(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 2)
+	part := grid.MustPartition(8, 8, 1, 2, 2, 1)
 	err := Run(part, func(c *RankComm) error {
 		got := c.AllReduceSum(float64(c.Rank() + 1))
 		if got != 10 { // 1+2+3+4
@@ -185,7 +185,7 @@ func TestAllReduceSum(t *testing.T) {
 
 func TestAllReduceRepeated(t *testing.T) {
 	// Many back-to-back reductions must not interleave generations.
-	part := grid.MustPartition(16, 16, 4, 2)
+	part := grid.MustPartition(16, 16, 1, 4, 2, 1)
 	n := part.Ranks()
 	err := Run(part, func(c *RankComm) error {
 		for iter := 0; iter < 200; iter++ {
@@ -203,7 +203,7 @@ func TestAllReduceRepeated(t *testing.T) {
 }
 
 func TestAllReduceSum2AndMax(t *testing.T) {
-	part := grid.MustPartition(8, 8, 3, 1)
+	part := grid.MustPartition(8, 8, 1, 3, 1, 1)
 	err := Run(part, func(c *RankComm) error {
 		a, b := c.AllReduceSum2(1, float64(c.Rank()))
 		if a != 3 || b != 3 { // 3 ranks; 0+1+2
@@ -223,7 +223,7 @@ func TestAllReduceSum2AndMax(t *testing.T) {
 }
 
 func TestBarrierSynchronises(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 2)
+	part := grid.MustPartition(8, 8, 1, 2, 2, 1)
 	var mu sync.Mutex
 	phase := make(map[int]int)
 	err := Run(part, func(c *RankComm) error {
@@ -247,10 +247,10 @@ func TestBarrierSynchronises(t *testing.T) {
 }
 
 func TestPhysicalSides(t *testing.T) {
-	part := grid.MustPartition(9, 9, 3, 3)
+	part := grid.MustPartition(9, 9, 1, 3, 3, 1)
 	err := Run(part, func(c *RankComm) error {
 		p := c.Physical()
-		cx, cy := part.CoordsOf(c.Rank())
+		cx, cy, _ := part.CoordsOf(c.Rank())
 		if p.Left != (cx == 0) || p.Right != (cx == 2) || p.Down != (cy == 0) || p.Up != (cy == 2) {
 			t.Errorf("rank %d (%d,%d): wrong physical sides %+v", c.Rank(), cx, cy, p)
 		}
@@ -263,20 +263,20 @@ func TestPhysicalSides(t *testing.T) {
 
 func TestGatherInterior(t *testing.T) {
 	nx, ny := 10, 6
-	part := grid.MustPartition(nx, ny, 2, 3)
-	gg := grid.MustGrid2D(nx, ny, 1, 0, 1, 0, 1)
+	part := grid.MustPartition(nx, ny, 1, 2, 3, 1)
+	gg := grid.MustGrid(nx, ny, 1, 1, 0, 1, 0, 1, 0, 1)
 	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub := grid.MustGrid2D(ext.NX(), ext.NY(), 1, 0, 1, 0, 1)
-		f := grid.NewField2D(sub)
+		sub := grid.MustGrid(ext.NX(), ext.NY(), 1, 1, 0, 1, 0, 1, 0, 1)
+		f := grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				f.Set(j, k, cellValue(ext.X0+j, ext.Y0+k))
 			}
 		}
-		var dst *grid.Field2D
+		var dst *grid.Field
 		if c.Rank() == 0 {
-			dst = grid.NewField2D(gg)
+			dst = grid.NewField(gg)
 		}
 		if err := c.GatherInterior(f, dst); err != nil {
 			return err
@@ -298,17 +298,17 @@ func TestGatherInterior(t *testing.T) {
 }
 
 func TestGatherRepeatedDoesNotInterleave(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 2)
-	gg := grid.MustGrid2D(8, 8, 1, 0, 1, 0, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 2, 1)
+	gg := grid.MustGrid(8, 8, 1, 1, 0, 1, 0, 1, 0, 1)
 	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub := grid.MustGrid2D(ext.NX(), ext.NY(), 1, 0, 1, 0, 1)
-		f := grid.NewField2D(sub)
+		sub := grid.MustGrid(ext.NX(), ext.NY(), 1, 1, 0, 1, 0, 1, 0, 1)
+		f := grid.NewField(sub)
 		for round := 0; round < 5; round++ {
 			f.FillBounds(sub.Interior(), float64(round))
-			var dst *grid.Field2D
+			var dst *grid.Field
 			if c.Rank() == 0 {
-				dst = grid.NewField2D(gg)
+				dst = grid.NewField(gg)
 			}
 			if err := c.GatherInterior(f, dst); err != nil {
 				return err
@@ -328,10 +328,10 @@ func TestGatherRepeatedDoesNotInterleave(t *testing.T) {
 }
 
 func TestExchangeTraceCounts(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 	err := Run(part, func(c *RankComm) error {
-		sub := grid.MustGrid2D(4, 8, 2, 0, 1, 0, 1)
-		f := grid.NewField2D(sub)
+		sub := grid.MustGrid(4, 8, 1, 2, 0, 1, 0, 1, 0, 1)
+		f := grid.NewField(sub)
 		if err := c.Exchange(2, f); err != nil {
 			return err
 		}
@@ -358,7 +358,7 @@ func TestExchangeTraceCounts(t *testing.T) {
 }
 
 func TestRunPropagatesError(t *testing.T) {
-	part := grid.MustPartition(4, 4, 2, 1)
+	part := grid.MustPartition(4, 4, 1, 2, 1, 1)
 	err := Run(part, func(c *RankComm) error {
 		if c.Rank() == 1 {
 			return errTest

@@ -23,36 +23,65 @@ type slabTransport interface {
 	recvSlab(from int, side grid.Side, wantLen int) ([]float64, error)
 }
 
-// exchange2D is the backend-independent two-phase corner-correct halo
-// exchange — exactly TeaLeaf's update_halo ordering: x-direction strips
-// over interior rows, then y-direction strips spanning the freshly
-// filled x-halos, so corner halo cells receive the diagonal neighbour's
-// data without explicit corner messages. Physical sides are filled by
-// zero-flux mirroring in the same phase order. Returns the message count
-// and byte volume for the caller's trace.
-func exchange2D(tr slabTransport, part *grid.Partition, rank int, phys PhysicalSides, depth int, fields []*grid.Field2D) (int, int64, error) {
+// extentString formats a cell extent, in two dimensions when flat.
+func extentString(flat bool, nx, ny, nz int) string {
+	if flat {
+		return fmt.Sprintf("%dx%d", nx, ny)
+	}
+	return fmt.Sprintf("%dx%dx%d", nx, ny, nz)
+}
+
+// flatness names a mesh's dimensionality in errors.
+func flatness(flat bool) string {
+	if flat {
+		return "flat"
+	}
+	return "3D"
+}
+
+// checkFields validates the depth against the fields' halo and that every
+// field shares the first one's grid shape.
+func checkFields(depth int, fields []*grid.Field) error {
 	g := fields[0].Grid
 	if depth < 1 || depth > g.Halo {
-		return 0, 0, fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
+		return fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
+	}
+	for _, f := range fields {
+		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.NZ != g.NZ || f.Grid.Halo != g.Halo {
+			return fmt.Errorf("comm: all fields in one exchange must share grid shape")
+		}
+	}
+	return nil
+}
+
+// exchange is the backend-independent phased corner-correct halo
+// exchange — exactly TeaLeaf's update_halo ordering: x-direction slabs
+// over interior rows and planes, then y-direction slabs spanning the
+// freshly filled x-halos, then (unless the mesh is flat) z-direction
+// slabs spanning both, so edge and corner halo cells receive their
+// diagonal neighbour's data without explicit diagonal messages. Physical
+// sides are filled by zero-flux mirroring in the same phase order.
+// Returns the message count and byte volume for the caller's trace.
+func exchange(tr slabTransport, part *grid.Partition, rank int, depth int, fields []*grid.Field) (int, int64, error) {
+	if err := checkFields(depth, fields); err != nil {
+		return 0, 0, err
+	}
+	g := fields[0].Grid
+	if g.Flat() != part.Flat() {
+		return 0, 0, fmt.Errorf("comm: fields on a %s grid cannot be exchanged over a %s partition",
+			flatness(g.Flat()), flatness(part.Flat()))
 	}
 	// A sub-domain thinner than the depth cannot supply its neighbour's
 	// halo from interior cells: packing would send stale halo data.
 	// Validate against the partition-wide minimum so every rank reaches
 	// the same verdict (a per-rank check could leave peers deadlocked
 	// mid-protocol).
-	if mnx, mny := part.MinExtent(); depth > mnx || depth > mny {
-		return 0, 0, fmt.Errorf("comm: exchange depth %d exceeds the smallest sub-domain extent %dx%d", depth, mnx, mny)
+	mnx, mny, mnz := part.MinExtent()
+	if depth > mnx || depth > mny || (!part.Flat() && depth > mnz) {
+		return 0, 0, fmt.Errorf("comm: exchange depth %d exceeds the smallest sub-domain extent %s",
+			depth, extentString(part.Flat(), mnx, mny, mnz))
 	}
-	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.Halo != g.Halo {
-			return 0, 0, fmt.Errorf("comm: all fields in one exchange must share grid shape")
-		}
-	}
-	left := part.Neighbor(rank, grid.Left)
-	right := part.Neighbor(rank, grid.Right)
-	down := part.Neighbor(rank, grid.Down)
-	up := part.Neighbor(rank, grid.Up)
-
+	phys := part.Physical(rank)
 	messages := 0
 	var bytes int64
 	send := func(to int, side grid.Side, msg []float64) error {
@@ -63,198 +92,127 @@ func exchange2D(tr slabTransport, part *grid.Partition, rank int, phys PhysicalS
 		bytes += int64(len(msg) * 8)
 		return nil
 	}
-
-	// --- Phase X (interior rows) ---
-	for _, f := range fields {
-		f.ReflectHalosSides(depth, phys.Left, phys.Right, false, false)
+	// One phase per axis: the slab of cells [lo,hi) along the axis, over
+	// the span of the other two axes that the earlier phases filled.
+	phases := []struct {
+		low     grid.Side
+		n       int
+		reflect grid.Sides
+		slab    func(lo, hi int) grid.Bounds
+		skip    bool
+	}{
+		{low: grid.Left, n: g.NX, reflect: grid.Sides{Left: phys.Left, Right: phys.Right},
+			slab: func(lo, hi int) grid.Bounds { return grid.Bounds{X0: lo, X1: hi, Y0: 0, Y1: g.NY, Z0: 0, Z1: g.NZ} }},
+		{low: grid.Down, n: g.NY, reflect: grid.Sides{Down: phys.Down, Up: phys.Up},
+			slab: func(lo, hi int) grid.Bounds {
+				return grid.Bounds{X0: -depth, X1: g.NX + depth, Y0: lo, Y1: hi, Z0: 0, Z1: g.NZ}
+			}},
+		{low: grid.Back, n: g.NZ, reflect: grid.Sides{Back: phys.Back, Front: phys.Front}, skip: part.Flat(),
+			slab: func(lo, hi int) grid.Bounds {
+				return grid.Bounds{X0: -depth, X1: g.NX + depth, Y0: -depth, Y1: g.NY + depth, Z0: lo, Z1: hi}
+			}},
 	}
-	// Send before receive: deadlock-free because sendSlab is buffered.
-	if right >= 0 {
-		if err := send(right, grid.Left, packX(fields, g.NX-depth, g.NX, depth)); err != nil {
-			return messages, bytes, err
+	for _, ph := range phases {
+		if ph.skip {
+			continue
+		}
+		for _, f := range fields {
+			f.ReflectHalosSides(depth, ph.reflect)
+		}
+		high := ph.low + 1
+		lowRank := part.Neighbor(rank, ph.low)
+		highRank := part.Neighbor(rank, high)
+		// Send before receive: deadlock-free because sendSlab is buffered.
+		if highRank >= 0 {
+			if err := send(highRank, ph.low, pack(fields, ph.slab(ph.n-depth, ph.n))); err != nil {
+				return messages, bytes, err
+			}
+		}
+		if lowRank >= 0 {
+			if err := send(lowRank, high, pack(fields, ph.slab(0, depth))); err != nil {
+				return messages, bytes, err
+			}
+		}
+		want := len(fields) * ph.slab(0, depth).Cells()
+		if lowRank >= 0 {
+			msg, err := tr.recvSlab(lowRank, ph.low, want)
+			if err != nil {
+				return messages, bytes, err
+			}
+			unpack(fields, msg, ph.slab(-depth, 0))
+		}
+		if highRank >= 0 {
+			msg, err := tr.recvSlab(highRank, high, want)
+			if err != nil {
+				return messages, bytes, err
+			}
+			unpack(fields, msg, ph.slab(ph.n, ph.n+depth))
 		}
 	}
-	if left >= 0 {
-		if err := send(left, grid.Right, packX(fields, 0, depth, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	xLen := len(fields) * depth * g.NY
-	if left >= 0 {
-		msg, err := tr.recvSlab(left, grid.Left, xLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackX(fields, msg, -depth, 0, depth)
-	}
-	if right >= 0 {
-		msg, err := tr.recvSlab(right, grid.Right, xLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackX(fields, msg, g.NX, g.NX+depth, depth)
-	}
-
-	// --- Phase Y (spans x-halos filled above) ---
-	for _, f := range fields {
-		f.ReflectHalosSides(depth, false, false, phys.Down, phys.Up)
-	}
-	if up >= 0 {
-		if err := send(up, grid.Down, packY(fields, g.NY-depth, g.NY, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	if down >= 0 {
-		if err := send(down, grid.Up, packY(fields, 0, depth, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	yLen := len(fields) * depth * (g.NX + 2*depth)
-	if down >= 0 {
-		msg, err := tr.recvSlab(down, grid.Down, yLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackY(fields, msg, -depth, 0, depth)
-	}
-	if up >= 0 {
-		msg, err := tr.recvSlab(up, grid.Up, yLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackY(fields, msg, g.NY, g.NY+depth, depth)
-	}
-
 	return messages, bytes, nil
 }
 
-// exchange3D is the backend-independent three-phase extension of
-// exchange2D: x slabs over interior rows and planes, y slabs spanning
-// the freshly filled x-halos, z slabs spanning both — every edge and
-// corner halo cell receives its diagonal neighbour's data without
-// explicit diagonal messages.
-func exchange3D(tr slabTransport, part *grid.Partition3D, rank int, phys PhysicalSides3D, depth int, fields []*grid.Field3D) (int, int64, error) {
-	g := fields[0].Grid
-	if depth < 1 || depth > g.Halo {
-		return 0, 0, fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
-	}
-	// As in 2D: the partition-wide minimum keeps the verdict identical on
-	// every rank.
-	if mnx, mny, mnz := part.MinExtent(); depth > mnx || depth > mny || depth > mnz {
-		return 0, 0, fmt.Errorf("comm: exchange depth %d exceeds the smallest sub-domain extent %dx%dx%d", depth, mnx, mny, mnz)
-	}
+// pack packs box b of every field, x fastest, field after field.
+func pack(fields []*grid.Field, b grid.Bounds) []float64 {
+	msg := make([]float64, 0, len(fields)*b.Cells())
 	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.NZ != g.NZ || f.Grid.Halo != g.Halo {
-			return 0, 0, fmt.Errorf("comm: all fields in one exchange must share grid shape")
+		for k := b.Z0; k < b.Z1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				msg = append(msg, f.Row(j, k, b.X0, b.X1)...)
+			}
 		}
 	}
-	left := part.Neighbor(rank, grid.Left)
-	right := part.Neighbor(rank, grid.Right)
-	down := part.Neighbor(rank, grid.Down)
-	up := part.Neighbor(rank, grid.Up)
-	back := part.Neighbor(rank, grid.Back)
-	front := part.Neighbor(rank, grid.Front)
+	return msg
+}
 
-	messages := 0
-	var bytes int64
-	send := func(to int, side grid.Side, msg []float64) error {
-		if err := tr.sendSlab(to, side, msg); err != nil {
-			return err
-		}
-		messages++
-		bytes += int64(len(msg) * 8)
-		return nil
-	}
-
-	// --- Phase X (interior rows and planes) ---
+// unpack is the inverse of pack.
+func unpack(fields []*grid.Field, msg []float64, b grid.Bounds) {
+	w := b.X1 - b.X0
+	pos := 0
 	for _, f := range fields {
-		f.ReflectHalosSides(depth, phys.Left, phys.Right, false, false, false, false)
-	}
-	if right >= 0 {
-		if err := send(right, grid.Left, packX3(fields, g.NX-depth, g.NX, depth)); err != nil {
-			return messages, bytes, err
+		for k := b.Z0; k < b.Z1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				copy(f.Row(j, k, b.X0, b.X1), msg[pos:pos+w])
+				pos += w
+			}
 		}
 	}
-	if left >= 0 {
-		if err := send(left, grid.Right, packX3(fields, 0, depth, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	xLen := len(fields) * depth * g.NY * g.NZ
-	if left >= 0 {
-		msg, err := tr.recvSlab(left, grid.Left, xLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackX3(fields, msg, -depth, 0, depth)
-	}
-	if right >= 0 {
-		msg, err := tr.recvSlab(right, grid.Right, xLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackX3(fields, msg, g.NX, g.NX+depth, depth)
-	}
+}
 
-	// --- Phase Y (spans the x-halos filled above) ---
-	for _, f := range fields {
-		f.ReflectHalosSides(depth, false, false, phys.Down, phys.Up, false, false)
+// asFields views 3D-named fields as the fields they are.
+func asFields(fs []*grid.Field3D) []*grid.Field {
+	out := make([]*grid.Field, len(fs))
+	for i, f := range fs {
+		out[i] = (*grid.Field)(f)
 	}
-	if up >= 0 {
-		if err := send(up, grid.Down, packY3(fields, g.NY-depth, g.NY, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	if down >= 0 {
-		if err := send(down, grid.Up, packY3(fields, 0, depth, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	yLen := len(fields) * depth * (g.NX + 2*depth) * g.NZ
-	if down >= 0 {
-		msg, err := tr.recvSlab(down, grid.Down, yLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackY3(fields, msg, -depth, 0, depth)
-	}
-	if up >= 0 {
-		msg, err := tr.recvSlab(up, grid.Up, yLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackY3(fields, msg, g.NY, g.NY+depth, depth)
-	}
+	return out
+}
 
-	// --- Phase Z (spans the x- and y-halos filled above) ---
-	for _, f := range fields {
-		f.ReflectHalosSides(depth, false, false, false, false, phys.Back, phys.Front)
+// checkLocal validates a rank's local field against its extent.
+func checkLocal(part *grid.Partition, rank int, local *grid.Field) error {
+	ext := part.ExtentOf(rank)
+	g := local.Grid
+	if g.NX != ext.NX() || g.NY != ext.NY() || g.NZ != ext.NZ() {
+		return fmt.Errorf("comm: local field %s does not match extent %s",
+			extentString(part.Flat(), g.NX, g.NY, g.NZ), extentString(part.Flat(), ext.NX(), ext.NY(), ext.NZ()))
 	}
-	if front >= 0 {
-		if err := send(front, grid.Back, packZ3(fields, g.NZ-depth, g.NZ, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	if back >= 0 {
-		if err := send(back, grid.Front, packZ3(fields, 0, depth, depth)); err != nil {
-			return messages, bytes, err
-		}
-	}
-	zLen := len(fields) * depth * (g.NX + 2*depth) * (g.NY + 2*depth)
-	if back >= 0 {
-		msg, err := tr.recvSlab(back, grid.Back, zLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackZ3(fields, msg, -depth, 0, depth)
-	}
-	if front >= 0 {
-		msg, err := tr.recvSlab(front, grid.Front, zLen)
-		if err != nil {
-			return messages, bytes, err
-		}
-		unpackZ3(fields, msg, g.NZ, g.NZ+depth, depth)
-	}
+	return nil
+}
 
-	return messages, bytes, nil
+// checkDst validates rank 0's gather destination against the global mesh.
+func checkDst(part *grid.Partition, dst *grid.Field) error {
+	switch {
+	case dst == nil:
+		return fmt.Errorf("comm: rank 0 needs a destination field")
+	case dst.Grid.NX != part.NX || dst.Grid.NY != part.NY || dst.Grid.NZ != part.NZ:
+		return fmt.Errorf("comm: destination %s does not match global %s",
+			extentString(part.Flat(), dst.Grid.NX, dst.Grid.NY, dst.Grid.NZ),
+			extentString(part.Flat(), part.NX, part.NY, part.NZ))
+	}
+	return nil
+}
+
+// extentBox is the box of global cells a rank's extent covers.
+func extentBox(e grid.Extent) grid.Bounds {
+	return grid.Bounds{X0: e.X0, X1: e.X1, Y0: e.Y0, Y1: e.Y1, Z0: e.Z0, Z1: e.Z1}
 }

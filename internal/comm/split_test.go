@@ -34,7 +34,7 @@ func TestSerialSplitPhase(t *testing.T) {
 }
 
 func TestHubSplitPhaseMatchesBlocking(t *testing.T) {
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	n := float64(part.Ranks())
 	err := Run(part, func(c *RankComm) error {
 		for iter := 0; iter < 200; iter++ {
@@ -63,12 +63,12 @@ func TestHubSplitPhaseMatchesBlocking(t *testing.T) {
 func exchangeBetween(t *testing.T, c Communicator, part *grid.Partition, iters int) error {
 	t.Helper()
 	ext := part.ExtentOf(c.Rank())
-	gg := grid.UnitGrid2D(16, 16, 2)
+	gg := grid.UnitGrid(16, 16, 1, 2)
 	sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
 	if err != nil {
 		return err
 	}
-	f := grid.NewField2D(sub)
+	f := grid.NewField(sub)
 	n := float64(part.Ranks())
 	for iter := 0; iter < iters; iter++ {
 		for k := 0; k < sub.NY; k++ {
@@ -107,7 +107,7 @@ func exchangeBetween(t *testing.T, c Communicator, part *grid.Partition, iters i
 }
 
 func TestHubSplitPhaseOverlapsExchange(t *testing.T) {
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	err := Run(part, func(c *RankComm) error {
 		return exchangeBetween(t, c, part, 50)
 	})
@@ -120,7 +120,7 @@ func TestTCPSplitPhaseOverlapsExchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test in -short mode")
 	}
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	err := RunTCP(part, func(c Communicator) error {
 		return exchangeBetween(t, c, part, 50)
 	})
@@ -133,7 +133,7 @@ func TestTCPSplitPhaseMatchesBlocking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test in -short mode")
 	}
-	part := grid.MustPartition(8, 8, 4, 1)
+	part := grid.MustPartition(8, 8, 1, 4, 1, 1)
 	n := float64(part.Ranks())
 	err := RunTCP(part, func(c Communicator) error {
 		for iter := 0; iter < 50; iter++ {
@@ -165,12 +165,12 @@ func TestTCPSplitPhaseMatchesBlocking(t *testing.T) {
 func multiTagRounds(t *testing.T, c Communicator, part *grid.Partition, iters int) error {
 	t.Helper()
 	ext := part.ExtentOf(c.Rank())
-	gg := grid.UnitGrid2D(16, 16, 2)
+	gg := grid.UnitGrid(16, 16, 1, 2)
 	sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
 	if err != nil {
 		return err
 	}
-	f := grid.NewField2D(sub)
+	f := grid.NewField(sub)
 	n := float64(part.Ranks())
 	for iter := 0; iter < iters; iter++ {
 		h0 := c.AllReduceSumNStart([]float64{float64(iter), float64(c.Rank()), 1})
@@ -217,7 +217,7 @@ func TestSerialMultiTagInFlight(t *testing.T) {
 }
 
 func TestHubMultiTagInFlight(t *testing.T) {
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	err := Run(part, func(c *RankComm) error {
 		return multiTagRounds(t, c, part, 100)
 	})
@@ -230,7 +230,7 @@ func TestTCPMultiTagInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test in -short mode")
 	}
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	err := RunTCP(part, func(c Communicator) error {
 		return multiTagRounds(t, c, part, 25)
 	})
@@ -246,7 +246,7 @@ func TestTCPMultiTagInFlight(t *testing.T) {
 // re-runs many generations so goroutine scheduling gets every chance to
 // permute arrivals — each one must still produce the rank-order bits.
 func TestHubReduceFoldRankOrder(t *testing.T) {
-	part := grid.MustPartition(16, 16, 2, 2)
+	part := grid.MustPartition(16, 16, 1, 2, 2, 1)
 	contrib := []float64{1e16, 1, 1, 1}
 	var want float64
 	for _, v := range contrib { // the rank-order fold, computed serially
@@ -276,7 +276,7 @@ func TestTCPTaggedFailureThroughProtect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test in -short mode")
 	}
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 	lns := make([]net.Listener, 2)
 	peers := make([]string, 2)
 	for r := range lns {

@@ -39,7 +39,6 @@ type TCP struct {
 	rank, size  int
 	peers       []string
 	part        *grid.Partition
-	part3       *grid.Partition3D
 	dialTimeout time.Duration
 
 	ln    net.Listener
@@ -63,11 +62,10 @@ type TCPConfig struct {
 	// (including this rank's own entry). Every rank must receive the same
 	// list in the same order.
 	Peers []string
-	// Part / Part3 is the domain decomposition; exactly one must be set,
-	// and its rank count must equal len(Peers). Every peer must be built
-	// over the identical partition — the handshake verifies this.
-	Part  *grid.Partition
-	Part3 *grid.Partition3D
+	// Part is the domain decomposition; its rank count must equal
+	// len(Peers). Every peer must be built over the identical partition —
+	// the handshake verifies this.
+	Part *grid.Partition
 	// DialTimeout bounds connection establishment: how long to keep
 	// re-dialing a peer that is not up yet, and how long to wait for a
 	// lower-ranked peer to dial us. Default 10s.
@@ -103,17 +101,10 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("comm: tcp: rank %d outside [0,%d)", cfg.Rank, n)
 	}
-	var ranks int
-	switch {
-	case cfg.Part != nil && cfg.Part3 != nil:
-		return nil, fmt.Errorf("comm: tcp: set exactly one of Part and Part3, not both")
-	case cfg.Part != nil:
-		ranks = cfg.Part.Ranks()
-	case cfg.Part3 != nil:
-		ranks = cfg.Part3.Ranks()
-	default:
-		return nil, fmt.Errorf("comm: tcp: a partition (Part or Part3) is required")
+	if cfg.Part == nil {
+		return nil, fmt.Errorf("comm: tcp: a partition (Part) is required")
 	}
+	ranks := cfg.Part.Ranks()
 	if ranks != n {
 		return nil, fmt.Errorf("comm: tcp: partition has %d ranks but the peer list has %d entries", ranks, n)
 	}
@@ -125,7 +116,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		size:        n,
 		peers:       cfg.Peers,
 		part:        cfg.Part,
-		part3:       cfg.Part3,
 		dialTimeout: cfg.DialTimeout,
 		conns:       make(map[int]*peerConn),
 		connSig:     make(chan struct{}),
@@ -157,37 +147,8 @@ func (t *TCP) Size() int { return t.size }
 // Trace implements Communicator.
 func (t *TCP) Trace() *stats.Trace { return &t.trace }
 
-// Physical implements Communicator. The communicator must have been built
-// over a 2D partition.
-func (t *TCP) Physical() PhysicalSides {
-	p := t.part
-	if p == nil {
-		panic("comm: Physical called on a 3D-partition communicator; use Physical3D")
-	}
-	return PhysicalSides{
-		Left:  p.OnBoundary(t.rank, grid.Left),
-		Right: p.OnBoundary(t.rank, grid.Right),
-		Down:  p.OnBoundary(t.rank, grid.Down),
-		Up:    p.OnBoundary(t.rank, grid.Up),
-	}
-}
-
-// Physical3D implements Communicator. The communicator must have been
-// built over a 3D partition.
-func (t *TCP) Physical3D() PhysicalSides3D {
-	p := t.part3
-	if p == nil {
-		panic("comm: Physical3D called on a 2D-partition communicator; use Physical")
-	}
-	return PhysicalSides3D{
-		Left:  p.OnBoundary(t.rank, grid.Left),
-		Right: p.OnBoundary(t.rank, grid.Right),
-		Down:  p.OnBoundary(t.rank, grid.Down),
-		Up:    p.OnBoundary(t.rank, grid.Up),
-		Back:  p.OnBoundary(t.rank, grid.Back),
-		Front: p.OnBoundary(t.rank, grid.Front),
-	}
-}
+// Physical implements Communicator.
+func (t *TCP) Physical() grid.Sides { return t.part.Physical(t.rank) }
 
 // Close shuts the communicator down gracefully: a Bye frame is flushed on
 // every peer connection (so a peer still reading reports "peer shut down"
@@ -576,23 +537,25 @@ func (s tcpSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, er
 	return msg, nil
 }
 
-// Exchange implements Communicator over the wire. The two-phase
+// Exchange implements Communicator over the wire. The phased
 // corner-correct core (validation, reflect/pack/send/recv/unpack) is
 // literally the Hub's — shared in exchange.go — so the two backends are
 // bit-identical by construction; only the slab transport differs.
-func (t *TCP) Exchange(depth int, fields ...*grid.Field2D) error {
+func (t *TCP) Exchange(depth int, fields ...*grid.Field) error {
 	if len(fields) == 0 {
 		return nil
 	}
-	if t.part == nil {
-		return fmt.Errorf("comm: 2D exchange on a 3D-partition communicator")
-	}
-	messages, bytes, err := exchange2D(tcpSlabs{t}, t.part, t.rank, t.Physical(), depth, fields)
+	messages, bytes, err := exchange(tcpSlabs{t}, t.part, t.rank, depth, fields)
 	if err != nil {
 		return err
 	}
 	t.trace.AddExchange(depth, messages, bytes)
 	return nil
+}
+
+// Exchange3D implements Communicator.
+func (t *TCP) Exchange3D(depth int, fields ...*grid.Field3D) error {
+	return t.Exchange(depth, asFields(fields)...)
 }
 
 // tcpReduceState is one in-flight reduction: startReduce posts the sends
@@ -834,38 +797,20 @@ func (t *TCP) Protect(fn func() error) (err error) {
 // block to rank 0 over its persistent connection; rank 0 assembles them
 // into dst by partition extent. The trailing barrier keeps consecutive
 // gathers from interleaving, exactly as in the Hub.
-func (t *TCP) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
-	if t.part == nil {
-		return fmt.Errorf("comm: 2D gather on a 3D-partition communicator")
+func (t *TCP) GatherInterior(local *grid.Field, dst *grid.Field) error {
+	if err := checkLocal(t.part, t.rank, local); err != nil {
+		return err
 	}
-	ext := t.part.ExtentOf(t.rank)
-	g := local.Grid
-	if g.NX != ext.NX() || g.NY != ext.NY() {
-		return fmt.Errorf("comm: local field %dx%d does not match extent %dx%d",
-			g.NX, g.NY, ext.NX(), ext.NY())
-	}
+	in := local.Grid.Interior()
 	if t.rank != 0 {
-		data := make([]float64, 0, ext.Cells())
-		for k := 0; k < g.NY; k++ {
-			data = append(data, local.Row(k, 0, g.NX)...)
-		}
-		if err := t.send(0, frameGather, 0, 0, data); err != nil {
+		if err := t.send(0, frameGather, 0, 0, pack([]*grid.Field{local}, in)); err != nil {
 			return err
 		}
 		return t.Protect(func() error { t.Barrier(); return nil })
 	}
-	var err error
-	switch {
-	case dst == nil:
-		err = fmt.Errorf("comm: rank 0 needs a destination field")
-	case dst.Grid.NX != t.part.NX || dst.Grid.NY != t.part.NY:
-		err = fmt.Errorf("comm: destination %dx%d does not match global %dx%d",
-			dst.Grid.NX, dst.Grid.NY, t.part.NX, t.part.NY)
-	}
+	err := checkDst(t.part, dst)
 	if err == nil {
-		for k := 0; k < g.NY; k++ {
-			copy(dst.Row(ext.Y0+k, ext.X0, ext.X1), local.Row(k, 0, g.NX))
-		}
+		unpack([]*grid.Field{dst}, pack([]*grid.Field{local}, in), extentBox(t.part.ExtentOf(0)))
 	}
 	// Drain every peer's block even on error, so the streams stay in sync
 	// for the barrier and whatever follows.
@@ -878,14 +823,8 @@ func (t *TCP) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
 		if len(data) != re.Cells() {
 			return fmt.Errorf("comm: tcp rank 0: gather block from rank %d has %d values, want %d", r, len(data), re.Cells())
 		}
-		if err != nil {
-			continue
-		}
-		pos := 0
-		w := re.NX()
-		for k := re.Y0; k < re.Y1; k++ {
-			copy(dst.Row(k, re.X0, re.X1), data[pos:pos+w])
-			pos += w
+		if err == nil {
+			unpack([]*grid.Field{dst}, data, extentBox(re))
 		}
 	}
 	if berr := t.Protect(func() error { t.Barrier(); return nil }); berr != nil {
@@ -900,15 +839,7 @@ func (t *TCP) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
 // drive. A *TCPError panic inside fn (a failed reduction) is converted to
 // that rank's error; the returned error is the first non-nil by rank.
 func RunTCP(part *grid.Partition, fn func(c Communicator) error) error {
-	return runTCPRanks(part, nil, part.Ranks(), fn)
-}
-
-// RunTCP3D is RunTCP over a 3D partition.
-func RunTCP3D(part3 *grid.Partition3D, fn func(c Communicator) error) error {
-	return runTCPRanks(nil, part3, part3.Ranks(), fn)
-}
-
-func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c Communicator) error) error {
+	n := part.Ranks()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
 	for r := 0; r < n; r++ {
@@ -929,7 +860,7 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 		go func(rank int) {
 			defer wg.Done()
 			c, err := NewTCP(TCPConfig{
-				Rank: rank, Peers: peers, Part: part, Part3: part3, Listener: lns[rank],
+				Rank: rank, Peers: peers, Part: part, Listener: lns[rank],
 			})
 			if err != nil {
 				errs[rank] = err

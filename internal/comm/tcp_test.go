@@ -14,7 +14,7 @@ import (
 
 // paint2D gives every interior cell a globally unique value so halo
 // correctness is checkable cell-by-cell.
-func paint2D(f *grid.Field2D, ext grid.Extent) {
+func paint2D(f *grid.Field, ext grid.Extent) {
 	for k := 0; k < f.Grid.NY; k++ {
 		for j := 0; j < f.Grid.NX; j++ {
 			f.Set(j, k, float64((ext.Y0+k)*1000+(ext.X0+j)))
@@ -22,11 +22,11 @@ func paint2D(f *grid.Field2D, ext grid.Extent) {
 	}
 }
 
-func paint3D(f *grid.Field3D, ext grid.Extent3D) {
+func paint3D(f *grid.Field, ext grid.Extent) {
 	for k := 0; k < f.Grid.NZ; k++ {
 		for j := 0; j < f.Grid.NY; j++ {
 			for i := 0; i < f.Grid.NX; i++ {
-				f.Set(i, j, k, float64((ext.Z0+k)*1e6+(ext.Y0+j)*1000+(ext.X0+i)))
+				f.SetCell(i, j, k, float64((ext.Z0+k)*1e6+(ext.Y0+j)*1000+(ext.X0+i)))
 			}
 		}
 	}
@@ -39,14 +39,14 @@ func TestTCPMatchesHub2D(t *testing.T) {
 	const nx, ny, halo = 12, 10, 3
 	for _, layout := range [][2]int{{2, 1}, {2, 2}, {4, 1}} {
 		for depth := 1; depth <= 3; depth++ {
-			part := grid.MustPartition(nx, ny, layout[0], layout[1])
-			gg := grid.UnitGrid2D(nx, ny, halo)
+			part := grid.MustPartition(nx, ny, 1, layout[0], layout[1], 1)
+			gg := grid.UnitGrid(nx, ny, 1, halo)
 
 			type rankOut struct {
 				field    []float64
 				sums     []float64
 				max      float64
-				gathered *grid.Field2D
+				gathered *grid.Field
 			}
 			run := func(runner func(fn func(c Communicator) error) error) ([]rankOut, error) {
 				outs := make([]rankOut, part.Ranks())
@@ -56,7 +56,7 @@ func TestTCPMatchesHub2D(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					f := grid.NewField2D(sub)
+					f := grid.NewField(sub)
 					paint2D(f, ext)
 					if err := c.Exchange(depth, f); err != nil {
 						return err
@@ -64,9 +64,9 @@ func TestTCPMatchesHub2D(t *testing.T) {
 					sums := c.AllReduceSumN([]float64{float64(c.Rank() + 1), 2, 3})
 					mx := c.AllReduceMax(float64(c.Rank()))
 					c.Barrier()
-					var dst *grid.Field2D
+					var dst *grid.Field
 					if c.Rank() == 0 {
-						dst = grid.NewField2D(gg)
+						dst = grid.NewField(gg)
 					}
 					if err := c.GatherInterior(f, dst); err != nil {
 						return err
@@ -125,29 +125,29 @@ func TestTCPMatchesHub2D(t *testing.T) {
 // Hub on a 2x1x2 box decomposition with a deep halo.
 func TestTCPMatchesHub3D(t *testing.T) {
 	const nx, ny, nz, halo = 8, 6, 8, 2
-	part := grid.MustPartition3D(nx, ny, nz, 2, 1, 2)
-	gg := grid.UnitGrid3D(nx, ny, nz, halo)
+	part := grid.MustPartition(nx, ny, nz, 2, 1, 2)
+	gg := grid.UnitGrid(nx, ny, nz, halo)
 	for depth := 1; depth <= 2; depth++ {
-		run := func(runner func(fn func(c Communicator) error) error) ([][]float64, *grid.Field3D, error) {
+		run := func(runner func(fn func(c Communicator) error) error) ([][]float64, *grid.Field, error) {
 			fields := make([][]float64, part.Ranks())
-			var gathered *grid.Field3D
+			var gathered *grid.Field
 			err := runner(func(c Communicator) error {
 				ext := part.ExtentOf(c.Rank())
-				sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+				sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 				if err != nil {
 					return err
 				}
-				f := grid.NewField3D(sub)
+				f := grid.NewField(sub)
 				paint3D(f, ext)
-				if err := c.Exchange3D(depth, f); err != nil {
+				if err := c.Exchange(depth, f); err != nil {
 					return err
 				}
-				var dst *grid.Field3D
+				var dst *grid.Field
 				if c.Rank() == 0 {
-					dst = grid.NewField3D(gg)
+					dst = grid.NewField(gg)
 					gathered = dst
 				}
-				if err := c.GatherInterior3D(f, dst); err != nil {
+				if err := c.GatherInterior(f, dst); err != nil {
 					return err
 				}
 				fields[c.Rank()] = append([]float64(nil), f.Data...)
@@ -156,13 +156,13 @@ func TestTCPMatchesHub3D(t *testing.T) {
 			return fields, gathered, err
 		}
 		hubF, hubG, err := run(func(fn func(c Communicator) error) error {
-			return Run3D(part, func(c *RankComm) error { return fn(c) })
+			return Run(part, func(c *RankComm) error { return fn(c) })
 		})
 		if err != nil {
 			t.Fatalf("hub depth %d: %v", depth, err)
 		}
 		tcpF, tcpG, err := run(func(fn func(c Communicator) error) error {
-			return RunTCP3D(part, fn)
+			return RunTCP(part, fn)
 		})
 		if err != nil {
 			t.Fatalf("tcp depth %d: %v", depth, err)
@@ -185,7 +185,7 @@ func TestTCPMatchesHub3D(t *testing.T) {
 // TestTCPSingleRank checks the degenerate one-rank TCP communicator:
 // reductions are identities, exchanges reflect, gather copies.
 func TestTCPSingleRank(t *testing.T) {
-	part := grid.MustPartition(8, 8, 1, 1)
+	part := grid.MustPartition(8, 8, 1, 1, 1, 1)
 	err := RunTCP(part, func(c Communicator) error {
 		if c.Size() != 1 || c.Rank() != 0 {
 			return fmt.Errorf("bad rank/size %d/%d", c.Rank(), c.Size())
@@ -194,13 +194,13 @@ func TestTCPSingleRank(t *testing.T) {
 			return fmt.Errorf("AllReduceSum = %v", got)
 		}
 		c.Barrier()
-		g := grid.UnitGrid2D(8, 8, 2)
-		f := grid.NewField2D(g)
+		g := grid.UnitGrid(8, 8, 1, 2)
+		f := grid.NewField(g)
 		paint2D(f, part.ExtentOf(0))
 		if err := c.Exchange(2, f); err != nil {
 			return err
 		}
-		dst := grid.NewField2D(g)
+		dst := grid.NewField(g)
 		return c.GatherInterior(f, dst)
 	})
 	if err != nil {
@@ -224,7 +224,7 @@ func freeLoopbackAddr(t *testing.T) string {
 // TestTCPDialTimeout: dialing a peer that never comes up fails with a
 // descriptive timeout error, not a hang.
 func TestTCPDialTimeout(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +240,8 @@ func TestTCPDialTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g := grid.UnitGrid2D(4, 8, 2) // rank 0's sub-domain
-	f := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 8, 1, 2) // rank 0's sub-domain
+	f := grid.NewField(g)
 	start := time.Now()
 	err = c.Exchange(1, f)
 	if err == nil {
@@ -258,7 +258,7 @@ func TestTCPDialTimeout(t *testing.T) {
 // TestTCPAcceptTimeout: the higher rank waiting for a lower rank that
 // never dials fails with a descriptive timeout error, not a hang.
 func TestTCPAcceptTimeout(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +274,8 @@ func TestTCPAcceptTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	g := grid.UnitGrid2D(4, 8, 2)
-	f := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 8, 1, 2)
+	f := grid.NewField(g)
 	err = c.Exchange(1, f)
 	if err == nil {
 		t.Fatal("exchange with an absent dialer succeeded")
@@ -299,7 +299,7 @@ func TestTCPHandshakeGeometryMismatch(t *testing.T) {
 	peers := []string{ln0.Addr().String(), ln1.Addr().String()}
 
 	c0, err := NewTCP(TCPConfig{
-		Rank: 0, Peers: peers, Part: grid.MustPartition(8, 8, 2, 1),
+		Rank: 0, Peers: peers, Part: grid.MustPartition(8, 8, 1, 2, 1, 1),
 		Listener: ln0, DialTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -307,7 +307,7 @@ func TestTCPHandshakeGeometryMismatch(t *testing.T) {
 	}
 	defer c0.Close()
 	c1, err := NewTCP(TCPConfig{
-		Rank: 1, Peers: peers, Part: grid.MustPartition(16, 16, 2, 1),
+		Rank: 1, Peers: peers, Part: grid.MustPartition(16, 16, 1, 2, 1, 1),
 		Listener: ln1, DialTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -315,8 +315,8 @@ func TestTCPHandshakeGeometryMismatch(t *testing.T) {
 	}
 	defer c1.Close()
 
-	g := grid.UnitGrid2D(4, 8, 2)
-	f := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 8, 1, 2)
+	f := grid.NewField(g)
 	err = c0.Exchange(1, f)
 	if err == nil {
 		t.Fatal("exchange across mismatched partitions succeeded")
@@ -334,7 +334,7 @@ func TestTCPRankCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := []string{ln0.Addr().String(), freeLoopbackAddr(t)}
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 
 	c0, err := NewTCP(TCPConfig{
 		Rank: 0, Peers: peers, Part: part, Listener: ln0, DialTimeout: 2 * time.Second,
@@ -369,7 +369,7 @@ func TestTCPRankCollision(t *testing.T) {
 // TestTCPMidExchangeDrop: a peer that dies between collectives surfaces
 // as a descriptive error on the survivor, not a hang or corruption.
 func TestTCPMidExchangeDrop(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 1)
+	part := grid.MustPartition(8, 8, 1, 2, 1, 1)
 	lns := make([]net.Listener, 2)
 	peers := make([]string, 2)
 	for r := range lns {
@@ -397,8 +397,8 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		g := grid.UnitGrid2D(4, 8, 2)
-		f := grid.NewField2D(g)
+		g := grid.UnitGrid(4, 8, 1, 2)
+		f := grid.NewField(g)
 		// First exchange succeeds (establishes the connection and syncs).
 		if err := c0.Exchange(1, f); err != nil {
 			errCh <- fmt.Errorf("first exchange: %w", err)
@@ -407,8 +407,8 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 		// Second exchange: the peer is gone; we must get an error.
 		errCh <- c0.Exchange(1, f)
 	}()
-	g := grid.UnitGrid2D(4, 8, 2)
-	f := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 8, 1, 2)
+	f := grid.NewField(g)
 	if err := c1.Exchange(1, f); err != nil {
 		t.Fatalf("rank 1 first exchange: %v", err)
 	}
@@ -427,7 +427,7 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 // TestTCPReduceNonPowerOfTwo exercises the fold-in path of the
 // recursive-doubling reduction (3 ranks: one fold pair + one butterfly).
 func TestTCPReduceNonPowerOfTwo(t *testing.T) {
-	part := grid.MustPartition(9, 3, 3, 1)
+	part := grid.MustPartition(9, 3, 1, 3, 1, 1)
 	sums := make([][]float64, 3)
 	err := RunTCP(part, func(c Communicator) error {
 		r := float64(c.Rank())

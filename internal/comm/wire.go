@@ -164,15 +164,11 @@ type handshake struct {
 
 // handshakeFor captures this communicator's identity and geometry.
 func (t *TCP) handshakeFor() handshake {
-	h := handshake{rank: t.rank, size: t.size}
-	if t.part3 != nil {
-		h.dims = 3
-		h.nx, h.ny, h.nz = t.part3.NX, t.part3.NY, t.part3.NZ
-		h.px, h.py, h.pz = t.part3.PX, t.part3.PY, t.part3.PZ
-	} else {
+	p := t.part
+	h := handshake{rank: t.rank, size: t.size, dims: 3,
+		nx: p.NX, ny: p.NY, nz: p.NZ, px: p.PX, py: p.PY, pz: p.PZ}
+	if p.Flat() {
 		h.dims = 2
-		h.nx, h.ny = t.part.NX, t.part.NY
-		h.px, h.py = t.part.PX, t.part.PY
 	}
 	return h
 }

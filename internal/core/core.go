@@ -7,7 +7,8 @@
 // together over a goroutine-per-rank hub by default, or over real
 // loopback TCP sockets with WithBackend(BackendTCP). Multi-machine runs
 // use one process per rank (cmd/tealeaf -net tcp) around the same
-// NewInstance code.
+// NewInstance code. A 2D deck and a dims = 3 deck run the same Instance:
+// the 2D deck's mesh is the flat case of the 3D one.
 package core
 
 import (
@@ -26,28 +27,32 @@ import (
 	"tealeaf/internal/stencil"
 )
 
-// MinHalo is the smallest grid halo the driver allocates; deep enough for
-// classic depth-1 exchanges plus the coefficient build's one-cell reach.
-const MinHalo = 2
-
 // Instance is one rank's view of a TeaLeaf run.
 type Instance struct {
 	Deck *deck.Deck
-	Grid *grid.Grid2D
+	Grid *grid.Grid
 	Pool *par.Pool
 	Comm comm.Communicator
 
-	Density *grid.Field2D
-	Energy  *grid.Field2D
-	U       *grid.Field2D // solve variable u = density·energy
-	u0      *grid.Field2D // per-step right-hand side
-	Op      *stencil.Operator2D
+	Density *grid.Field
+	Energy  *grid.Field
+	U       *grid.Field // solve variable u = density·energy
+	u0      *grid.Field // per-step right-hand side
+	Op      *stencil.Operator
 
 	kind    solver.Kind
 	opts    solver.Options
 	stepNum int
 	simTime float64
 	dt      float64
+}
+
+// Instance3D is an Instance whose fields are addressed with three indices
+// (its Energy is a grid.Field3D view of the same storage): the name the
+// 3D solve path has always used.
+type Instance3D struct {
+	*Instance
+	Energy *grid.Field3D
 }
 
 // engineFor maps the deck's engine key: tl_pipelined selects the
@@ -59,14 +64,25 @@ func engineFor(d *deck.Deck) solver.Engine {
 	return solver.EngineFused
 }
 
-// HaloFor returns the grid halo depth a deck requires: at least MinHalo,
-// and at least the matrix-powers exchange depth.
-func HaloFor(d *deck.Deck) int {
-	h := MinHalo
-	if d.HaloDepth > h {
-		h = d.HaloDepth
+// HaloFor returns the grid halo depth a deck requires: at least
+// deck.MinHalo, and at least the matrix-powers exchange depth.
+func HaloFor(d *deck.Deck) int { return max(deck.MinHalo, d.HaloDepth) }
+
+// GlobalGrid builds the deck's whole mesh: flat for a 2D deck or a dims = 3
+// deck with one z-cell, 3D otherwise.
+func GlobalGrid(d *deck.Deck) (*grid.Grid, error) {
+	if d.Dims == 3 {
+		return grid.NewGrid(d.XCells, d.YCells, d.ZCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax, d.ZMin, d.ZMax)
 	}
-	return h
+	return grid.NewGrid2D(d.XCells, d.YCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
+}
+
+// zCells is the z extent the host cache model sizes for: 0 on a flat grid.
+func zCells(g *grid.Grid) int {
+	if g.Flat() {
+		return 0
+	}
+	return g.NZ
 }
 
 // tiledPool applies the deck's cache-tiling keys to the rank's thread
@@ -74,18 +90,18 @@ func HaloFor(d *deck.Deck) int {
 // the shape is auto-tuned from the host's LLC model. The widest fused
 // sweeps co-walk about six arrays per cell in 2D and eight in 3D
 // (coefficients, recurrence vectors and the folded diagonal), which is
-// what the auto-tuner sizes tiles for. Pass nz = 0 for 2D grids.
-func tiledPool(d *deck.Deck, pool *par.Pool, nx, ny, nz int) *par.Pool {
+// what the auto-tuner sizes tiles for.
+func tiledPool(d *deck.Deck, pool *par.Pool, g *grid.Grid) *par.Pool {
 	if !d.Tiling {
 		return pool
 	}
 	tx, ty, tz := d.TileX, d.TileY, d.TileZ
 	if tx == 0 && ty == 0 && tz == 0 {
 		fields := 6
-		if nz > 1 {
+		if zCells(g) > 1 {
 			fields = 8
 		}
-		tx, ty, tz = machine.HostDevice().TileFor(nx, ny, nz, fields)
+		tx, ty, tz = machine.HostDevice().TileFor(g.NX, g.NY, zCells(g), fields)
 		if tx == 0 && ty == 0 && tz == 0 {
 			return pool // the whole sweep is LLC-resident; tiling buys nothing
 		}
@@ -99,18 +115,17 @@ func tiledPool(d *deck.Deck, pool *par.Pool, nx, ny, nz int) *par.Pool {
 // deck's halo depth — staying 0 (one spanning band) when the working
 // set already fits the cache. The chained sweeps co-walk up to eight
 // arrays per cell (the pipelined step's recurrence vectors plus the
-// folded diagonal), same as the widest 3D tiled sweep. Pass nz = 0 for
-// 2D grids.
-func chainBandCells(d *deck.Deck, nx, ny, nz int) int {
+// folded diagonal), same as the widest 3D tiled sweep.
+func chainBandCells(d *deck.Deck, g *grid.Grid) int {
 	if !d.Temporal || d.ChainBands > 0 {
 		return d.ChainBands
 	}
-	return machine.HostDevice().ChainBandRows(nx, ny, nz, 8, HaloFor(d))
+	return machine.HostDevice().ChainBandRows(g.NX, g.NY, zCells(g), 8, HaloFor(d))
 }
 
 // NewSerial builds a single-rank instance covering the whole deck domain.
 func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
-	g, err := grid.NewGrid2D(d.XCells, d.YCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
+	g, err := GlobalGrid(d)
 	if err != nil {
 		return nil, err
 	}
@@ -118,23 +133,23 @@ func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
 }
 
 // NewInstance builds one rank's instance on the given (sub-)grid. The grid
-// must carry true physical coordinates (grid.Grid2D.Sub does) so state
+// must carry true physical coordinates (grid.Grid.SubExtent does) so state
 // painting and coefficients agree across ranks.
-func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicator) (*Instance, error) {
+func NewInstance(d *deck.Deck, g *grid.Grid, pool *par.Pool, c comm.Communicator) (*Instance, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if pool == nil {
 		pool = par.Serial
 	}
-	pool = tiledPool(d, pool, g.NX, g.NY, 0)
+	pool = tiledPool(d, pool, g)
 	inst := &Instance{
 		Deck: d, Grid: g, Pool: pool, Comm: c,
 		dt:      d.InitialTimestep,
-		Density: grid.NewField2D(g),
-		Energy:  grid.NewField2D(g),
-		U:       grid.NewField2D(g),
-		u0:      grid.NewField2D(g),
+		Density: grid.NewField(g),
+		Energy:  grid.NewField(g),
+		U:       grid.NewField(g),
+		u0:      grid.NewField(g),
 	}
 	if err := problem.Paint(d.States, inst.Density, inst.Energy); err != nil {
 		return nil, err
@@ -144,14 +159,7 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 	if err := c.Exchange(g.Halo, inst.Density); err != nil {
 		return nil, err
 	}
-
-	coef := stencil.Conductivity
-	if d.Coefficient == "recip_density" {
-		coef = stencil.RecipConductivity
-	}
-	phys := c.Physical()
-	op, err := stencil.BuildOperator2D(pool, inst.Density, d.InitialTimestep, coef,
-		stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+	op, err := inst.buildOperator(d.InitialTimestep)
 	if err != nil {
 		return nil, err
 	}
@@ -167,18 +175,18 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		return nil, err
 	}
 	inst.opts = solver.Options{
-		Tol:          d.Eps,
-		MaxIters:     d.MaxIters,
-		Pool:         pool,
-		Comm:         c,
-		Precond:      m,
-		EigenCGIters: d.EigenCGIters,
-		InnerSteps:   d.InnerSteps,
-		HaloDepth:    d.HaloDepth,
-		Engine:       engineFor(d),
-		Temporal:     d.Temporal,
+		Tol:            d.Eps,
+		MaxIters:       d.MaxIters,
+		Pool:           pool,
+		Comm:           c,
+		Precond:        m,
+		EigenCGIters:   d.EigenCGIters,
+		InnerSteps:     d.InnerSteps,
+		HaloDepth:      d.HaloDepth,
+		Engine:         engineFor(d),
+		Temporal:       d.Temporal,
+		ChainBandCells: chainBandCells(d, g),
 	}
-	inst.opts.ChainBandCells = chainBandCells(d, g.NX, g.NY, 0)
 	if d.UseDeflation {
 		// tl_use_deflation: build the distributed coarse subdomain
 		// projector over this rank's slice of the solve operator (the
@@ -187,8 +195,9 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		if kind != solver.KindCG && kind != solver.KindPPCG {
 			return nil, fmt.Errorf("core: tl_use_deflation composes with tl_use_cg and tl_use_ppcg only (deck selects %s)", kind)
 		}
+		b := d.DeflationBlocks
 		defl, err := deflate.New(pool, c, op, deflGeometry(d, g), deflate.Config{
-			BX: d.DeflationBlocks, BY: d.DeflationBlocks, Levels: d.DeflationLevels,
+			BX: b, BY: b, BZ: b, Levels: d.DeflationLevels,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: tl_use_deflation: %w", err)
@@ -198,15 +207,40 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 	return inst, nil
 }
 
+// NewInstance3D is NewInstance returning the three-index face of the
+// instance.
+func NewInstance3D(d *deck.Deck, g *grid.Grid, pool *par.Pool, c comm.Communicator) (*Instance3D, error) {
+	inst, err := NewInstance(d, g, pool, c)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance3D{Instance: inst, Energy: (*grid.Field3D)(inst.Energy)}, nil
+}
+
+// buildOperator builds the solve operator A = I + dt·L from the density
+// and the deck's coefficient mode, with zero flux on the physical sides.
+func (inst *Instance) buildOperator(dt float64) (*stencil.Operator, error) {
+	coef := stencil.Conductivity
+	if inst.Deck.Coefficient == "recip_density" {
+		coef = stencil.RecipConductivity
+	}
+	return stencil.BuildOperator(inst.Pool, inst.Density, dt, coef, inst.Comm.Physical())
+}
+
 // deflGeometry locates a rank's sub-grid inside the deck's global mesh.
-// Sub-grids carry true physical coordinates (grid.Grid2D.Sub), so the
+// Sub-grids carry true physical coordinates (grid.Grid.SubExtent), so the
 // offset is the vertex distance in cell widths, exact up to rounding.
-func deflGeometry(d *deck.Deck, g *grid.Grid2D) deflate.Geometry {
-	return deflate.Geometry{
-		GlobalNX: d.XCells, GlobalNY: d.YCells,
+func deflGeometry(d *deck.Deck, g *grid.Grid) deflate.Geometry {
+	geom := deflate.Geometry{
+		GlobalNX: d.XCells, GlobalNY: d.YCells, GlobalNZ: 1,
 		OffsetX: int(math.Round((g.XMin - d.XMin) / g.DX)),
 		OffsetY: int(math.Round((g.YMin - d.YMin) / g.DY)),
 	}
+	if !g.Flat() {
+		geom.GlobalNZ = d.ZCells
+		geom.OffsetZ = int(math.Round((g.ZMin - d.ZMin) / g.DZ))
+	}
+	return geom
 }
 
 // Options exposes the derived solver options (for harnesses that tweak
@@ -252,13 +286,7 @@ func (inst *Instance) SetTimestep(dt float64) error {
 		return nil
 	}
 	d := inst.Deck
-	coef := stencil.Conductivity
-	if d.Coefficient == "recip_density" {
-		coef = stencil.RecipConductivity
-	}
-	phys := inst.Comm.Physical()
-	op, err := stencil.BuildOperator2D(inst.Pool, inst.Density, dt, coef,
-		stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+	op, err := inst.buildOperator(dt)
 	if err != nil {
 		return fmt.Errorf("core: SetTimestep: %w", err)
 	}
@@ -305,18 +333,21 @@ type Summary struct {
 // must call it).
 func (inst *Instance) Summarise() Summary {
 	g := inst.Grid
-	cellVol := g.CellArea()
+	cellVol := g.CellVolume()
 	vol := cellVol * float64(g.Cells())
 	var mass, ie, temp float64
-	for k := 0; k < g.NY; k++ {
-		for j := 0; j < g.NX; j++ {
-			mass += inst.Density.At(j, k) * cellVol
-			ie += inst.Density.At(j, k) * inst.Energy.At(j, k) * cellVol
-			// Temperature is the specific energy (unit heat capacity);
-			// unlike ρ·e, its mesh average is NOT conserved by diffusion
-			// through variable-density material, which is what makes the
-			// Fig. 4 convergence study meaningful.
-			temp += inst.Energy.At(j, k) * cellVol
+	for k := 0; k < g.NZ; k++ {
+		for j := 0; j < g.NY; j++ {
+			rho, e := inst.Density.Row(j, k, 0, g.NX), inst.Energy.Row(j, k, 0, g.NX)
+			for i := range rho {
+				mass += rho[i] * cellVol
+				ie += rho[i] * e[i] * cellVol
+				// Temperature is the specific energy (unit heat capacity);
+				// unlike ρ·e, its mesh average is NOT conserved by
+				// diffusion through variable-density material, which is
+				// what makes the Fig. 4 convergence study meaningful.
+				temp += e[i] * cellVol
+			}
 		}
 	}
 	gvol := inst.Comm.AllReduceSum(vol)
@@ -359,7 +390,7 @@ func (inst *Instance) Run(steps int) (Summary, error) {
 // DistResult is what RunDistributed hands back: the gathered global
 // energy field and the global summary.
 type DistResult struct {
-	Energy  *grid.Field2D
+	Energy  *grid.Field
 	Summary Summary
 }
 
@@ -381,7 +412,7 @@ const (
 	BackendTCP Backend = "tcp"
 )
 
-// DistOption tweaks a RunDistributed / RunDistributed3D call.
+// DistOption tweaks a RunDistributed call.
 type DistOption func(*distConfig)
 
 type distConfig struct {
@@ -401,24 +432,23 @@ func applyDistOptions(opts []DistOption) distConfig {
 	return cfg
 }
 
-// RunRank executes one rank of a distributed 2D run: the communicator
-// must span the given partition (its Rank selects the sub-domain). On
-// rank 0 the returned DistResult carries the gathered global energy
-// field; on other ranks Energy is nil. The Summary is globally reduced
-// and valid on every rank. This is the per-process entry point of a
-// real-network run (cmd/tealeaf -net tcp); RunDistributed drives the same
-// code with one goroutine per rank.
+// RunRank executes one rank of a distributed run: the communicator must
+// span the given partition of the deck's mesh (its Rank selects the
+// sub-domain). On rank 0 the returned DistResult carries the gathered
+// global energy field; on other ranks Energy is nil. The Summary is
+// globally reduced and valid on every rank. This is the per-process entry
+// point of a real-network run (cmd/tealeaf -net tcp); RunDistributed
+// drives the same code with one goroutine per rank.
 func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, workersPerRank int) (*DistResult, error) {
-	if part.NX != d.XCells || part.NY != d.YCells {
-		return nil, fmt.Errorf("core: partition %dx%d does not match the deck's %dx%d cells",
-			part.NX, part.NY, d.XCells, d.YCells)
-	}
-	gg, err := grid.NewGrid2D(d.XCells, d.YCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
+	gg, err := GlobalGrid(d)
 	if err != nil {
 		return nil, err
 	}
-	ext := part.ExtentOf(c.Rank())
-	sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
+	if part.NX != gg.NX || part.NY != gg.NY || part.NZ != gg.NZ {
+		return nil, fmt.Errorf("core: partition %s does not match the deck's %s cells",
+			shape(part.NX, part.NY, part.NZ), shape(gg.NX, gg.NY, gg.NZ))
+	}
+	sub, err := gg.SubExtent(part.ExtentOf(c.Rank()))
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +466,7 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 	}
 	out := &DistResult{Summary: sum}
 	if c.Rank() == 0 {
-		out.Energy = grid.NewField2D(gg)
+		out.Energy = grid.NewField(gg)
 	}
 	if err := c.GatherInterior(inst.Energy, out.Energy); err != nil {
 		return nil, err
@@ -444,15 +474,28 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 	return out, nil
 }
 
-// RunDistributed runs the deck for the given number of steps on a px×py
-// rank decomposition and gathers the final energy field. workersPerRank
-// sizes each rank's thread team (the hybrid MPI+OpenMP configuration of
-// §IV-A); 1 reproduces flat MPI. By default ranks are goroutines wired
-// through a comm.Hub; WithBackend(BackendTCP) runs the same rank code
-// over real loopback TCP sockets instead.
-func RunDistributed(d *deck.Deck, px, py, steps, workersPerRank int, opts ...DistOption) (*DistResult, error) {
+// shape formats a cell extent, in two dimensions when flat.
+func shape(nx, ny, nz int) string {
+	if nz == 1 {
+		return fmt.Sprintf("%dx%d", nx, ny)
+	}
+	return fmt.Sprintf("%dx%dx%d", nx, ny, nz)
+}
+
+// RunDistributed runs the deck for the given number of steps on a
+// px×py×pz rank decomposition (pz = 1 for a flat mesh) and gathers the
+// final energy field. workersPerRank sizes each rank's thread team (the
+// hybrid MPI+OpenMP configuration of §IV-A); 1 reproduces flat MPI. By
+// default ranks are goroutines wired through a comm.Hub;
+// WithBackend(BackendTCP) runs the same rank code over real loopback TCP
+// sockets instead.
+func RunDistributed(d *deck.Deck, px, py, pz, steps, workersPerRank int, opts ...DistOption) (*DistResult, error) {
 	cfg := applyDistOptions(opts)
-	part, err := grid.NewPartition(d.XCells, d.YCells, px, py)
+	gg, err := GlobalGrid(d)
+	if err != nil {
+		return nil, err
+	}
+	part, err := grid.Decompose(gg.NX, gg.NY, gg.NZ, px, py, pz)
 	if err != nil {
 		return nil, err
 	}

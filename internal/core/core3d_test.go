@@ -10,7 +10,7 @@ import (
 
 func TestSerial3DRunConservesEnergy(t *testing.T) {
 	d := problem.BenchmarkDeck3D(10)
-	inst, err := NewSerial3D(d, par.Serial)
+	inst, err := NewSerial(d, par.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSerial3DRunConservesEnergy(t *testing.T) {
 		t.Errorf("summary %+v", sum)
 	}
 	// Heat must spread: the peak drops, the minimum rises.
-	if inst.Energy.At(0, 1, 1) >= 25 {
+	if inst.Energy.Cell(0, 1, 1) >= 25 {
 		t.Error("hot box must cool")
 	}
 }
@@ -37,7 +37,7 @@ func TestSerial3DRunConservesEnergy(t *testing.T) {
 func TestRunDistributed3DMatchesSerial(t *testing.T) {
 	d := problem.BenchmarkDeck3D(10)
 	d.HaloDepth = 2
-	serial, err := NewSerial3D(d, par.Serial)
+	serial, err := NewSerial(d, par.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunDistributed3DMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range [][3]int{{2, 1, 1}, {2, 2, 1}, {1, 2, 2}} {
-		dist, err := RunDistributed3D(d, cfg[0], cfg[1], cfg[2], 2, 1)
+		dist, err := RunDistributed(d, cfg[0], cfg[1], cfg[2], 2, 1)
 		if err != nil {
 			t.Fatalf("%v ranks: %v", cfg, err)
 		}
@@ -61,17 +61,19 @@ func TestRunDistributed3DMatchesSerial(t *testing.T) {
 func TestNewInstance3DRejectsBadConfigs(t *testing.T) {
 	d := problem.BenchmarkDeck3D(8)
 	d.Solver = "jacobi"
-	if _, err := NewSerial3D(d, par.Serial); err != nil {
+	if _, err := NewSerial(d, par.Serial); err != nil {
 		t.Errorf("jacobi now has a 3D loop and must build: %v", err)
 	}
 	d = problem.BenchmarkDeck3D(8)
 	d.Precond = "bogus"
-	if _, err := NewSerial3D(d, par.Serial); err == nil {
+	if _, err := NewSerial(d, par.Serial); err == nil {
 		t.Error("an unknown preconditioner must be rejected")
 	}
-	d = problem.BenchmarkDeck(8) // dims=2
-	if _, err := NewSerial3D(d, par.Serial); err == nil {
-		t.Error("a 2D deck must be rejected by the 3D constructor")
+	d = problem.BenchmarkDeck3D(8)
+	d.ZCells = 1 // the flat case: one z-cell, no z halo
+	inst, err := NewSerial(d, par.Serial)
+	if err != nil || !inst.Grid.Flat() {
+		t.Errorf("a dims=3 deck with one z-cell must build flat: %v", err)
 	}
 }
 
@@ -80,10 +82,10 @@ func TestNewInstance3DRejectsBadConfigs(t *testing.T) {
 // unification closed the 2D-only gap) is a preconditioner, so the
 // converged energy field must match the unpreconditioned solve.
 func TestInstance3DJacBlockSolves(t *testing.T) {
-	run := func(precond string) *Instance3D {
+	run := func(precond string) *Instance {
 		d := problem.BenchmarkDeck3D(8)
 		d.Precond = precond
-		inst, err := NewSerial3D(d, par.Serial)
+		inst, err := NewSerial(d, par.Serial)
 		if err != nil {
 			t.Fatalf("%s: %v", precond, err)
 		}
@@ -101,11 +103,11 @@ func TestInstance3DJacBlockSolves(t *testing.T) {
 
 func TestRunDistributed3DHybridWorkers(t *testing.T) {
 	d := problem.BenchmarkDeck3D(8)
-	flat, err := RunDistributed3D(d, 2, 1, 1, 1, 1)
+	flat, err := RunDistributed(d, 2, 1, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := RunDistributed3D(d, 2, 1, 1, 1, 3)
+	hybrid, err := RunDistributed(d, 2, 1, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

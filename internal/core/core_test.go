@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
@@ -71,7 +72,7 @@ func TestAllSolversAgreeOnPhysics(t *testing.T) {
 	}
 }
 
-func runWith(t *testing.T, solverName string, steps int) *grid.Field2D {
+func runWith(t *testing.T, solverName string, steps int) *grid.Field {
 	t.Helper()
 	d := problem.BenchmarkDeck(20)
 	d.Solver = solverName
@@ -100,7 +101,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range [][2]int{{2, 2}, {4, 1}, {1, 3}, {3, 2}} {
-		dist, err := RunDistributed(d, cfg[0], cfg[1], 2, 1)
+		dist, err := RunDistributed(d, cfg[0], cfg[1], 1, 2, 1)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", cfg[0], cfg[1], err)
 		}
@@ -136,7 +137,7 @@ func TestDistributedPPCGMatrixPowersMatchesSerial(t *testing.T) {
 	if _, err := serial.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunDistributed(d, 2, 2, 2, 1)
+	dist, err := RunDistributed(d, 2, 2, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestHybridWorkersMatchFlat(t *testing.T) {
 	d := problem.BenchmarkDeck(24)
 	d.Solver = "cg"
 	d.Eps = 1e-11
-	flat, err := RunDistributed(d, 2, 1, 2, 1)
+	flat, err := RunDistributed(d, 2, 1, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := RunDistributed(d, 2, 1, 2, 4)
+	hybrid, err := RunDistributed(d, 2, 1, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestStepFailureSurfacesError(t *testing.T) {
 
 func TestHaloFor(t *testing.T) {
 	d := problem.BenchmarkDeck(8)
-	if HaloFor(d) != MinHalo {
+	if HaloFor(d) != deck.MinHalo {
 		t.Errorf("default halo = %d", HaloFor(d))
 	}
 	d.HaloDepth = 8
@@ -319,7 +320,7 @@ func TestDeflationDeckRejectsBadCompositions(t *testing.T) {
 	}
 	d = problem.StiffDeck(32)
 	d.UseDeflation = true
-	if _, err := RunDistributed(d, 2, 1, 1, 1); err != nil {
+	if _, err := RunDistributed(d, 2, 1, 1, 1, 1); err != nil {
 		t.Errorf("deflation in a distributed run must work: %v", err)
 	}
 }

@@ -41,15 +41,14 @@ func TestDeflationRankInvariance2D(t *testing.T) {
 	layouts := map[int][2]int{2: {2, 1}, 4: {2, 2}}
 	for _, solver := range []string{"cg", "ppcg"} {
 		for _, levels := range []int{1, 2} {
-			ref, err := RunDistributed(stiffDeflated2D(solver, levels), 1, 1, steps, 1)
+			ref, err := RunDistributed(stiffDeflated2D(solver, levels), 1, 1, 1, steps, 1)
 			if err != nil {
 				t.Fatalf("%s levels=%d serial: %v", solver, levels, err)
 			}
 			for ranks, pxpy := range layouts {
 				for _, backend := range []Backend{BackendHub, BackendTCP} {
 					name := fmt.Sprintf("%s levels=%d ranks=%d %s", solver, levels, ranks, backend)
-					res, err := RunDistributed(stiffDeflated2D(solver, levels),
-						pxpy[0], pxpy[1], steps, 1, WithBackend(backend))
+					res, err := RunDistributed(stiffDeflated2D(solver, levels), pxpy[0], pxpy[1], 1, steps, 1, WithBackend(backend))
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -72,14 +71,14 @@ func TestDeflationRankInvariance3D(t *testing.T) {
 	layouts := map[int][3]int{2: {2, 1, 1}, 4: {2, 2, 1}}
 	for _, solver := range []string{"cg", "ppcg"} {
 		for _, levels := range []int{1, 2} {
-			ref, err := RunDistributed3D(stiffDeflated3D(solver, levels), 1, 1, 1, steps, 1)
+			ref, err := RunDistributed(stiffDeflated3D(solver, levels), 1, 1, 1, steps, 1)
 			if err != nil {
 				t.Fatalf("3D %s levels=%d serial: %v", solver, levels, err)
 			}
 			for ranks, p := range layouts {
 				for _, backend := range []Backend{BackendHub, BackendTCP} {
 					name := fmt.Sprintf("3D %s levels=%d ranks=%d %s", solver, levels, ranks, backend)
-					res, err := RunDistributed3D(stiffDeflated3D(solver, levels),
+					res, err := RunDistributed(stiffDeflated3D(solver, levels),
 						p[0], p[1], p[2], steps, 1, WithBackend(backend))
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -104,14 +103,14 @@ func TestDeflationRankInvariance3D(t *testing.T) {
 // space would show up here as a lost reduction.
 func TestDistributedDeflationStillReducesIterations(t *testing.T) {
 	plainDeck := problem.StiffDeck(48)
-	plain, err := RunDistributed(plainDeck, 2, 2, 2, 1)
+	plain, err := RunDistributed(plainDeck, 2, 2, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deflDeck := problem.StiffDeck(48)
 	deflDeck.UseDeflation = true
 	deflDeck.DeflationBlocks = 8
-	defl, err := RunDistributed(deflDeck, 2, 2, 2, 1)
+	defl, err := RunDistributed(deflDeck, 2, 2, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

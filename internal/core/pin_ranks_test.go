@@ -29,13 +29,13 @@ func runPinRanks(d *deck.Deck, backend string, ranks, workers int, fn func(r pin
 		if err != nil {
 			return err
 		}
-		part, err := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, 1, 1, ranks)
+		part, err := grid.Decompose(d.XCells, d.YCells, d.ZCells, 1, 1, ranks)
 		if err != nil {
 			return err
 		}
 		rank := func(c comm.Communicator) error {
 			e := part.ExtentOf(c.Rank())
-			sub, err := gg.Sub(e.X0, e.X1, e.Y0, e.Y1, e.Z0, e.Z1)
+			sub, err := gg.SubExtent(e)
 			if err != nil {
 				return err
 			}
@@ -62,9 +62,9 @@ func runPinRanks(d *deck.Deck, backend string, ranks, workers int, fn func(r pin
 		case "serial":
 			return rank(comm.NewSerial())
 		case "hub":
-			return comm.Run3D(part, func(c *comm.RankComm) error { return rank(c) })
+			return comm.Run(part, func(c *comm.RankComm) error { return rank(c) })
 		case "tcp":
-			return comm.RunTCP3D(part, rank)
+			return comm.RunTCP(part, rank)
 		}
 		return fmt.Errorf("unknown backend %q", backend)
 	}

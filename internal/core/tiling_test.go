@@ -24,7 +24,7 @@ var tiledVariants = []tiledVariant{
 	{"ppcg", "ppcg", false},
 }
 
-func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field2D {
+func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field {
 	t.Helper()
 	d := problem.BenchmarkDeck(48)
 	d.Solver = v.solver
@@ -50,7 +50,7 @@ func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Fiel
 	return inst.Energy
 }
 
-func runTiled3D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field3D {
+func runTiled3D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field {
 	t.Helper()
 	d := problem.BenchmarkDeck3D(16)
 	d.Solver = v.solver
@@ -67,7 +67,7 @@ func runTiled3D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Fiel
 		pool = par.NewPool(workers)
 		defer pool.Close()
 	}
-	inst, err := NewSerial3D(d, pool)
+	inst, err := NewSerial(d, pool)
 	if err != nil {
 		t.Fatalf("%s tile=%v w%d: %v", v.name, tile, workers, err)
 	}
@@ -115,9 +115,9 @@ func TestTiled3DGoldenAndWorkerInvariant(t *testing.T) {
 			for k := 0; k < 16; k++ {
 				for j := 0; j < 16; j++ {
 					for i := 0; i < 16; i++ {
-						if got.At(i, j, k) != base.At(i, j, k) {
+						if got.Cell(i, j, k) != base.Cell(i, j, k) {
 							t.Fatalf("%s: tiled run with %d workers is not bit-identical to 1 worker at (%d,%d,%d): %v != %v",
-								v.name, w, i, j, k, got.At(i, j, k), base.At(i, j, k))
+								v.name, w, i, j, k, got.Cell(i, j, k), base.Cell(i, j, k))
 						}
 					}
 				}
@@ -200,7 +200,7 @@ func TestSetTimestep3DRefreshesProjector(t *testing.T) {
 	d.Solver = "cg"
 	d.UseDeflation = true
 	d.DeflationBlocks = 3
-	inst, err := NewSerial3D(d, nil)
+	inst, err := NewSerial(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

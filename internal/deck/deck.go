@@ -27,6 +27,13 @@ import (
 	"strings"
 )
 
+// MinHalo is the smallest grid halo a run allocates; deep enough for
+// classic depth-1 exchanges plus the coefficient build's one-cell reach.
+// Every axis of the mesh (z excepted on a flat one) must be at least
+// max(MinHalo, tl_ppcg_halo_depth) cells thick, so the zero-flux mirror
+// and the deepest halo exchange read only interior cells.
+const MinHalo = 2
+
 // Geometry names the shape a state paints.
 type Geometry string
 
@@ -434,6 +441,19 @@ func (d *Deck) Validate() error {
 	case len(d.States) == 0:
 		return fmt.Errorf("deck: need at least one state")
 	}
+	// Every axis must hold the deepest halo the run exchanges; a dims = 3
+	// deck with one z-cell is the flat (2D) case and has no z halo.
+	need := max(MinHalo, d.HaloDepth)
+	for _, ax := range []struct {
+		key   string
+		cells int
+		flat  bool
+	}{{"x_cells", d.XCells, false}, {"y_cells", d.YCells, false}, {"z_cells", d.ZCells, dims == 2 || d.ZCells == 1}} {
+		if !ax.flat && ax.cells < need {
+			return fmt.Errorf("deck: %s = %d is thinner than the halo: need at least max(2, tl_ppcg_halo_depth) = %d cells",
+				ax.key, ax.cells, need)
+		}
+	}
 	if d.UseDeflation {
 		bx := d.DeflationBlocks
 		if bx < 1 {
@@ -442,7 +462,7 @@ func (d *Deck) Validate() error {
 		if bx > d.XCells || bx > d.YCells {
 			return fmt.Errorf("deck: tl_deflation_blocks %d exceeds the mesh (%dx%d cells)", bx, d.XCells, d.YCells)
 		}
-		if dims == 3 && bx > d.ZCells {
+		if dims == 3 && d.ZCells > 1 && bx > d.ZCells {
 			return fmt.Errorf("deck: tl_deflation_blocks %d exceeds the mesh in z (%d cells)", bx, d.ZCells)
 		}
 		levels := d.DeflationLevels

@@ -390,3 +390,33 @@ func TestValidate3DDeck(t *testing.T) {
 		t.Error("dims=4 must fail validation")
 	}
 }
+
+// A mesh axis thinner than the halo used to pass Validate and then fail
+// inside the first exchange; Validate now names the key and the cells it
+// needs. A dims=3 deck with one z-cell is the flat (2D) case: it has no z
+// halo, so it passes, and under deflation it takes one block in z.
+func TestValidateRejectsThinAxes(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"x thinner than the minimum halo", "x_cells=1", "x_cells = 1 is thinner than the halo: need at least max(2, tl_ppcg_halo_depth) = 2 cells"},
+		{"y thinner than the minimum halo", "y_cells=1", "y_cells = 1 is thinner than the halo"},
+		{"x thinner than the ppcg depth", "x_cells=3\ntl_ppcg_halo_depth=4", "x_cells = 3 is thinner than the halo: need at least max(2, tl_ppcg_halo_depth) = 4 cells"},
+		{"z thinner than the ppcg depth", "dims=3\nz_cells=3\ntl_ppcg_halo_depth=4", "z_cells = 3 is thinner than the halo"},
+	} {
+		_, err := ParseString("*tea\n" + tc.in + "\nstate 1 density=1 energy=1\n*endtea")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		"x_cells=2\ny_cells=2",
+		"x_cells=4\ntl_ppcg_halo_depth=4",
+		"dims=3\nz_cells=1\ntl_ppcg_halo_depth=4",
+		"dims=3\nz_cells=1\ntl_use_deflation\ntl_deflation_blocks=8",
+	} {
+		if _, err := ParseString("*tea\n" + in + "\nstate 1 density=1 energy=1\n*endtea"); err != nil {
+			t.Errorf("%q rejected: %v", in, err)
+		}
+	}
+}

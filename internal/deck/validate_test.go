@@ -101,7 +101,8 @@ func TestEveryRejectionPath(t *testing.T) {
 // the smallest values the rejection paths above must NOT fire on.
 func TestValidateAcceptsBoundaryValues(t *testing.T) {
 	for name, in := range map[string]string{
-		"one cell":            "*tea\nx_cells=1\ny_cells=1\nstate 1 density=1 energy=1\n*endtea",
+		"two cells":           "*tea\nx_cells=2\ny_cells=2\nstate 1 density=1 energy=1\n*endtea",
+		"flat 3D":             "*tea\ndims=3\nz_cells=1\ntl_use_deflation\ntl_deflation_blocks=4\nstate 1 density=1 energy=1\n*endtea",
 		"zero energy":         "*tea\nstate 1 density=1 energy=0\n*endtea",
 		"end_step only":       "*tea\nend_time=0\nend_step=3\nstate 1 density=1 energy=1\n*endtea",
 		"deflation one block": "*tea\ntl_use_deflation\ntl_deflation_blocks=1\nstate 1 density=1 energy=1\n*endtea",

@@ -19,7 +19,7 @@
 //
 // The projector is fully distributed and dimension-agnostic: restriction
 // and prolongation are rank-local over the owning rank's partition extents
-// (2D Deflation and 3D Deflation3D), the coarse Galerkin matrix and every
+// (a flat mesh is one block deep in z), the coarse Galerkin matrix and every
 // per-iteration coarse residual are summed across ranks with a single
 // comm.AllReduceSumN round, and — because that reduction is
 // commutative-order deterministic on every backend — each rank factors
@@ -53,8 +53,8 @@ import (
 // global mesh and the depth of the nested hierarchy.
 type Config struct {
 	// BX, BY, BZ are the coarse subdomain counts per direction over the
-	// GLOBAL mesh (BZ is ignored in 2D). Each must be at least 1 and at
-	// most the global cell count in its direction.
+	// GLOBAL mesh (BZ is 1 on a flat mesh, whatever is asked). Each must
+	// be at least 1 and at most the global cell count in its direction.
 	BX, BY, BZ int
 	// Levels is the nested-hierarchy depth (default 1): 1 solves the
 	// coarse matrix E directly by dense Cholesky; L > 1 deflates E itself
@@ -71,58 +71,45 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Geometry locates a rank's sub-grid within the global 2D mesh. The zero
+// Geometry locates a rank's sub-grid within the global mesh. The zero
 // value means "the local grid is the whole mesh" (single-rank runs).
 type Geometry struct {
-	// GlobalNX, GlobalNY are the global interior cell counts.
-	GlobalNX, GlobalNY int
-	// OffsetX, OffsetY are the global coordinates of the local interior
-	// cell (0,0).
-	OffsetX, OffsetY int
+	// GlobalNX, GlobalNY, GlobalNZ are the global interior cell counts.
+	GlobalNX, GlobalNY, GlobalNZ int
+	// OffsetX, OffsetY, OffsetZ are the global coordinates of the local
+	// interior cell (0,0,0).
+	OffsetX, OffsetY, OffsetZ int
 }
 
-// Deflation is the 2D coarse-space projector: the subdomain partition,
-// the hierarchy-solved coarse Galerkin matrix (replicated identically on
-// every rank), and scratch space for rank-local projections.
+// Deflation is the coarse-space projector for one rank: the subdomain
+// indicator basis restricted to the rank's sub-grid, and the coarse
+// Galerkin matrix E = Wᵀ·A·W (identical on every rank) with its solver.
 type Deflation struct {
-	op     *stencil.Operator2D
-	pool   *par.Pool
-	c      comm.Communicator
-	bx, by int
-	// bpart is the BX×BY coarse block partition of the global mesh;
-	// block c covers the global cell rectangle bpart.ExtentOf(c).
-	bpart *grid.Partition
-	// local[c] is the local-coordinate intersection of block c with this
-	// rank's interior (possibly empty).
+	op         *stencil.Operator
+	pool       *par.Pool
+	c          comm.Communicator
+	bx, by, bz int
+	bpart      *grid.Partition
+	// local[c] is coarse block c's intersection with this rank's interior
+	// (in local coordinates; empty when the block lies elsewhere).
 	local []grid.Bounds
-	// xblk[j+hp] / yblk[k+hp] map the local padded coordinate
-	// j ∈ [-hp, NX+hp) (k ∈ [-hp, NY+hp), hp = Grid.Halo) to its block
-	// axis index, with out-of-mesh halo coordinates clamped to the mesh
-	// edge — which reproduces the zero-flux mirror on physical boundaries
-	// and the true neighbour block across rank boundaries. Covering the
-	// full halo (not just one cell) lets ProjectWBounds fill indicator
-	// values over the matrix-powers extended bounds.
-	xblk, yblk []int
-	hp         int
-	// coarse applies E⁻¹: dense Cholesky at Levels == 1, the nested
-	// blocks-of-blocks hierarchy above.
-	coarse *hierarchy
-	// geom and levels are retained so Refresh can re-assemble E when the
-	// operator's entries change.
-	geom   Geometry
-	levels int
-	// scratch fields and coarse-space vectors.
-	wv, av *grid.Field2D
+	// xblk, yblk, zblk map local coordinates (offset by hp, halos
+	// included) to the owning coarse block index along each axis.
+	xblk, yblk, zblk []int
+	hp               int
+	coarse           *hierarchy
+	geom             Geometry
+	levels           int
+	// wv, av are scratch fields for prolongation and its A-image.
+	wv, av *grid.Field
+	// cr, cl are the coarse restriction and solution vectors.
 	cr, cl []float64
 }
 
-// New builds the deflation projector for op over a cfg.BX × cfg.BY block
-// partition of the global mesh described by geom. Every rank of a
-// distributed solve must call it collectively (it performs one allreduce
-// to assemble the coarse matrix); c must be the solve's communicator. A
-// nil pool runs serial, a nil c is a fresh single-rank communicator, and
-// the zero geom treats the local grid as the whole mesh.
-func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geometry, cfg Config) (*Deflation, error) {
+// New builds the projector for one rank. It is collective: every rank of
+// the communicator must call it with the same Config and its own
+// Geometry, because assembling E takes one reduction round.
+func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator, geom Geometry, cfg Config) (*Deflation, error) {
 	g := op.Grid
 	cfg = cfg.withDefaults()
 	if pool == nil {
@@ -131,54 +118,67 @@ func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geome
 	if c == nil {
 		c = comm.NewSerial()
 	}
-	if geom.GlobalNX == 0 && geom.GlobalNY == 0 {
-		geom.GlobalNX, geom.GlobalNY = g.NX, g.NY
+	if geom.GlobalNX == 0 && geom.GlobalNY == 0 && geom.GlobalNZ == 0 {
+		geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ = g.NX, g.NY, g.NZ
 	}
-	if cfg.BX < 1 || cfg.BY < 1 {
+	if g.Flat() {
+		cfg.BZ, geom.GlobalNZ, geom.OffsetZ = 1, 1, 0
+	}
+	shape := func(x, y, z int) string {
+		if g.Flat() {
+			return fmt.Sprintf("%dx%d", x, y)
+		}
+		return fmt.Sprintf("%dx%dx%d", x, y, z)
+	}
+	if cfg.BX < 1 || cfg.BY < 1 || cfg.BZ < 1 {
 		return nil, errors.New("deflate: need at least one subdomain per direction")
 	}
-	if cfg.BX > geom.GlobalNX || cfg.BY > geom.GlobalNY {
-		return nil, fmt.Errorf("deflate: %dx%d subdomains exceed the %dx%d global mesh",
-			cfg.BX, cfg.BY, geom.GlobalNX, geom.GlobalNY)
+	if cfg.BX > geom.GlobalNX || cfg.BY > geom.GlobalNY || cfg.BZ > geom.GlobalNZ {
+		return nil, fmt.Errorf("deflate: %s subdomains exceed the %s global mesh",
+			shape(cfg.BX, cfg.BY, cfg.BZ), shape(geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ))
 	}
-	if geom.OffsetX < 0 || geom.OffsetY < 0 ||
-		geom.OffsetX+g.NX > geom.GlobalNX || geom.OffsetY+g.NY > geom.GlobalNY {
-		return nil, fmt.Errorf("deflate: local %dx%d grid at offset (%d,%d) outside the %dx%d global mesh",
-			g.NX, g.NY, geom.OffsetX, geom.OffsetY, geom.GlobalNX, geom.GlobalNY)
+	if geom.OffsetX < 0 || geom.OffsetY < 0 || geom.OffsetZ < 0 ||
+		geom.OffsetX+g.NX > geom.GlobalNX || geom.OffsetY+g.NY > geom.GlobalNY ||
+		geom.OffsetZ+g.NZ > geom.GlobalNZ {
+		off := fmt.Sprintf("(%d,%d,%d)", geom.OffsetX, geom.OffsetY, geom.OffsetZ)
+		if g.Flat() {
+			off = fmt.Sprintf("(%d,%d)", geom.OffsetX, geom.OffsetY)
+		}
+		return nil, fmt.Errorf("deflate: local %s grid at offset %s outside the %s global mesh",
+			shape(g.NX, g.NY, g.NZ), off, shape(geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ))
 	}
-	bpart, err := grid.NewPartition(geom.GlobalNX, geom.GlobalNY, cfg.BX, cfg.BY)
+	bpart, err := grid.Decompose(geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ, cfg.BX, cfg.BY, cfg.BZ)
 	if err != nil {
 		return nil, err
 	}
 	d := &Deflation{
-		op: op, pool: pool, c: c, bx: cfg.BX, by: cfg.BY, bpart: bpart,
+		op: op, pool: pool, c: c, bx: cfg.BX, by: cfg.BY, bz: cfg.BZ, bpart: bpart,
 		geom: geom, levels: cfg.Levels,
-		wv: grid.NewField2D(g), av: grid.NewField2D(g),
+		wv: grid.NewField(g), av: grid.NewField(g),
 	}
-	nc := cfg.BX * cfg.BY
+	nc := cfg.BX * cfg.BY * cfg.BZ
 	d.cr = make([]float64, nc)
 	d.cl = make([]float64, nc)
 
-	// Per-axis block lookup tables over the full padded coordinate range.
+	// Block lookup tables over the padded index range, so indicator values
+	// in halo cells come from the global geometry (clamped at the domain
+	// edge, where the halo mirrors the boundary cell's block).
 	d.hp = g.Halo
-	d.xblk = make([]int, g.NX+2*d.hp)
-	for j := -d.hp; j < g.NX+d.hp; j++ {
-		d.xblk[j+d.hp] = bpart.ColumnOf(clampInt(geom.OffsetX+j, 0, geom.GlobalNX-1))
+	blocks := func(n, off, global int, of func(int) int) []int {
+		t := make([]int, n+2*d.hp)
+		for i := -d.hp; i < n+d.hp; i++ {
+			t[i+d.hp] = of(clampInt(off+i, 0, global-1))
+		}
+		return t
 	}
-	d.yblk = make([]int, g.NY+2*d.hp)
-	for k := -d.hp; k < g.NY+d.hp; k++ {
-		d.yblk[k+d.hp] = bpart.RowOf(clampInt(geom.OffsetY+k, 0, geom.GlobalNY-1))
-	}
+	d.xblk = blocks(g.NX, geom.OffsetX, geom.GlobalNX, bpart.ColumnOf)
+	d.yblk = blocks(g.NY, geom.OffsetY, geom.GlobalNY, bpart.RowOf)
+	d.zblk = blocks(g.NZ, geom.OffsetZ, geom.GlobalNZ, bpart.PlaneOf)
 
-	// Local intersection of each global block with this rank's interior.
 	d.local = make([]grid.Bounds, nc)
 	in := g.Interior()
 	for cb := 0; cb < nc; cb++ {
-		e := bpart.ExtentOf(cb)
-		d.local[cb] = intersect2D(grid.Bounds{
-			X0: e.X0 - geom.OffsetX, X1: e.X1 - geom.OffsetX,
-			Y0: e.Y0 - geom.OffsetY, Y1: e.Y1 - geom.OffsetY,
-		}, in)
+		d.local[cb] = d.globalBox(cb, 0).Intersect(in)
 	}
 
 	if err := d.assemble(); err != nil {
@@ -187,60 +187,79 @@ func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geome
 	return d, nil
 }
 
-// assemble builds and factors the coarse Galerkin matrix E = WᵀAW from
-// the current operator. The local contribution is assembled column by
-// column: the indicator of block c is filled analytically over the
-// one-cell ring the operator reads (halo values come from the global
-// block geometry, so no exchange is needed), A is applied on the block's
-// one-cell expansion intersected with this rank, and the result is
-// integrated over the (at most 3×3) adjacent blocks — A·W_c vanishes
-// beyond them. One AllReduceSumN round then hands every rank the
-// identical global E. Collective.
+// globalBox returns coarse block cb's cells in local coordinates, grown
+// by pad cells on every side (z excepted on a flat mesh).
+func (d *Deflation) globalBox(cb, pad int) grid.Bounds {
+	e, geom := d.bpart.ExtentOf(cb), d.geom
+	zpad := pad
+	if d.op.Grid.Flat() {
+		zpad = 0
+	}
+	return grid.Bounds{
+		X0: e.X0 - geom.OffsetX - pad, X1: e.X1 - geom.OffsetX + pad,
+		Y0: e.Y0 - geom.OffsetY - pad, Y1: e.Y1 - geom.OffsetY + pad,
+		Z0: e.Z0 - geom.OffsetZ - zpad, Z1: e.Z1 - geom.OffsetZ + zpad,
+	}
+}
+
+// blockOf returns the coarse block index of local cell (i,j,k).
+func (d *Deflation) blockOf(i, j, k int) int {
+	return (d.zblk[k+d.hp]*d.by+d.yblk[j+d.hp])*d.bx + d.xblk[i+d.hp]
+}
+
+// assemble (re)builds the coarse Galerkin matrix E = Wᵀ·A·W for the
+// current operator and factors it. E(c2,c) = Σ over block c2's cells of
+// (A·w_c): each rank applies A to every block indicator over the block
+// grown by one cell (the only cells where A·w_c is non-zero), sums the
+// result over its slice of each neighbouring block, and one reduction
+// round completes E on every rank.
 func (d *Deflation) assemble() error {
 	g := d.op.Grid
-	geom := d.geom
-	nc := d.bx * d.by
+	nc := d.bx * d.by * d.bz
 	eflat := make([]float64, nc*nc)
 	for cb := 0; cb < nc; cb++ {
-		ge := d.bpart.ExtentOf(cb)
-		bApply := grid.Bounds{
-			X0: ge.X0 - geom.OffsetX - 1, X1: ge.X1 - geom.OffsetX + 1,
-			Y0: ge.Y0 - geom.OffsetY - 1, Y1: ge.Y1 - geom.OffsetY + 1,
-		}.ClampInterior(g)
+		bApply := d.globalBox(cb, 1).ClampInterior(g)
 		if bApply.Empty() {
 			continue
 		}
 		fill := bApply.Expand(1, g)
-		cx, cy := cb%d.bx, cb/d.bx
-		for k := fill.Y0; k < fill.Y1; k++ {
-			base := g.Index(0, k)
-			inBlockY := d.yblk[k+d.hp] == cy
-			for j := fill.X0; j < fill.X1; j++ {
-				v := 0.0
-				if inBlockY && d.xblk[j+d.hp] == cx {
-					v = 1
+		for k := fill.Z0; k < fill.Z1; k++ {
+			for j := fill.Y0; j < fill.Y1; j++ {
+				r := d.wv.Row(j, k, fill.X0, fill.X1)
+				for i := range r {
+					r[i] = 0
+					if d.blockOf(fill.X0+i, j, k) == cb {
+						r[i] = 1
+					}
 				}
-				d.wv.Data[base+j] = v
 			}
 		}
 		d.op.Apply(d.pool, bApply, d.wv, d.av)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				cx2, cy2 := cx+dx, cy+dy
-				if cx2 < 0 || cx2 >= d.bx || cy2 < 0 || cy2 >= d.by {
-					continue
-				}
-				cb2 := cy2*d.bx + cx2
-				lb := intersect2D(d.local[cb2], bApply)
-				if !lb.Empty() {
-					eflat[cb2*nc+cb] += d.av.SumBounds(lb)
+		// A·w_cb is non-zero only on cb and its face/edge/corner
+		// neighbours; sum it over each one's slice of this rank.
+		cx, cy, cz := d.bpart.CoordsOf(cb)
+		for dz := -1; dz <= 1; dz++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					cb2 := d.bpart.RankAt(cx+dx, cy+dy, cz+dz)
+					if cb2 < 0 {
+						continue
+					}
+					lb := d.local[cb2].Intersect(bApply)
+					if !lb.Empty() {
+						eflat[cb2*nc+cb] += d.av.SumBounds(lb)
+					}
 				}
 			}
 		}
 	}
 	eflat = d.c.AllReduceSumN(eflat)
 
-	aggs, err := aggregations(d.levels, d.bx, d.by)
+	dims := []int{d.bx, d.by}
+	if !g.Flat() {
+		dims = append(dims, d.bz)
+	}
+	aggs, err := aggregations(d.levels, dims...)
 	if err != nil {
 		return err
 	}
@@ -252,15 +271,12 @@ func (d *Deflation) assemble() error {
 	return nil
 }
 
-// Refresh rebinds the projector to op — typically the operator rebuilt
-// for a new time step — and re-assembles and re-factors the coarse
-// matrix only when changed reports that the operator's entries actually
-// changed. The flag MUST be rank-uniform: assemble is collective, so
-// ranks disagreeing on it would deadlock. With changed == false the
-// cached E (and its factorization) is reused and Refresh performs no
-// communication at all — a time step whose operator is unchanged skips
-// the assembly reduction round entirely.
-func (d *Deflation) Refresh(op *stencil.Operator2D, changed bool) error {
+// Refresh re-targets the projector at a new operator on the same grid
+// (a changed time step). With changed false it only swaps the operator
+// pointer: E carries over with zero computation and zero communication.
+// With changed true it re-assembles and re-factors E, which is
+// collective.
+func (d *Deflation) Refresh(op *stencil.Operator, changed bool) error {
 	if op.Grid != d.op.Grid {
 		return errors.New("deflate: Refresh requires an operator on the same grid")
 	}
@@ -271,15 +287,15 @@ func (d *Deflation) Refresh(op *stencil.Operator2D, changed bool) error {
 	return d.assemble()
 }
 
-// Subdomains returns the coarse-space dimension BX·BY.
+// Subdomains returns the number of coarse blocks.
 func (d *Deflation) Subdomains() int { return len(d.local) }
 
-// Levels returns the coarse-hierarchy depth (1 = dense two-level solve).
+// Levels returns the depth of the coarse hierarchy actually built.
 func (d *Deflation) Levels() int { return d.coarse.levels() }
 
-// restrict computes the LOCAL contribution to Wᵀ v (block sums over this
-// rank's interior) into out.
-func (d *Deflation) restrict(v *grid.Field2D, out []float64) {
+// restrict computes the local part of Wᵀ·v: per coarse block, the sum of
+// v over the block's slice of this rank.
+func (d *Deflation) restrict(v *grid.Field, out []float64) {
 	for c, b := range d.local {
 		if b.Empty() {
 			out[c] = 0
@@ -289,99 +305,84 @@ func (d *Deflation) restrict(v *grid.Field2D, out []float64) {
 	}
 }
 
-// solveCoarse computes λ = E⁻¹·Wᵀ·v into d.cl: a rank-local restriction,
-// one AllReduceSumN round (the only communication a projection performs),
-// and the replicated hierarchy solve every rank executes identically.
-func (d *Deflation) solveCoarse(v *grid.Field2D) {
+// solveCoarse computes cl = E⁻¹·Wᵀ·v (one reduction round).
+func (d *Deflation) solveCoarse(v *grid.Field) {
 	d.restrict(v, d.cr)
 	global := d.c.AllReduceSumN(d.cr)
 	d.coarse.Solve(global, d.cl)
 }
 
-// CoarseCorrect applies u += W·E⁻¹·Wᵀ·r: the coarse-grid solve that
-// zeroes the deflation-space component of the residual. Collective —
-// every rank must call it with its local fields.
-func (d *Deflation) CoarseCorrect(r, u *grid.Field2D) {
+// CoarseCorrect adds the coarse-space correction u += W·E⁻¹·Wᵀ·r, which
+// zeroes the deflation-space component of the residual r = b − A·u. It is
+// collective (one reduction round).
+func (d *Deflation) CoarseCorrect(r, u *grid.Field) {
 	d.solveCoarse(r)
-	g := u.Grid
 	for c, b := range d.local {
-		if b.Empty() {
-			continue
+		if !b.Empty() {
+			addConst(u, b, d.cl[c])
 		}
-		v := d.cl[c]
-		for k := b.Y0; k < b.Y1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				u.Data[base+j] += v
+	}
+}
+
+// addConst adds v to every cell of f inside b.
+func addConst(f *grid.Field, b grid.Bounds, v float64) {
+	for k := b.Z0; k < b.Z1; k++ {
+		for j := b.Y0; j < b.Y1; j++ {
+			r := f.Row(j, k, b.X0, b.X1)
+			for i := range r {
+				r[i] += v
 			}
 		}
 	}
 }
 
-// ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place: one coarse
-// solve (a single reduction round) plus one rank-local matrix application
-// on a piecewise-constant field. Collective.
-func (d *Deflation) ProjectW(w *grid.Field2D) {
+// ProjectW applies the deflation projector in place over the interior:
+// w ← P·w = w − A·W·E⁻¹·Wᵀ·w. It is collective (one reduction round).
+func (d *Deflation) ProjectW(w *grid.Field) {
 	d.ProjectWBounds(d.op.Grid.Interior(), w)
 }
 
-// ProjectWBounds is ProjectW with the fine-grid correction written over
-// the extended bounds b ⊇ interior — the deep-halo form the solver's
-// matrix-powers CG cycles need (solver.deepDeflator). The restriction
-// Wᵀ·w stays interior-only (cells beyond the interior replicate another
-// rank's interior and would be double-counted), so the coarse solve —
-// and hence λ — is identical for every b; only the region receiving the
-// A·W·λ correction grows. b.Expand(1) must fit the padded grid, which
-// holds for any extended bounds of a depth ≤ Grid.Halo cycle.
-func (d *Deflation) ProjectWBounds(b grid.Bounds, w *grid.Field2D) {
+// ProjectWBounds is ProjectW with the fine-grid correction applied over
+// the (possibly matrix-powers extended) bounds b, so deep-halo CG cycles
+// keep w = P·A·u' valid wherever later redundant sweeps read it. The
+// restriction and coarse solve stay interior-only: the extended cells are
+// another rank's interior, already counted by that rank.
+func (d *Deflation) ProjectWBounds(b grid.Bounds, w *grid.Field) {
 	d.solveCoarse(w)
 	d.applyCorrection(b, w)
 }
 
-// deflReduceTag is the reduction tag of the split-phase coarse round
-// (comm.AllReduceSumNStartTagged): distinct from tag 0, which blocking
-// rounds and the solver's split-phase scalar round use, so both can be
-// in flight at once.
+// deflReduceTag is the reduction tag the split-phase projection posts on,
+// distinct from the solver's own tag 0 round so both can be in flight.
 const deflReduceTag = 1
 
-// ProjectWBoundsStart is the first half of ProjectWBounds: it restricts
-// w and posts the coarse reduction round split-phase on the projector's
-// dedicated tag, returning the in-flight handle. Callers overlap the
-// round with other work — the solver's temporal-blocked pipelined CG
-// keeps it in flight alongside the iteration's scalar round
-// (solver.splitDeflator) — and must hand the handle to
-// ProjectWBoundsFinish, or Finish and discard it on paths that abandon
-// the projection, before any blocking collective; every rank must do
-// the same. Collective.
-func (d *Deflation) ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle {
+// ProjectWBoundsStart is the first half of a split-phase ProjectWBounds:
+// it restricts w and posts the coarse reduction round on its own tag,
+// returning the handle ProjectWBoundsFinish completes.
+func (d *Deflation) ProjectWBoundsStart(w *grid.Field) comm.ReduceHandle {
 	d.restrict(w, d.cr)
 	return d.c.AllReduceSumNStartTagged(deflReduceTag, d.cr)
 }
 
-// ProjectWBoundsFinish completes a projection posted by
-// ProjectWBoundsStart: finishes the coarse round, runs the replicated
-// hierarchy solve every rank executes identically, and applies the
-// fine-grid correction over b. The result is bit-identical to
-// ProjectWBounds(b, w) for the same w — the tagged round folds exactly
-// like the blocking one.
-func (d *Deflation) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field2D) {
+// ProjectWBoundsFinish completes a split-phase projection: it finishes
+// the coarse round, solves the coarse system and applies the correction
+// over b.
+func (d *Deflation) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field) {
 	d.coarse.Solve(h.Finish(), d.cl)
 	d.applyCorrection(b, w)
 }
 
-// applyCorrection subtracts the fine-grid correction A·W·λ (λ = d.cl,
-// left by the coarse solve) from w over b. W·λ is filled analytically
-// over the one-cell ring A reads; block membership of halo cells comes
-// from the clamped global coordinate, so rank-internal ring values are
-// exact without an exchange.
-func (d *Deflation) applyCorrection(b grid.Bounds, w *grid.Field2D) {
+// applyCorrection computes w −= A·W·cl over b: prolongate the coarse
+// solution one cell beyond b (the stencil's reach), apply A, subtract.
+func (d *Deflation) applyCorrection(b grid.Bounds, w *grid.Field) {
 	g := d.op.Grid
 	fill := b.Expand(1, g)
-	for k := fill.Y0; k < fill.Y1; k++ {
-		base := g.Index(0, k)
-		rowBase := d.yblk[k+d.hp] * d.bx
-		for j := fill.X0; j < fill.X1; j++ {
-			d.wv.Data[base+j] = d.cl[rowBase+d.xblk[j+d.hp]]
+	for k := fill.Z0; k < fill.Z1; k++ {
+		for j := fill.Y0; j < fill.Y1; j++ {
+			r := d.wv.Row(j, k, fill.X0, fill.X1)
+			for i := range r {
+				r[i] = d.cl[d.blockOf(fill.X0+i, j, k)]
+			}
 		}
 	}
 	d.op.Apply(d.pool, b, d.wv, d.av)
@@ -398,7 +399,7 @@ func (d *Deflation) applyCorrection(b grid.Bounds, w *grid.Field2D) {
 // every matvec is projected by P, and a final coarse correction recovers
 // the exact solution. Returns (iterations, final relative residual,
 // converged); a non-nil error reports a communicator failure.
-func (d *Deflation) SolveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters int) (int, float64, bool, error) {
+func (d *Deflation) SolveDeflatedCG(u, rhs *grid.Field, tol float64, maxIters int) (int, float64, bool, error) {
 	g := d.op.Grid
 	in := g.Interior()
 	pool := d.pool
@@ -409,9 +410,9 @@ func (d *Deflation) SolveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 		maxIters = 10000
 	}
 
-	r := grid.NewField2D(g)
-	w := grid.NewField2D(g)
-	p := grid.NewField2D(g)
+	r := grid.NewField(g)
+	w := grid.NewField(g)
+	p := grid.NewField(g)
 
 	residual := func() error {
 		if err := d.c.Exchange(1, u); err != nil {
@@ -487,11 +488,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func intersect2D(a, b grid.Bounds) grid.Bounds {
-	return grid.Bounds{
-		X0: max(a.X0, b.X0), X1: min(a.X1, b.X1),
-		Y0: max(a.Y0, b.Y0), Y1: min(a.Y1, b.Y1),
-	}
 }

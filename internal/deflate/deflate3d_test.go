@@ -13,13 +13,13 @@ import (
 
 // stiffOperator3D builds the 3D near-steady operator A = I + Δt·L with
 // Δt·λ₂(L) ≫ 1 on the unit cube.
-func stiffOperator3D(t *testing.T, n int) *stencil.Operator3D {
+func stiffOperator3D(t *testing.T, n int) *stencil.Operator {
 	t.Helper()
-	g := grid.UnitGrid3D(n, n, n, 2)
-	den := grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, 2)
+	den := grid.NewField(g)
 	den.Fill(1)
 	den.ReflectHalos(g.Halo)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 10.0, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 10.0, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,16 +28,16 @@ func stiffOperator3D(t *testing.T, n int) *stencil.Operator3D {
 
 func TestDeflation3DValidation(t *testing.T) {
 	op := stiffOperator3D(t, 12)
-	if _, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 0, BY: 3, BZ: 3}); err == nil {
+	if _, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 0, BY: 3, BZ: 3}); err == nil {
 		t.Error("zero subdomains must error")
 	}
-	if _, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 24, BY: 3, BZ: 3}); err == nil {
+	if _, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 24, BY: 3, BZ: 3}); err == nil {
 		t.Error("more subdomains than cells must error")
 	}
-	if _, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 1, BY: 1, BZ: 1, Levels: 2}); err == nil {
+	if _, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 1, BY: 1, BZ: 1, Levels: 2}); err == nil {
 		t.Error("levels beyond the hierarchy must error")
 	}
-	d, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 3, BY: 3, BZ: 3})
+	d, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 3, BY: 3, BZ: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,22 +53,22 @@ func TestDeflation3DValidation(t *testing.T) {
 // component of a projected matvec, exactly like the 2D invariant.
 func TestProjectW3DKillsCoarseComponent(t *testing.T) {
 	op := stiffOperator3D(t, 12)
-	defl, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 3, BY: 3, BZ: 3})
+	defl, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 3, BY: 3, BZ: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := op.Grid
-	p := grid.NewField3D(g)
+	p := grid.NewField(g)
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
 			for i := 0; i < g.NX; i++ {
-				p.Set(i, j, k, rng.NormFloat64())
+				p.SetCell(i, j, k, rng.NormFloat64())
 			}
 		}
 	}
 	p.ReflectHalos(1)
-	ap := grid.NewField3D(g)
+	ap := grid.NewField(g)
 	op.Apply(par.Serial, g.Interior(), p, ap)
 	defl.ProjectW(ap)
 	sums := make([]float64, defl.Subdomains())
@@ -92,26 +92,26 @@ func TestDeflation3DReducesIterations(t *testing.T) {
 	const n = 16
 	op := stiffOperator3D(t, n)
 	g := op.Grid
-	rhs := grid.NewField3D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n/4; k++ {
 		for j := 0; j < n/4; j++ {
 			for i := 0; i < n/4; i++ {
-				rhs.Set(i, j, k, 1)
+				rhs.SetCell(i, j, k, 1)
 			}
 		}
 	}
-	plain := solver.Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-	plainRes, err := solver.SolveCG3D(plain, solver.Options{Tol: 1e-9})
+	plain := solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+	plainRes, err := solver.SolveCG(plain, solver.Options{Tol: 1e-9})
 	if err != nil || !plainRes.Converged {
 		t.Fatalf("plain 3D CG: %v %+v", err, plainRes)
 	}
 	for _, levels := range []int{1, 2} {
-		defl, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 4, BY: 4, BZ: 4, Levels: levels})
+		defl, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 4, BY: 4, BZ: 4, Levels: levels})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := solver.Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := solver.SolveCG3D(p, solver.Options{Tol: 1e-9, Deflation3D: defl})
+		p := solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		res, err := solver.SolveCG(p, solver.Options{Tol: 1e-9, Deflation: defl})
 		if err != nil || !res.Converged {
 			t.Fatalf("deflated 3D CG (levels=%d): %v %+v", levels, err, res)
 		}

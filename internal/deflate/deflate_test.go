@@ -98,33 +98,33 @@ func TestCholeskyErrors(t *testing.T) {
 
 // --- Deflation ---
 
-func pipeOperator(t *testing.T, n int) *stencil.Operator2D {
+func pipeOperator(t *testing.T, n int) *stencil.Operator {
 	t.Helper()
 	d := problem.CrookedPipeDeck(n, n)
-	g := grid.MustGrid2D(n, n, 2, d.XMin, d.XMax, d.YMin, d.YMax)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(n, n, 1, 2, d.XMin, d.XMax, d.YMin, d.YMax, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	if err := problem.Paint(d.States, den, en); err != nil {
 		t.Fatal(err)
 	}
 	den.ReflectHalos(g.Halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, d.InitialTimestep, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, d.InitialTimestep, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return op
 }
 
-func pipeRHS(t *testing.T, op *stencil.Operator2D, n int) *grid.Field2D {
+func pipeRHS(t *testing.T, op *stencil.Operator, n int) *grid.Field {
 	t.Helper()
 	d := problem.CrookedPipeDeck(n, n)
 	g := op.Grid
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	if err := problem.Paint(d.States, den, en); err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
+	rhs := grid.NewField(g)
 	problem.EnergyToU(den, en, rhs)
 	return rhs
 }
@@ -166,7 +166,7 @@ func TestCoarseCorrectZeroesCoarseResidual(t *testing.T) {
 	}
 	rhs := pipeRHS(t, op, 32)
 	u := rhs.Clone()
-	r := grid.NewField2D(g)
+	r := grid.NewField(g)
 	u.ReflectHalos(1)
 	op.Residual(par.Serial, g.Interior(), u, rhs, r)
 	defl.CoarseCorrect(r, u)
@@ -190,7 +190,7 @@ func TestProjectWKillsCoarseComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := op.Grid
-	w := grid.NewField2D(g)
+	w := grid.NewField(g)
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -201,7 +201,7 @@ func TestProjectWKillsCoarseComponent(t *testing.T) {
 	// invariant is Wᵀ(P·A·p) = 0 for any p, so test with w = A·p.
 	p := w.Clone()
 	p.ReflectHalos(1)
-	ap := grid.NewField2D(g)
+	ap := grid.NewField(g)
 	op.Apply(par.Serial, g.Interior(), p, ap)
 	defl.ProjectW(ap)
 	sums := make([]float64, defl.Subdomains())
@@ -242,12 +242,12 @@ func TestDeflatedCGMatchesPlainCG(t *testing.T) {
 
 // stiffOperator builds A = I + Δt·L with Δt·λ₂(L) ≫ 1: the near-steady
 // regime where the deflatable low-energy modes are actual outliers.
-func stiffOperator(t *testing.T, n int) *stencil.Operator2D {
+func stiffOperator(t *testing.T, n int) *stencil.Operator {
 	t.Helper()
-	g := grid.MustGrid2D(n, n, 2, 0, 1, 0, 1)
-	den := grid.NewField2D(g)
+	g := grid.MustGrid(n, n, 1, 2, 0, 1, 0, 1, 0, 1)
+	den := grid.NewField(g)
 	den.Fill(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 10.0, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 10.0, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestDeflationReducesIterationsInStiffRegime(t *testing.T) {
 	n := 64
 	op := stiffOperator(t, n)
 	g := op.Grid
-	rhs := grid.NewField2D(g)
-	rhs.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4}, 1)
+	rhs := grid.NewField(g)
+	rhs.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4, Z0: 0, Z1: 1}, 1)
 
 	plain := solver.Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 	res, err := solver.SolveCG(plain, solver.Options{Tol: 1e-9})
@@ -319,8 +319,8 @@ func TestDeflationNeutralInTimeStepRegime(t *testing.T) {
 func TestDeflatedCGZeroRHS(t *testing.T) {
 	op := pipeOperator(t, 16)
 	g := op.Grid
-	u := grid.NewField2D(g)
-	rhs := grid.NewField2D(g)
+	u := grid.NewField(g)
+	rhs := grid.NewField(g)
 	defl, err := New(par.Serial, nil, op, Geometry{}, Config{BX: 2, BY: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +345,8 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 	// Single-rank baseline.
 	opS := stiffOperator(t, n)
 	gS := opS.Grid
-	rhsS := grid.NewField2D(gS)
-	rhsS.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4}, 1)
+	rhsS := grid.NewField(gS)
+	rhsS.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4, Z0: 0, Z1: 1}, 1)
 	deflS, err := New(par.Serial, nil, opS, Geometry{}, Config{BX: 4, BY: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -357,9 +357,9 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 		t.Fatalf("serial deflated CG did not converge: %v", err)
 	}
 
-	part := grid.MustPartition(n, n, 2, 2)
-	gg := grid.MustGrid2D(n, n, 2, 0, 1, 0, 1)
-	gathered := grid.NewField2D(gg)
+	part := grid.MustPartition(n, n, 1, 2, 2, 1)
+	gg := grid.MustGrid(n, n, 1, 2, 0, 1, 0, 1, 0, 1)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	err = comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
@@ -367,18 +367,18 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		den := grid.NewField2D(sub)
+		den := grid.NewField(sub)
 		den.Fill(1)
 		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
 		phys := c.Physical()
-		op, err := stencil.BuildOperator2D(par.Serial, den, 10.0, stencil.Conductivity,
-			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+		op, err := stencil.BuildOperator(par.Serial, den, 10.0, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 		if err != nil {
 			return err
 		}
-		rhs := grid.NewField2D(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				if ext.X0+j < n/4 && ext.Y0+k < n/4 {
@@ -401,7 +401,7 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 			t.Errorf("rank %d: distributed deflated CG did not converge", c.Rank())
 		}
 		iters[c.Rank()] = it
-		var dst *grid.Field2D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}

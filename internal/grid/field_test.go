@@ -7,11 +7,11 @@ import (
 )
 
 func TestFieldAtSet(t *testing.T) {
-	g := MustGrid2D(4, 3, 2, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(4, 3, 1, 2, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.Set(2, 1, 7.5)
 	f.Set(-2, -2, 1.25) // deep halo corner
-	f.Add(2, 1, 0.5)
+	f.Set(2, 1, f.At(2, 1)+0.5)
 	if got := f.At(2, 1); got != 8.0 {
 		t.Errorf("At(2,1) = %v, want 8", got)
 	}
@@ -24,8 +24,8 @@ func TestFieldAtSet(t *testing.T) {
 }
 
 func TestFieldFillAndSums(t *testing.T) {
-	g := MustGrid2D(5, 4, 1, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(5, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.Fill(2.0)
 	if got, want := f.SumInterior(), 40.0; got != want {
 		t.Errorf("SumInterior = %v, want %v", got, want)
@@ -33,7 +33,7 @@ func TestFieldFillAndSums(t *testing.T) {
 	if got, want := f.MeanInterior(), 2.0; got != want {
 		t.Errorf("MeanInterior = %v, want %v", got, want)
 	}
-	f.FillBounds(Bounds{1, 3, 1, 3}, 5)
+	f.FillBounds(Bounds{1, 3, 1, 3, 0, 1}, 5)
 	// 4 cells changed from 2 to 5.
 	if got, want := f.SumInterior(), 40.0+4*3; got != want {
 		t.Errorf("after FillBounds sum = %v, want %v", got, want)
@@ -49,8 +49,8 @@ func TestFieldFillAndSums(t *testing.T) {
 }
 
 func TestFieldCloneCopyIndependence(t *testing.T) {
-	g := MustGrid2D(3, 3, 1, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(3, 3, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.Set(1, 1, 3)
 	c := f.Clone()
 	c.Set(1, 1, 9)
@@ -64,9 +64,9 @@ func TestFieldCloneCopyIndependence(t *testing.T) {
 }
 
 func TestFieldRowAliases(t *testing.T) {
-	g := MustGrid2D(6, 2, 2, 0, 1, 0, 1)
-	f := NewField2D(g)
-	row := f.Row(1, -1, 4) // cells -1..3 of row 1
+	g := MustGrid(6, 2, 1, 2, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
+	row := f.Row(1, 0, -1, 4) // cells -1..3 of row 1
 	if len(row) != 5 {
 		t.Fatalf("row len = %d, want 5", len(row))
 	}
@@ -77,8 +77,8 @@ func TestFieldRowAliases(t *testing.T) {
 }
 
 func TestNorm2Interior(t *testing.T) {
-	g := MustGrid2D(2, 2, 1, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(2, 2, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.Set(0, 0, 3)
 	f.Set(1, 1, 4)
 	f.Set(-1, -1, 100) // halo must not count
@@ -88,8 +88,8 @@ func TestNorm2Interior(t *testing.T) {
 }
 
 func TestApproxEqualAndMaxDiff(t *testing.T) {
-	g := MustGrid2D(4, 4, 1, 0, 1, 0, 1)
-	a, b := NewField2D(g), NewField2D(g)
+	g := MustGrid(4, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	a, b := NewField(g), NewField(g)
 	a.Fill(1)
 	b.Fill(1)
 	b.Set(2, 2, 1.0+1e-9)
@@ -102,15 +102,15 @@ func TestApproxEqualAndMaxDiff(t *testing.T) {
 	if got := a.MaxDiff(b); math.Abs(got-1e-9) > 1e-15 {
 		t.Errorf("MaxDiff = %v", got)
 	}
-	g2 := MustGrid2D(5, 4, 1, 0, 1, 0, 1)
-	if a.ApproxEqual(NewField2D(g2), 1) {
+	g2 := MustGrid(5, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	if a.ApproxEqual(NewField(g2), 1) {
 		t.Error("shape mismatch must be unequal")
 	}
 }
 
 func TestReflectHalosDepth1(t *testing.T) {
-	g := MustGrid2D(3, 3, 2, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(3, 3, 1, 2, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	for k := 0; k < 3; k++ {
 		for j := 0; j < 3; j++ {
 			f.Set(j, k, float64(10*j+k))
@@ -136,8 +136,8 @@ func TestReflectHalosDepth1(t *testing.T) {
 }
 
 func TestReflectHalosDeep(t *testing.T) {
-	g := MustGrid2D(6, 6, 4, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(6, 6, 1, 4, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	for k := 0; k < 6; k++ {
 		for j := 0; j < 6; j++ {
 			f.Set(j, k, float64(j)+100*float64(k))
@@ -163,8 +163,8 @@ func TestReflectHalosDeep(t *testing.T) {
 func TestReflectHalosZeroFluxInvariant(t *testing.T) {
 	// Zero-flux mirror must conserve the operator's action on a constant
 	// field: a constant extends to a constant.
-	g := MustGrid2D(5, 5, 3, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(5, 5, 1, 3, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.FillBounds(g.Interior(), 3.7)
 	f.ReflectHalos(3)
 	for k := -3; k < 8; k++ {
@@ -177,10 +177,10 @@ func TestReflectHalosZeroFluxInvariant(t *testing.T) {
 }
 
 func TestReflectHalosSides(t *testing.T) {
-	g := MustGrid2D(4, 4, 2, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(4, 4, 1, 2, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	f.FillBounds(g.Interior(), 1)
-	f.ReflectHalosSides(2, true, false, false, true)
+	f.ReflectHalosSides(2, Sides{Left: true, Up: true})
 	if f.At(-1, 1) != 1 {
 		t.Error("left side requested, must mirror")
 	}
@@ -196,8 +196,8 @@ func TestReflectHalosSides(t *testing.T) {
 }
 
 func TestFieldSumBoundsQuick(t *testing.T) {
-	g := MustGrid2D(9, 7, 2, 0, 1, 0, 1)
-	f := NewField2D(g)
+	g := MustGrid(9, 7, 1, 2, 0, 1, 0, 1, 0, 1)
+	f := NewField(g)
 	for k := -2; k < 9; k++ {
 		for j := -2; j < 11; j++ {
 			f.Set(j, k, float64(j*13+k))
@@ -213,7 +213,7 @@ func TestFieldSumBoundsQuick(t *testing.T) {
 		if y0 > y1 {
 			y0, y1 = y1, y0
 		}
-		bd := Bounds{x0, x1, y0, y1}
+		bd := Bounds{x0, x1, y0, y1, 0, 1}
 		var want float64
 		for k := y0; k < y1; k++ {
 			for j := x0; j < x1; j++ {

@@ -28,7 +28,7 @@ func TestGrid3DValidation(t *testing.T) {
 }
 
 func TestGrid3DIndexUnique(t *testing.T) {
-	g := UnitGrid3D(4, 3, 5, 2)
+	g := UnitGrid(4, 3, 5, 2)
 	seen := map[int]bool{}
 	for k := -2; k < 7; k++ {
 		for j := -2; j < 5; j++ {
@@ -50,10 +50,10 @@ func TestGrid3DIndexUnique(t *testing.T) {
 }
 
 func TestField3DBasics(t *testing.T) {
-	g := UnitGrid3D(3, 3, 3, 1)
-	f := NewField3D(g)
-	f.Set(1, 2, 0, 4.5)
-	if f.At(1, 2, 0) != 4.5 {
+	g := UnitGrid(3, 3, 3, 1)
+	f := NewField(g)
+	f.SetCell(1, 2, 0, 4.5)
+	if f.Cell(1, 2, 0) != 4.5 {
 		t.Error("At/Set broken")
 	}
 	f.Fill(2)
@@ -64,8 +64,8 @@ func TestField3DBasics(t *testing.T) {
 		t.Errorf("MeanInterior = %v, want %v", got, want)
 	}
 	c := f.Clone()
-	c.Set(0, 0, 0, 9)
-	if f.At(0, 0, 0) != 2 {
+	c.SetCell(0, 0, 0, 9)
+	if f.Cell(0, 0, 0) != 2 {
 		t.Error("Clone aliases")
 	}
 	if c.MaxDiff(f) != 7 {
@@ -74,24 +74,24 @@ func TestField3DBasics(t *testing.T) {
 }
 
 func TestField3DReflectHalos(t *testing.T) {
-	g := UnitGrid3D(4, 4, 4, 2)
-	f := NewField3D(g)
+	g := UnitGrid(4, 4, 4, 2)
+	f := NewField(g)
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
 			for i := 0; i < 4; i++ {
-				f.Set(i, j, k, float64(i+10*j+100*k))
+				f.SetCell(i, j, k, float64(i+10*j+100*k))
 			}
 		}
 	}
 	f.ReflectHalos(2)
 	for d := 1; d <= 2; d++ {
-		if got, want := f.At(-d, 1, 1), f.At(d-1, 1, 1); got != want {
+		if got, want := f.Cell(-d, 1, 1), f.Cell(d-1, 1, 1); got != want {
 			t.Errorf("x- depth %d: %v != %v", d, got, want)
 		}
-		if got, want := f.At(1, 3+d, 1), f.At(1, 4-d, 1); got != want {
+		if got, want := f.Cell(1, 3+d, 1), f.Cell(1, 4-d, 1); got != want {
 			t.Errorf("y+ depth %d: %v != %v", d, got, want)
 		}
-		if got, want := f.At(1, 1, -d), f.At(1, 1, d-1); got != want {
+		if got, want := f.Cell(1, 1, -d), f.Cell(1, 1, d-1); got != want {
 			t.Errorf("z- depth %d: %v != %v", d, got, want)
 		}
 	}
@@ -100,7 +100,7 @@ func TestField3DReflectHalos(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
 			for i := 0; i < 4; i++ {
-				f.Set(i, j, k, 1.5)
+				f.SetCell(i, j, k, 1.5)
 			}
 		}
 	}
@@ -108,8 +108,8 @@ func TestField3DReflectHalos(t *testing.T) {
 	for k := -2; k < 6; k++ {
 		for j := -2; j < 6; j++ {
 			for i := -2; i < 6; i++ {
-				if f.At(i, j, k) != 1.5 {
-					t.Fatalf("constant not preserved at (%d,%d,%d): %v", i, j, k, f.At(i, j, k))
+				if f.Cell(i, j, k) != 1.5 {
+					t.Fatalf("constant not preserved at (%d,%d,%d): %v", i, j, k, f.Cell(i, j, k))
 				}
 			}
 		}
@@ -121,7 +121,7 @@ func TestGrid3DCellCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y, z := g.CellCenter(0, 1, 1)
+	x, y, z := g.CellCenterX(0), g.CellCenterY(1), g.CellCenterZ(1)
 	if x != 0.5 || y != 1.5 || z != 1.5 {
 		t.Errorf("CellCenter = (%v,%v,%v)", x, y, z)
 	}

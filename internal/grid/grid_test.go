@@ -36,7 +36,7 @@ func TestNewGrid2DValidation(t *testing.T) {
 }
 
 func TestGrid2DSpacing(t *testing.T) {
-	g := MustGrid2D(10, 20, 2, 0, 5, -1, 1)
+	g := MustGrid(10, 20, 1, 2, 0, 5, -1, 1, 0, 1)
 	if got, want := g.DX, 0.5; got != want {
 		t.Errorf("DX = %v, want %v", got, want)
 	}
@@ -52,17 +52,17 @@ func TestGrid2DSpacing(t *testing.T) {
 	if got, want := g.VertexX(10), 5.0; math.Abs(got-want) > 1e-15 {
 		t.Errorf("VertexX(10) = %v, want %v", got, want)
 	}
-	if got, want := g.CellArea(), 0.05; math.Abs(got-want) > 1e-15 {
+	if got, want := g.CellVolume(), 0.05; math.Abs(got-want) > 1e-15 {
 		t.Errorf("CellArea = %v, want %v", got, want)
 	}
 }
 
 func TestIndexCoordsRoundTrip(t *testing.T) {
-	g := MustGrid2D(7, 5, 3, 0, 1, 0, 1)
+	g := MustGrid(7, 5, 1, 3, 0, 1, 0, 1, 0, 1)
 	seen := map[int]bool{}
 	for k := -g.Halo; k < g.NY+g.Halo; k++ {
 		for j := -g.Halo; j < g.NX+g.Halo; j++ {
-			idx := g.Index(j, k)
+			idx := g.Index(j, k, 0)
 			if idx < 0 || idx >= g.Len() {
 				t.Fatalf("Index(%d,%d) = %d outside [0,%d)", j, k, idx, g.Len())
 			}
@@ -70,10 +70,6 @@ func TestIndexCoordsRoundTrip(t *testing.T) {
 				t.Fatalf("Index(%d,%d) = %d collides", j, k, idx)
 			}
 			seen[idx] = true
-			jj, kk := g.Coords(idx)
-			if jj != j || kk != k {
-				t.Fatalf("Coords(Index(%d,%d)) = (%d,%d)", j, k, jj, kk)
-			}
 		}
 	}
 	if len(seen) != g.Len() {
@@ -82,12 +78,12 @@ func TestIndexCoordsRoundTrip(t *testing.T) {
 }
 
 func TestIndexRoundTripQuick(t *testing.T) {
-	g := MustGrid2D(33, 17, 4, 0, 1, 0, 1)
+	g := MustGrid(33, 17, 1, 4, 0, 1, 0, 1, 0, 1)
 	f := func(ju, ku uint) bool {
 		j := int(ju%uint(g.NX+2*g.Halo)) - g.Halo
 		k := int(ku%uint(g.NY+2*g.Halo)) - g.Halo
-		jj, kk := g.Coords(g.Index(j, k))
-		return jj == j && kk == k
+		jj, kk, zz := g.Coords(g.Index(j, k, 0))
+		return jj == j && kk == k && zz == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -95,23 +91,23 @@ func TestIndexRoundTripQuick(t *testing.T) {
 }
 
 func TestInInteriorInPadded(t *testing.T) {
-	g := MustGrid2D(4, 4, 2, 0, 1, 0, 1)
-	if !g.InInterior(0, 0) || !g.InInterior(3, 3) {
+	g := MustGrid(4, 4, 1, 2, 0, 1, 0, 1, 0, 1)
+	if !g.InInterior(0, 0, 0) || !g.InInterior(3, 3, 0) {
 		t.Error("interior corners must be interior")
 	}
-	if g.InInterior(-1, 0) || g.InInterior(0, 4) {
+	if g.InInterior(-1, 0, 0) || g.InInterior(0, 4, 0) {
 		t.Error("halo cells must not be interior")
 	}
-	if !g.InPadded(-2, -2) || !g.InPadded(5, 5) {
+	if !g.InPadded(-2, -2, 0) || !g.InPadded(5, 5, 0) {
 		t.Error("padded corners must be addressable")
 	}
-	if g.InPadded(-3, 0) || g.InPadded(0, 6) {
+	if g.InPadded(-3, 0, 0) || g.InPadded(0, 6, 0) || g.InPadded(0, 0, 1) {
 		t.Error("outside padding must not be addressable")
 	}
 }
 
 func TestSubGridAlignment(t *testing.T) {
-	g := MustGrid2D(16, 16, 2, 0, 4, 0, 4)
+	g := MustGrid(16, 16, 1, 2, 0, 4, 0, 4, 0, 1)
 	s, err := g.Sub(4, 12, 8, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -138,26 +134,26 @@ func TestSubGridAlignment(t *testing.T) {
 }
 
 func TestBoundsOps(t *testing.T) {
-	g := MustGrid2D(8, 8, 3, 0, 1, 0, 1)
+	g := MustGrid(8, 8, 1, 3, 0, 1, 0, 1, 0, 1)
 	in := g.Interior()
 	if in.Cells() != 64 {
 		t.Fatalf("interior cells = %d", in.Cells())
 	}
 	e := in.Expand(2, g)
-	if e != (Bounds{-2, 10, -2, 10}) {
+	if e != (Bounds{-2, 10, -2, 10, 0, 1}) {
 		t.Fatalf("Expand(2) = %v", e)
 	}
 	e = in.Expand(5, g) // clamped at halo=3
-	if e != (Bounds{-3, 11, -3, 11}) {
+	if e != (Bounds{-3, 11, -3, 11, 0, 1}) {
 		t.Fatalf("Expand(5) clamped = %v", e)
 	}
-	if !(Bounds{2, 2, 0, 5}).Empty() {
+	if !(Bounds{2, 2, 0, 5, 0, 1}).Empty() {
 		t.Error("degenerate bounds must be empty")
 	}
-	if (Bounds{2, 2, 0, 5}).Cells() != 0 {
+	if (Bounds{2, 2, 0, 5, 0, 1}).Cells() != 0 {
 		t.Error("empty bounds have zero cells")
 	}
-	if !in.Contains(0, 0) || in.Contains(8, 0) || in.Contains(0, -1) {
+	if !in.Contains(0, 0, 0) || in.Contains(8, 0, 0) || in.Contains(0, -1, 0) {
 		t.Error("Contains wrong")
 	}
 	if !in.Within(e.Expand(1, g)) {
@@ -166,16 +162,16 @@ func TestBoundsOps(t *testing.T) {
 }
 
 func TestBoundsShrinkToward(t *testing.T) {
-	g := MustGrid2D(8, 8, 4, 0, 1, 0, 1)
+	g := MustGrid(8, 8, 1, 4, 0, 1, 0, 1, 0, 1)
 	in := g.Interior()
 	// A rank with neighbours on right and up only: left/down sides are at
 	// the physical boundary and were never expanded.
-	b := in.ExpandSides(0, 3, 0, 3, g)
-	if b != (Bounds{0, 11, 0, 11}) {
+	b := in.ExpandSides(0, 3, 0, 3, 0, 0, g)
+	if b != (Bounds{0, 11, 0, 11, 0, 1}) {
 		t.Fatalf("ExpandSides = %v", b)
 	}
 	b = b.ShrinkToward(1, in)
-	if b != (Bounds{0, 10, 0, 10}) {
+	if b != (Bounds{0, 10, 0, 10, 0, 1}) {
 		t.Fatalf("after 1 shrink = %v", b)
 	}
 	b = b.ShrinkToward(2, in)
@@ -190,10 +186,10 @@ func TestBoundsShrinkToward(t *testing.T) {
 }
 
 func TestBoundsShrinkTowardNeverCrossesQuick(t *testing.T) {
-	g := MustGrid2D(12, 9, 4, 0, 1, 0, 1)
+	g := MustGrid(12, 9, 1, 4, 0, 1, 0, 1, 0, 1)
 	in := g.Interior()
 	f := func(l, r, d, u, steps uint8) bool {
-		b := in.ExpandSides(int(l%5), int(r%5), int(d%5), int(u%5), g)
+		b := in.ExpandSides(int(l%5), int(r%5), int(d%5), int(u%5), 0, 0, g)
 		for i := uint8(0); i < steps%8; i++ {
 			b = b.ShrinkToward(1, in)
 			if !in.Within(b) {

@@ -3,7 +3,7 @@ package grid
 import "testing"
 
 func TestPartition3DExtentsTile(t *testing.T) {
-	p := MustPartition3D(10, 7, 5, 3, 2, 2)
+	p := MustPartition(10, 7, 5, 3, 2, 2)
 	if p.Ranks() != 12 {
 		t.Fatalf("ranks = %d", p.Ranks())
 	}
@@ -34,7 +34,7 @@ func TestPartition3DExtentsTile(t *testing.T) {
 }
 
 func TestPartition3DCoordsRoundTrip(t *testing.T) {
-	p := MustPartition3D(8, 8, 8, 2, 2, 2)
+	p := MustPartition(8, 8, 8, 2, 2, 2)
 	for r := 0; r < p.Ranks(); r++ {
 		cx, cy, cz := p.CoordsOf(r)
 		if got := p.RankAt(cx, cy, cz); got != r {
@@ -47,7 +47,7 @@ func TestPartition3DCoordsRoundTrip(t *testing.T) {
 }
 
 func TestPartition3DNeighborsAndBoundary(t *testing.T) {
-	p := MustPartition3D(6, 6, 6, 2, 2, 2)
+	p := MustPartition(6, 6, 6, 2, 2, 2)
 	r := p.RankAt(0, 0, 0)
 	if !p.OnBoundary(r, Left) || !p.OnBoundary(r, Down) || !p.OnBoundary(r, Back) {
 		t.Error("corner rank must touch low boundaries")
@@ -67,46 +67,46 @@ func TestPartition3DNeighborsAndBoundary(t *testing.T) {
 }
 
 func TestPartition3DValidation(t *testing.T) {
-	if _, err := NewPartition3D(4, 4, 4, 5, 1, 1); err == nil {
+	if _, err := Decompose(4, 4, 4, 5, 1, 1); err == nil {
 		t.Error("more ranks than cells must error")
 	}
-	if _, err := NewPartition3D(0, 4, 4, 1, 1, 1); err == nil {
+	if _, err := Decompose(0, 4, 4, 1, 1, 1); err == nil {
 		t.Error("zero cells must error")
 	}
 }
 
-func TestFactorNearCube(t *testing.T) {
-	px, py, pz := FactorNearCube(8, 64, 64, 64)
+func TestFactorRanks(t *testing.T) {
+	px, py, pz := FactorRanks(8, 64, 64, 64)
 	if px*py*pz != 8 || px != 2 || py != 2 || pz != 2 {
 		t.Errorf("8 ranks on a cube: %dx%dx%d, want 2x2x2", px, py, pz)
 	}
-	px, py, pz = FactorNearCube(6, 64, 64, 64)
+	px, py, pz = FactorRanks(6, 64, 64, 64)
 	if px*py*pz != 6 {
 		t.Errorf("factorisation must multiply to n: %dx%dx%d", px, py, pz)
 	}
 	// A thin grid must not receive more ranks than cells in z.
-	px, py, pz = FactorNearCube(16, 64, 64, 2)
+	px, py, pz = FactorRanks(16, 64, 64, 2)
 	if px*py*pz != 16 || pz > 2 {
 		t.Errorf("thin grid: %dx%dx%d", px, py, pz)
 	}
 }
 
 func TestBounds3DShrinkTowardAndCells(t *testing.T) {
-	g := UnitGrid3D(8, 8, 8, 3)
+	g := UnitGrid(8, 8, 8, 3)
 	in := g.Interior()
 	b := in.ExpandSides(2, 2, 0, 2, 2, 0, g)
-	if b != (Bounds3D{-2, 10, 0, 10, -2, 8}) {
+	if b != (Bounds{-2, 10, 0, 10, -2, 8}) {
 		t.Fatalf("expanded = %v", b)
 	}
 	s := b.ShrinkToward(1, in)
-	if s != (Bounds3D{-1, 9, 0, 9, -1, 8}) {
+	if s != (Bounds{-1, 9, 0, 9, -1, 8}) {
 		t.Fatalf("shrunk = %v", s)
 	}
 	s = s.ShrinkToward(1, in).ShrinkToward(1, in)
 	if s != in {
 		t.Fatalf("shrinking must stop at the interior, got %v", s)
 	}
-	if in.Cells() != 512 || (Bounds3D{0, 0, 0, 5, 0, 5}).Cells() != 0 {
+	if in.Cells() != 512 || (Bounds{0, 0, 0, 5, 0, 5}).Cells() != 0 {
 		t.Error("cells count wrong")
 	}
 	if !in.Within(b) || b.Within(in) {
@@ -116,7 +116,7 @@ func TestBounds3DShrinkTowardAndCells(t *testing.T) {
 
 func TestGrid3DSub(t *testing.T) {
 	g := MustSub3DParent(t)
-	sub, err := g.Sub(2, 6, 0, 4, 4, 8)
+	sub, err := g.SubExtent(Extent{X0: 2, X1: 6, Y0: 0, Y1: 4, Z0: 4, Z1: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +124,18 @@ func TestGrid3DSub(t *testing.T) {
 		t.Fatalf("sub shape %v", sub)
 	}
 	// Cell centres must coincide with the parent's.
-	x, y, z := sub.CellCenter(0, 0, 0)
-	px, py, pz := g.CellCenter(2, 0, 4)
+	x, y, z := sub.CellCenterX(0), sub.CellCenterY(0), sub.CellCenterZ(0)
+	px, py, pz := g.CellCenterX(2), g.CellCenterY(0), g.CellCenterZ(4)
 	if x != px || y != py || z != pz {
 		t.Errorf("sub centre (%g,%g,%g) != parent (%g,%g,%g)", x, y, z, px, py, pz)
 	}
-	if _, err := g.Sub(0, 9, 0, 4, 0, 4); err == nil {
+	if _, err := g.SubExtent(Extent{X0: 0, X1: 9, Y0: 0, Y1: 4, Z0: 0, Z1: 4}); err == nil {
 		t.Error("out-of-range sub must error")
 	}
 }
 
 // MustSub3DParent builds the parent grid for the Sub test.
-func MustSub3DParent(t *testing.T) *Grid3D {
+func MustSub3DParent(t *testing.T) *Grid {
 	t.Helper()
 	g, err := NewGrid3D(8, 8, 8, 2, 0, 2, 0, 2, 0, 2)
 	if err != nil {
@@ -145,30 +145,30 @@ func MustSub3DParent(t *testing.T) *Grid3D {
 }
 
 func TestField3DReflectHalosSides(t *testing.T) {
-	g := UnitGrid3D(4, 4, 4, 2)
-	f := NewField3D(g)
+	g := UnitGrid(4, 4, 4, 2)
+	f := NewField(g)
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
 			for i := 0; i < 4; i++ {
-				f.Set(i, j, k, float64(i+10*j+100*k))
+				f.SetCell(i, j, k, float64(i+10*j+100*k))
 			}
 		}
 	}
-	f.ReflectHalosSides(2, true, false, true, false, true, false)
-	if f.At(-1, 2, 2) != f.At(0, 2, 2) || f.At(-2, 2, 2) != f.At(1, 2, 2) {
+	f.ReflectHalosSides(2, Sides{Left: true, Down: true, Back: true})
+	if f.Cell(-1, 2, 2) != f.Cell(0, 2, 2) || f.Cell(-2, 2, 2) != f.Cell(1, 2, 2) {
 		t.Error("left face not mirrored")
 	}
-	if f.At(2, -1, 2) != f.At(2, 0, 2) || f.At(2, 2, -2) != f.At(2, 2, 1) {
+	if f.Cell(2, -1, 2) != f.Cell(2, 0, 2) || f.Cell(2, 2, -2) != f.Cell(2, 2, 1) {
 		t.Error("down/back faces not mirrored")
 	}
 	// Edge halo (left+down) must be coherent: mirror of the mirrored side.
-	if f.At(-1, -1, 2) != f.At(0, 0, 2) {
+	if f.Cell(-1, -1, 2) != f.Cell(0, 0, 2) {
 		t.Error("xy edge halo incoherent")
 	}
-	if f.At(-1, -1, -1) != f.At(0, 0, 0) {
+	if f.Cell(-1, -1, -1) != f.Cell(0, 0, 0) {
 		t.Error("corner halo incoherent")
 	}
-	if f.At(5, 2, 2) != 0 {
+	if f.Cell(5, 2, 2) != 0 {
 		t.Error("unrequested side must stay untouched")
 	}
 }

@@ -24,7 +24,7 @@ func TestPartitionCoversExactly(t *testing.T) {
 	for _, c := range []struct{ nx, ny, px, py int }{
 		{16, 16, 4, 4}, {17, 13, 3, 5}, {100, 1, 7, 1}, {5, 5, 5, 5}, {4000, 4000, 64, 32},
 	} {
-		p := MustPartition(c.nx, c.ny, c.px, c.py)
+		p := MustPartition(c.nx, c.ny, 1, c.px, c.py, 1)
 		total := 0
 		for r := 0; r < p.Ranks(); r++ {
 			e := p.ExtentOf(r)
@@ -40,7 +40,7 @@ func TestPartitionCoversExactly(t *testing.T) {
 }
 
 func TestPartitionBalanced(t *testing.T) {
-	p := MustPartition(17, 13, 3, 5)
+	p := MustPartition(17, 13, 1, 3, 5, 1)
 	minC, maxC := 1<<30, 0
 	for r := 0; r < p.Ranks(); r++ {
 		e := p.ExtentOf(r)
@@ -65,7 +65,7 @@ func TestPartitionBalanced(t *testing.T) {
 }
 
 func TestPartitionNeighbors(t *testing.T) {
-	p := MustPartition(12, 12, 3, 2)
+	p := MustPartition(12, 12, 1, 3, 2, 1)
 	// Layout: ranks 0 1 2 / 3 4 5 (row-major, rank = cy*PX + cx).
 	if n := p.Neighbor(0, Left); n != -1 {
 		t.Errorf("rank 0 left = %d, want -1 (boundary)", n)
@@ -88,7 +88,7 @@ func TestPartitionNeighbors(t *testing.T) {
 }
 
 func TestPartitionNeighborSymmetry(t *testing.T) {
-	p := MustPartition(24, 18, 4, 3)
+	p := MustPartition(24, 18, 1, 4, 3, 1)
 	for r := 0; r < p.Ranks(); r++ {
 		for s := Left; s < NumSides; s++ {
 			n := p.Neighbor(r, s)
@@ -103,10 +103,10 @@ func TestPartitionNeighborSymmetry(t *testing.T) {
 }
 
 func TestPartitionOwnerOf(t *testing.T) {
-	p := MustPartition(17, 13, 3, 5)
+	p := MustPartition(17, 13, 1, 3, 5, 1)
 	for k := 0; k < 13; k++ {
 		for j := 0; j < 17; j++ {
-			r := p.OwnerOf(j, k)
+			r := p.OwnerOf(j, k, 0)
 			if r < 0 || r >= p.Ranks() {
 				t.Fatalf("OwnerOf(%d,%d) = %d out of range", j, k, r)
 			}
@@ -116,16 +116,16 @@ func TestPartitionOwnerOf(t *testing.T) {
 			}
 		}
 	}
-	if p.OwnerOf(-1, 0) != -1 || p.OwnerOf(0, 13) != -1 {
+	if p.OwnerOf(-1, 0, 0) != -1 || p.OwnerOf(0, 13, 0) != -1 {
 		t.Error("out-of-grid cells must have owner -1")
 	}
 }
 
 func TestPartitionOwnerQuick(t *testing.T) {
-	p := MustPartition(101, 67, 7, 4)
+	p := MustPartition(101, 67, 1, 7, 4, 1)
 	f := func(ju, ku uint) bool {
 		j, k := int(ju%101), int(ku%67)
-		e := p.ExtentOf(p.OwnerOf(j, k))
+		e := p.ExtentOf(p.OwnerOf(j, k, 0))
 		return j >= e.X0 && j < e.X1 && k >= e.Y0 && k < e.Y1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -145,7 +145,7 @@ func TestFactorNearSquare(t *testing.T) {
 		{8192, 4000, 4000, 128, 64},
 	}
 	for _, c := range cases {
-		px, py := FactorNearSquare(c.n, c.nx, c.ny)
+		px, py, _ := FactorRanks(c.n, c.nx, c.ny, 1)
 		if px*py != c.n {
 			t.Errorf("FactorNearSquare(%d) = %dx%d does not multiply to n", c.n, px, py)
 		}
@@ -155,21 +155,21 @@ func TestFactorNearSquare(t *testing.T) {
 		}
 	}
 	// Wide grids should prefer wide process grids.
-	px, py := FactorNearSquare(8, 1000, 10)
+	px, py, _ := FactorRanks(8, 1000, 10, 1)
 	if px < py {
 		t.Errorf("wide grid got %dx%d, want px >= py", px, py)
 	}
 }
 
 func TestPartitionRankCoordsRoundTrip(t *testing.T) {
-	p := MustPartition(40, 40, 5, 8)
+	p := MustPartition(40, 40, 1, 5, 8, 1)
 	for r := 0; r < p.Ranks(); r++ {
-		cx, cy := p.CoordsOf(r)
-		if p.RankAt(cx, cy) != r {
+		cx, cy, cz := p.CoordsOf(r)
+		if p.RankAt(cx, cy, cz) != r {
 			t.Fatalf("RankAt(CoordsOf(%d)) != %d", r, r)
 		}
 	}
-	if p.RankAt(-1, 0) != -1 || p.RankAt(0, 8) != -1 {
+	if p.RankAt(-1, 0, 0) != -1 || p.RankAt(0, 8, 0) != -1 {
 		t.Error("out-of-grid coords must map to -1")
 	}
 }

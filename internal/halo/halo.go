@@ -9,7 +9,7 @@
 // the extension is exhausted, a fresh exchange is needed. Sides on the
 // physical domain boundary are never extended: their halos are zero-flux
 // mirrors, not neighbour data, and the outer-boundary face coefficients
-// are zero.
+// are zero. A flat grid has no z halo, so its bounds never extend in z.
 package halo
 
 import (
@@ -18,70 +18,59 @@ import (
 	"tealeaf/internal/grid"
 )
 
-// Sides mirrors the four-neighbour adjacency of a rank: true means there
-// is a neighbour on that side (so the halo there carries fresh data and
-// bounds may extend into it).
-type Sides struct {
-	Left, Right, Down, Up bool
-}
-
-// NoNeighbors is the single-rank case: nothing extends.
-var NoNeighbors = Sides{}
-
 // Schedule tracks how many matrix applications remain before the next
 // exchange, and the bounds each application must run on.
 type Schedule struct {
 	depth    int
-	g        *grid.Grid2D
+	g        *grid.Grid
 	interior grid.Bounds
-	adj      Sides
+	// adj flags the sides with a rank neighbour: the halo there carries
+	// fresh data and bounds may extend into it.
+	adj grid.Sides
 	// remaining applications before an exchange is required.
 	remaining int
 	// cur is the bounds for the next application.
 	cur grid.Bounds
 }
 
-// NewSchedule builds a matrix-powers schedule for the given rank-local
-// grid, exchange depth, and neighbour adjacency. depth must fit in the
-// grid's halo allocation.
-func NewSchedule(g *grid.Grid2D, depth int, adj Sides) (*Schedule, error) {
+// NewSchedule creates a matrix-powers schedule for the given depth. adj
+// flags the sides with a rank neighbour (the zero value is the single-rank
+// case: nothing extends). The schedule starts exhausted: call Refill after
+// the first depth-d exchange.
+func NewSchedule(g *grid.Grid, depth int, adj grid.Sides) (*Schedule, error) {
 	if depth < 1 || depth > g.Halo {
 		return nil, fmt.Errorf("halo: schedule depth %d outside [1,%d]", depth, g.Halo)
 	}
-	s := &Schedule{depth: depth, g: g, interior: g.Interior(), adj: adj}
-	// Until the first exchange, no extension is valid.
-	s.remaining = 0
-	return s, nil
+	return &Schedule{depth: depth, g: g, interior: g.Interior(), adj: adj}, nil
 }
 
-// Depth returns the exchange depth.
+// Depth returns the exchange depth (the number of applications per
+// exchange).
 func (s *Schedule) Depth() int { return s.depth }
 
-// Refill marks a fresh depth-d exchange: the next d applications may run
-// on progressively shrinking extended bounds.
-func (s *Schedule) Refill() {
-	s.remaining = s.depth
+// extended is the interior grown by depth−1 on every side with a neighbour.
+func (s *Schedule) extended() grid.Bounds {
 	ext := s.depth - 1
-	l, r, d, u := 0, 0, 0, 0
-	if s.adj.Left {
-		l = ext
+	n := func(on bool) int {
+		if on {
+			return ext
+		}
+		return 0
 	}
-	if s.adj.Right {
-		r = ext
-	}
-	if s.adj.Down {
-		d = ext
-	}
-	if s.adj.Up {
-		u = ext
-	}
-	s.cur = s.interior.ExpandSides(l, r, d, u, s.g)
+	a := s.adj
+	return s.interior.ExpandSides(n(a.Left), n(a.Right), n(a.Down), n(a.Up), n(a.Back), n(a.Front), s.g)
 }
 
-// Next returns the bounds for the next matrix application and true, or a
-// zero Bounds and false if the halo is exhausted and Refill (after an
-// exchange) is required first. On success the schedule advances: the
-// following application gets bounds shrunk by one toward the interior.
+// Refill marks a fresh depth-d exchange: the next application runs on the
+// fully extended bounds.
+func (s *Schedule) Refill() {
+	s.remaining = s.depth
+	s.cur = s.extended()
+}
+
+// Next returns the bounds for the next application and advances the
+// schedule. ok is false when the schedule is exhausted (an exchange and
+// Refill are needed first).
 func (s *Schedule) Next() (grid.Bounds, bool) {
 	if s.remaining == 0 {
 		return grid.Bounds{}, false
@@ -92,35 +81,18 @@ func (s *Schedule) Next() (grid.Bounds, bool) {
 	return b, true
 }
 
-// Remaining returns how many applications are left before a Refill is needed.
+// Remaining returns how many applications remain before an exchange.
 func (s *Schedule) Remaining() int { return s.remaining }
 
-// StepsPerExchange returns the number of matrix applications one exchange
-// buys, which is the depth.
+// StepsPerExchange is the number of applications one exchange buys.
 func (s *Schedule) StepsPerExchange() int { return s.depth }
 
-// RedundantCells returns the total number of cell updates a full cycle of
-// depth applications performs beyond depth× the interior — the "small
-// amount of redundant computation" the matrix-powers kernel trades for
-// fewer messages. Used by the ablation benchmarks and the performance
-// model.
+// RedundantCells returns the total number of extra (non-interior) cell
+// updates one full schedule cycle performs: the redundant computation the
+// matrix-powers kernel trades for fewer exchanges.
 func (s *Schedule) RedundantCells() int {
 	total := 0
-	ext := s.depth - 1
-	l, r, d, u := 0, 0, 0, 0
-	if s.adj.Left {
-		l = ext
-	}
-	if s.adj.Right {
-		r = ext
-	}
-	if s.adj.Down {
-		d = ext
-	}
-	if s.adj.Up {
-		u = ext
-	}
-	b := s.interior.ExpandSides(l, r, d, u, s.g)
+	b := s.extended()
 	for i := 0; i < s.depth; i++ {
 		total += b.Cells()
 		b = b.ShrinkToward(1, s.interior)

@@ -7,9 +7,9 @@ import (
 )
 
 func TestSchedule3DShrinksPerStep(t *testing.T) {
-	g := grid.UnitGrid3D(8, 8, 8, 3)
-	adj := Sides3D{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true}
-	s, err := NewSchedule3D(g, 3, adj)
+	g := grid.UnitGrid(8, 8, 8, 3)
+	adj := grid.Sides{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true}
+	s, err := NewSchedule(g, 3, adj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestSchedule3DShrinksPerStep(t *testing.T) {
 		t.Fatal("schedule must be empty before the first Refill")
 	}
 	s.Refill()
-	want := []grid.Bounds3D{
+	want := []grid.Bounds{
 		{X0: -2, X1: 10, Y0: -2, Y1: 10, Z0: -2, Z1: 10},
 		{X0: -1, X1: 9, Y0: -1, Y1: 9, Z0: -1, Z1: 9},
 		{X0: 0, X1: 8, Y0: 0, Y1: 8, Z0: 0, Z1: 8},
@@ -37,15 +37,15 @@ func TestSchedule3DShrinksPerStep(t *testing.T) {
 }
 
 func TestSchedule3DPhysicalSidesDoNotExtend(t *testing.T) {
-	g := grid.UnitGrid3D(8, 8, 8, 2)
+	g := grid.UnitGrid(8, 8, 8, 2)
 	// Only the Front face has a neighbour.
-	s, err := NewSchedule3D(g, 2, Sides3D{Front: true})
+	s, err := NewSchedule(g, 2, grid.Sides{Front: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Refill()
 	b, ok := s.Next()
-	if !ok || b != (grid.Bounds3D{X0: 0, X1: 8, Y0: 0, Y1: 8, Z0: 0, Z1: 9}) {
+	if !ok || b != (grid.Bounds{X0: 0, X1: 8, Y0: 0, Y1: 8, Z0: 0, Z1: 9}) {
 		t.Fatalf("bounds %v", b)
 	}
 	b, _ = s.Next()
@@ -55,8 +55,8 @@ func TestSchedule3DPhysicalSidesDoNotExtend(t *testing.T) {
 }
 
 func TestSchedule3DRedundantCells(t *testing.T) {
-	g := grid.UnitGrid3D(8, 8, 8, 2)
-	s, err := NewSchedule3D(g, 2, Sides3D{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true})
+	g := grid.UnitGrid(8, 8, 8, 2)
+	s, err := NewSchedule(g, 2, grid.Sides{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +64,17 @@ func TestSchedule3DRedundantCells(t *testing.T) {
 	if got, want := s.RedundantCells(), 1000-512; got != want {
 		t.Errorf("redundant cells = %d, want %d", got, want)
 	}
-	if s2, _ := NewSchedule3D(g, 1, NoNeighbors3D); s2.RedundantCells() != 0 {
+	if s2, _ := NewSchedule(g, 1, grid.Sides{}); s2.RedundantCells() != 0 {
 		t.Error("depth 1 has no redundant work")
 	}
 }
 
 func TestSchedule3DValidation(t *testing.T) {
-	g := grid.UnitGrid3D(4, 4, 4, 2)
-	if _, err := NewSchedule3D(g, 3, NoNeighbors3D); err == nil {
+	g := grid.UnitGrid(4, 4, 4, 2)
+	if _, err := NewSchedule(g, 3, grid.Sides{}); err == nil {
 		t.Error("depth beyond halo must error")
 	}
-	if _, err := NewSchedule3D(g, 0, NoNeighbors3D); err == nil {
+	if _, err := NewSchedule(g, 0, grid.Sides{}); err == nil {
 		t.Error("depth 0 must error")
 	}
 }

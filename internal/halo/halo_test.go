@@ -7,14 +7,14 @@ import (
 )
 
 func TestNewScheduleValidation(t *testing.T) {
-	g := grid.UnitGrid2D(8, 8, 4)
-	if _, err := NewSchedule(g, 0, NoNeighbors); err == nil {
+	g := grid.UnitGrid(8, 8, 1, 4)
+	if _, err := NewSchedule(g, 0, grid.Sides{}); err == nil {
 		t.Error("zero depth must error")
 	}
-	if _, err := NewSchedule(g, 5, NoNeighbors); err == nil {
+	if _, err := NewSchedule(g, 5, grid.Sides{}); err == nil {
 		t.Error("depth beyond halo must error")
 	}
-	s, err := NewSchedule(g, 4, NoNeighbors)
+	s, err := NewSchedule(g, 4, grid.Sides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,8 @@ func TestNewScheduleValidation(t *testing.T) {
 }
 
 func TestScheduleRequiresRefillFirst(t *testing.T) {
-	g := grid.UnitGrid2D(8, 8, 4)
-	s, _ := NewSchedule(g, 3, Sides{Left: true, Right: true, Down: true, Up: true})
+	g := grid.UnitGrid(8, 8, 1, 4)
+	s, _ := NewSchedule(g, 3, grid.Sides{Left: true, Right: true, Down: true, Up: true})
 	if _, ok := s.Next(); ok {
 		t.Error("Next before Refill must fail")
 	}
@@ -36,13 +36,13 @@ func TestScheduleRequiresRefillFirst(t *testing.T) {
 }
 
 func TestScheduleBoundsSequenceAllNeighbors(t *testing.T) {
-	g := grid.UnitGrid2D(10, 10, 4)
-	s, _ := NewSchedule(g, 3, Sides{Left: true, Right: true, Down: true, Up: true})
+	g := grid.UnitGrid(10, 10, 1, 4)
+	s, _ := NewSchedule(g, 3, grid.Sides{Left: true, Right: true, Down: true, Up: true})
 	s.Refill()
 	want := []grid.Bounds{
-		{X0: -2, X1: 12, Y0: -2, Y1: 12},
-		{X0: -1, X1: 11, Y0: -1, Y1: 11},
-		{X0: 0, X1: 10, Y0: 0, Y1: 10},
+		{X0: -2, X1: 12, Y0: -2, Y1: 12, Z0: 0, Z1: 1},
+		{X0: -1, X1: 11, Y0: -1, Y1: 11, Z0: 0, Z1: 1},
+		{X0: 0, X1: 10, Y0: 0, Y1: 10, Z0: 0, Z1: 1},
 	}
 	for i, w := range want {
 		b, ok := s.Next()
@@ -65,9 +65,9 @@ func TestScheduleBoundsSequenceAllNeighbors(t *testing.T) {
 }
 
 func TestSchedulePhysicalSidesNotExtended(t *testing.T) {
-	g := grid.UnitGrid2D(8, 8, 4)
+	g := grid.UnitGrid(8, 8, 1, 4)
 	// Corner rank: neighbours only on the right and up.
-	s, _ := NewSchedule(g, 4, Sides{Right: true, Up: true})
+	s, _ := NewSchedule(g, 4, grid.Sides{Right: true, Up: true})
 	s.Refill()
 	b, _ := s.Next()
 	if b.X0 != 0 || b.Y0 != 0 {
@@ -84,8 +84,8 @@ func TestSchedulePhysicalSidesNotExtended(t *testing.T) {
 }
 
 func TestScheduleDepth1EqualsClassic(t *testing.T) {
-	g := grid.UnitGrid2D(8, 8, 2)
-	s, _ := NewSchedule(g, 1, Sides{Left: true, Right: true, Down: true, Up: true})
+	g := grid.UnitGrid(8, 8, 1, 2)
+	s, _ := NewSchedule(g, 1, grid.Sides{Left: true, Right: true, Down: true, Up: true})
 	s.Refill()
 	b, ok := s.Next()
 	if !ok || b != g.Interior() {
@@ -100,8 +100,8 @@ func TestScheduleSingleRank(t *testing.T) {
 	// No neighbours at all: bounds never extend, but the schedule still
 	// counts applications (serial case — reflection stands in for fresh
 	// data so each application is valid on the interior).
-	g := grid.UnitGrid2D(8, 8, 4)
-	s, _ := NewSchedule(g, 4, NoNeighbors)
+	g := grid.UnitGrid(8, 8, 1, 4)
+	s, _ := NewSchedule(g, 4, grid.Sides{})
 	s.Refill()
 	for i := 0; i < 4; i++ {
 		b, ok := s.Next()
@@ -112,28 +112,28 @@ func TestScheduleSingleRank(t *testing.T) {
 }
 
 func TestRedundantCells(t *testing.T) {
-	g := grid.UnitGrid2D(10, 10, 4)
+	g := grid.UnitGrid(10, 10, 1, 4)
 	// All neighbours, depth 3: extensions 2,1,0 →
 	// (14² - 100) + (12² - 100) + 0 = 96 + 44 = 140.
-	s, _ := NewSchedule(g, 3, Sides{Left: true, Right: true, Down: true, Up: true})
+	s, _ := NewSchedule(g, 3, grid.Sides{Left: true, Right: true, Down: true, Up: true})
 	if got := s.RedundantCells(); got != 140 {
 		t.Errorf("RedundantCells = %d, want 140", got)
 	}
 	// Depth 1: no redundancy.
-	s1, _ := NewSchedule(g, 1, Sides{Left: true, Right: true, Down: true, Up: true})
+	s1, _ := NewSchedule(g, 1, grid.Sides{Left: true, Right: true, Down: true, Up: true})
 	if got := s1.RedundantCells(); got != 0 {
 		t.Errorf("depth-1 RedundantCells = %d, want 0", got)
 	}
 	// No neighbours: no redundancy regardless of depth.
-	s2, _ := NewSchedule(g, 4, NoNeighbors)
+	s2, _ := NewSchedule(g, 4, grid.Sides{})
 	if got := s2.RedundantCells(); got != 0 {
 		t.Errorf("no-neighbour RedundantCells = %d, want 0", got)
 	}
 }
 
 func TestRedundantCellsGrowsWithDepth(t *testing.T) {
-	g := grid.UnitGrid2D(32, 32, 16)
-	all := Sides{Left: true, Right: true, Down: true, Up: true}
+	g := grid.UnitGrid(32, 32, 1, 16)
+	all := grid.Sides{Left: true, Right: true, Down: true, Up: true}
 	prev := -1
 	for d := 1; d <= 16; d++ {
 		s, err := NewSchedule(g, d, all)

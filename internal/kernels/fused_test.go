@@ -28,13 +28,13 @@ func fusionPools() map[string]*par.Pool {
 
 // fusionBounds are deliberately odd rectangles (including offsets and
 // single-row/column strips) over a 19×13 halo-2 grid.
-func fusionBounds(g *grid.Grid2D) []grid.Bounds {
+func fusionBounds(g *grid.Grid) []grid.Bounds {
 	return []grid.Bounds{
 		g.Interior(),
-		{X0: 1, X1: 18, Y0: 1, Y1: 12},
-		{X0: 3, X1: 10, Y0: 5, Y1: 6},
-		{X0: 7, X1: 8, Y0: 0, Y1: 13},
-		{X0: 0, X1: 5, Y0: 9, Y1: 13},
+		{X0: 1, X1: 18, Y0: 1, Y1: 12, Z0: 0, Z1: 1},
+		{X0: 3, X1: 10, Y0: 5, Y1: 6, Z0: 0, Z1: 1},
+		{X0: 7, X1: 8, Y0: 0, Y1: 13, Z0: 0, Z1: 1},
+		{X0: 0, X1: 5, Y0: 9, Y1: 13, Z0: 0, Z1: 1},
 		g.Interior().Expand(1, g),
 	}
 }
@@ -43,26 +43,25 @@ func close13(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-13*math.Max(1, math.Abs(b))
 }
 
-func fieldsClose13(t *testing.T, name string, got, want *grid.Field2D) {
+func fieldsClose13(t *testing.T, name string, got, want *grid.Field) {
 	t.Helper()
 	for i := range got.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-13*math.Max(1, math.Abs(want.Data[i])) {
-			j, k := got.Grid.Coords(i)
-			t.Fatalf("%s: field differs at (%d,%d): %v vs %v", name, j, k, got.Data[i], want.Data[i])
+			t.Fatalf("%s: field differs at storage index %d: %v vs %v", name, i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
 func TestPrecondDotMatchesMulDot(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	minv := testField(g, 31)
 	r := testField(g, 32)
 	for _, b := range fusionBounds(g) {
-		zRef := grid.NewField2D(g)
+		zRef := grid.NewField(g)
 		Mul(par.Serial, b, minv, r, zRef)
 		want := Dot(par.Serial, b, r, zRef)
 		for name, p := range fusionPools() {
-			z := grid.NewField2D(g)
+			z := grid.NewField(g)
 			got := PrecondDot(p, b, minv, r, z)
 			if !close13(got, want) {
 				t.Errorf("%s %v: PrecondDot = %v, want %v", name, b, got, want)
@@ -70,7 +69,7 @@ func TestPrecondDotMatchesMulDot(t *testing.T) {
 			fieldsClose13(t, name, z, zRef)
 		}
 		// nil minv: identity.
-		z := grid.NewField2D(g)
+		z := grid.NewField(g)
 		got := PrecondDot(par.Serial, b, nil, r, z)
 		if !close13(got, Dot(par.Serial, b, r, r)) {
 			t.Errorf("identity PrecondDot = %v, want r·r", got)
@@ -79,7 +78,7 @@ func TestPrecondDotMatchesMulDot(t *testing.T) {
 }
 
 func TestAxpyAxpyMatchesTwoAxpys(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	x1 := testField(g, 41)
 	x2 := testField(g, 42)
 	for _, b := range fusionBounds(g) {
@@ -96,15 +95,15 @@ func TestAxpyAxpyMatchesTwoAxpys(t *testing.T) {
 }
 
 func TestAxpbyPreMatchesMulAxpby(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	minv := testField(g, 51)
 	r := testField(g, 52)
 	for _, b := range fusionBounds(g) {
 		for name, p := range fusionPools() {
 			yRef := testField(g, 53)
-			z := grid.NewField2D(g)
+			z := grid.NewField(g)
 			Mul(par.Serial, b, minv, r, z)
-			tmp := grid.NewField2D(g)
+			tmp := grid.NewField(g)
 			Axpby(par.Serial, b, 0.9, yRef, 0.4, z, tmp)
 			Copy(par.Serial, b, yRef, tmp)
 
@@ -124,7 +123,7 @@ func TestAxpbyPreMatchesMulAxpby(t *testing.T) {
 }
 
 func TestFusedCGDirectionsMatchesComposed(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	minv := testField(g, 61)
 	r := testField(g, 62)
 	w := testField(g, 63)
@@ -132,7 +131,7 @@ func TestFusedCGDirectionsMatchesComposed(t *testing.T) {
 	for _, b := range fusionBounds(g) {
 		for name, pool := range fusionPools() {
 			// Reference: u = minv⊙r; p = u + β·p; s = w + β·s.
-			u := grid.NewField2D(g)
+			u := grid.NewField(g)
 			Mul(par.Serial, b, minv, r, u)
 			pRef, sRef := testField(g, 64), testField(g, 65)
 			Xpay(par.Serial, b, u, beta, pRef)
@@ -156,7 +155,7 @@ func TestFusedCGDirectionsMatchesComposed(t *testing.T) {
 }
 
 func TestFusedCGUpdateMatchesComposed(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	minv := testField(g, 71)
 	pv := testField(g, 72)
 	sv := testField(g, 73)
@@ -167,7 +166,7 @@ func TestFusedCGUpdateMatchesComposed(t *testing.T) {
 			xRef, rRef := testField(g, 74), testField(g, 75)
 			Axpy(par.Serial, b, alpha, pv, xRef)
 			Axpy(par.Serial, b, -alpha, sv, rRef)
-			u := grid.NewField2D(g)
+			u := grid.NewField(g)
 			Mul(par.Serial, b, minv, rRef, u)
 			gammaRef := Dot(par.Serial, b, rRef, u)
 			rrRef := Dot(par.Serial, b, rRef, rRef)
@@ -194,7 +193,7 @@ func TestFusedCGUpdateMatchesComposed(t *testing.T) {
 }
 
 func TestFusedPPCGInnerMatchesComposed(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 3)
+	g := grid.UnitGrid(19, 13, 1, 3)
 	minv := testField(g, 81)
 	w := testField(g, 82)
 	in := g.Interior()
@@ -207,9 +206,9 @@ func TestFusedPPCGInnerMatchesComposed(t *testing.T) {
 			// (all over b); z += sd (interior only).
 			rtempRef, sdRef, zRef := testField(g, 83), testField(g, 84), testField(g, 85)
 			Axpy(par.Serial, b, -1, w, rtempRef)
-			zscr := grid.NewField2D(g)
+			zscr := grid.NewField(g)
 			Mul(par.Serial, b, minv, rtempRef, zscr)
-			tmp := grid.NewField2D(g)
+			tmp := grid.NewField(g)
 			Axpby(par.Serial, b, alpha, sdRef, beta, zscr, tmp)
 			Copy(par.Serial, b, sdRef, tmp)
 			Axpy(par.Serial, in, 1, sdRef, zRef)
@@ -228,8 +227,8 @@ func TestFused3DKernelsMatchComposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(seed int64) *grid.Field3D {
-		f := grid.NewField3D(g3)
+	mk := func(seed int64) *grid.Field {
+		f := grid.NewField(g3)
 		rng := newRng(seed)
 		for i := range f.Data {
 			f.Data[i] = rng.Float64()*2 - 1
@@ -242,10 +241,10 @@ func TestFused3DKernelsMatchComposed(t *testing.T) {
 	for name, pool := range fusionPools() {
 		// Directions: p = r + β·p; s = w + β·s.
 		pRef, sRef := mk(3), mk(4)
-		Xpay3D(par.Serial, in, r, beta, pRef)
-		Xpay3D(par.Serial, in, w, beta, sRef)
+		Xpay(par.Serial, in, r, beta, pRef)
+		Xpay(par.Serial, in, w, beta, sRef)
 		p, s := mk(3), mk(4)
-		FusedCGDirections3D(pool, in, nil, r, w, beta, p, s)
+		FusedCGDirections(pool, in, nil, r, w, beta, p, s)
 		for i := range p.Data {
 			if math.Abs(p.Data[i]-pRef.Data[i]) > 1e-13 || math.Abs(s.Data[i]-sRef.Data[i]) > 1e-13 {
 				t.Fatalf("%s: 3D directions differ at %d", name, i)
@@ -254,11 +253,11 @@ func TestFused3DKernelsMatchComposed(t *testing.T) {
 
 		// Update: x += α·p; r −= α·s; rr (identity: γ == rr).
 		xRef, rRef := mk(5), mk(6)
-		Axpy3D(par.Serial, in, alpha, p, xRef)
-		Axpy3D(par.Serial, in, -alpha, s, rRef)
-		rrRef := Dot3D(par.Serial, in, rRef, rRef)
+		Axpy(par.Serial, in, alpha, p, xRef)
+		Axpy(par.Serial, in, -alpha, s, rRef)
+		rrRef := Dot(par.Serial, in, rRef, rRef)
 		x, rr2 := mk(5), mk(6)
-		gamma, rr := FusedCGUpdate3D(pool, in, alpha, p, s, x, rr2, nil)
+		gamma, rr := FusedCGUpdate(pool, in, alpha, p, s, x, rr2, nil)
 		if !close13(rr, rrRef) || !close13(gamma, rrRef) {
 			t.Errorf("%s: 3D (γ,rr) = (%v,%v), want %v", name, gamma, rr, rrRef)
 		}
@@ -279,26 +278,26 @@ func TestFused3DKernelsMatchComposed(t *testing.T) {
 		for i := range u.Data {
 			u.Data[i] = minv.Data[i] * r.Data[i]
 		}
-		Xpay3D(par.Serial, in, u, beta, pmRef)
-		Xpay3D(par.Serial, in, w, beta, smRef)
-		FusedCGDirections3D(pool, in, minv, r, w, beta, pm, sm)
+		Xpay(par.Serial, in, u, beta, pmRef)
+		Xpay(par.Serial, in, w, beta, smRef)
+		FusedCGDirections(pool, in, minv, r, w, beta, pm, sm)
 		fields3Close13(t, name+" folded p", pm, pmRef)
 		fields3Close13(t, name+" folded s", sm, smRef)
 
 		xm, rm := mk(11), mk(12)
 		xmRef, rmRef := mk(11), mk(12)
-		Axpy3D(par.Serial, in, alpha, pm, xmRef)
-		Axpy3D(par.Serial, in, -alpha, sm, rmRef)
+		Axpy(par.Serial, in, alpha, pm, xmRef)
+		Axpy(par.Serial, in, -alpha, sm, rmRef)
 		var gammaRef float64
 		for k := 0; k < g3.NZ; k++ {
 			for j := 0; j < g3.NY; j++ {
 				for i := 0; i < g3.NX; i++ {
-					v := rmRef.At(i, j, k)
-					gammaRef += minv.At(i, j, k) * v * v
+					v := rmRef.Cell(i, j, k)
+					gammaRef += minv.Cell(i, j, k) * v * v
 				}
 			}
 		}
-		gammaM, _ := FusedCGUpdate3D(pool, in, alpha, pm, sm, xm, rm, minv)
+		gammaM, _ := FusedCGUpdate(pool, in, alpha, pm, sm, xm, rm, minv)
 		if !close13(gammaM, gammaRef) {
 			t.Errorf("%s: folded γ = %v, want %v", name, gammaM, gammaRef)
 		}
@@ -312,7 +311,7 @@ func TestDot3DMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := grid.NewField3D(g3), grid.NewField3D(g3)
+	x, y := grid.NewField(g3), grid.NewField(g3)
 	rng := newRng(7)
 	for i := range x.Data {
 		x.Data[i] = rng.Float64()
@@ -322,12 +321,12 @@ func TestDot3DMatchesNaive(t *testing.T) {
 	for k := 0; k < g3.NZ; k++ {
 		for j := 0; j < g3.NY; j++ {
 			for i := 0; i < g3.NX; i++ {
-				want += x.At(i, j, k) * y.At(i, j, k)
+				want += x.Cell(i, j, k) * y.Cell(i, j, k)
 			}
 		}
 	}
 	for name, pool := range fusionPools() {
-		if got := Dot3D(pool, g3.Interior(), x, y); !close13(got, want) {
+		if got := Dot(pool, g3.Interior(), x, y); !close13(got, want) {
 			t.Errorf("%s: Dot3D = %v, want %v (halo leak?)", name, got, want)
 		}
 	}
@@ -337,7 +336,7 @@ func TestDot3DMatchesNaive(t *testing.T) {
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // fields3Close13 asserts two 3D fields agree to 1e-13 everywhere.
-func fields3Close13(t *testing.T, name string, got, want *grid.Field3D) {
+func fields3Close13(t *testing.T, name string, got, want *grid.Field) {
 	t.Helper()
 	for i := range got.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-13 {
@@ -349,11 +348,11 @@ func fields3Close13(t *testing.T, name string, got, want *grid.Field3D) {
 // TestFusedPPCGInner3DMatchesComposed checks the fused 3D inner step
 // against the composed sequence on extended bounds with a folded diagonal.
 func TestFusedPPCGInner3DMatchesComposed(t *testing.T) {
-	g3 := grid.UnitGrid3D(8, 7, 6, 2)
+	g3 := grid.UnitGrid(8, 7, 6, 2)
 	in := g3.Interior()
 	b := in.ExpandSides(1, 1, 0, 1, 1, 1, g3)
-	mk := func(seed int64) *grid.Field3D {
-		f := grid.NewField3D(g3)
+	mk := func(seed int64) *grid.Field {
+		f := grid.NewField(g3)
 		rng := newRng(seed)
 		for i := range f.Data {
 			f.Data[i] = rng.Float64()*2 - 1
@@ -370,19 +369,19 @@ func TestFusedPPCGInner3DMatchesComposed(t *testing.T) {
 		rt, sd, z := mk(22), mk(23), mk(24)
 
 		// Composed reference.
-		Axpy3D(par.Serial, b, -1, w, rtRef)
-		zscr := grid.NewField3D(g3)
+		Axpy(par.Serial, b, -1, w, rtRef)
+		zscr := grid.NewField(g3)
 		for k := b.Z0; k < b.Z1; k++ {
 			for j := b.Y0; j < b.Y1; j++ {
 				for i := b.X0; i < b.X1; i++ {
-					zscr.Set(i, j, k, minv.At(i, j, k)*rtRef.At(i, j, k))
-					sdRef.Set(i, j, k, alpha*sdRef.At(i, j, k)+beta*zscr.At(i, j, k))
+					zscr.SetCell(i, j, k, minv.Cell(i, j, k)*rtRef.Cell(i, j, k))
+					sdRef.SetCell(i, j, k, alpha*sdRef.Cell(i, j, k)+beta*zscr.Cell(i, j, k))
 				}
 			}
 		}
-		Axpy3D(par.Serial, in, 1, sdRef, zRef)
+		Axpy(par.Serial, in, 1, sdRef, zRef)
 
-		FusedPPCGInner3D(pool, b, in, alpha, beta, w, rt, minv, sd, z)
+		FusedPPCGInner(pool, b, in, alpha, beta, w, rt, minv, sd, z)
 		fields3Close13(t, name+" rtemp", rt, rtRef)
 		fields3Close13(t, name+" sd", sd, sdRef)
 		fields3Close13(t, name+" z", z, zRef)
@@ -391,10 +390,10 @@ func TestFusedPPCGInner3DMatchesComposed(t *testing.T) {
 
 // TestAxpbyPre3DAndDot23D covers the remaining fused 3D BLAS1 kernels.
 func TestAxpbyPre3DAndDot23D(t *testing.T) {
-	g3 := grid.UnitGrid3D(9, 5, 4, 1)
+	g3 := grid.UnitGrid(9, 5, 4, 1)
 	in := g3.Interior()
-	mk := func(seed int64) *grid.Field3D {
-		f := grid.NewField3D(g3)
+	mk := func(seed int64) *grid.Field {
+		f := grid.NewField(g3)
 		rng := newRng(seed)
 		for i := range f.Data {
 			f.Data[i] = rng.Float64()*2 - 1
@@ -408,11 +407,11 @@ func TestAxpbyPre3DAndDot23D(t *testing.T) {
 		for k := 0; k < g3.NZ; k++ {
 			for j := 0; j < g3.NY; j++ {
 				for i := 0; i < g3.NX; i++ {
-					yRef.Set(i, j, k, a*yRef.At(i, j, k)+be*(minv.At(i, j, k)*r.At(i, j, k)))
+					yRef.SetCell(i, j, k, a*yRef.Cell(i, j, k)+be*(minv.Cell(i, j, k)*r.Cell(i, j, k)))
 				}
 			}
 		}
-		AxpbyPre3D(pool, in, a, y, be, minv, r)
+		AxpbyPre(pool, in, a, y, be, minv, r)
 		fields3Close13(t, name+" axpbypre", y, yRef)
 
 		x, yy, zz := mk(33), mk(34), mk(35)
@@ -420,12 +419,12 @@ func TestAxpbyPre3DAndDot23D(t *testing.T) {
 		for k := 0; k < g3.NZ; k++ {
 			for j := 0; j < g3.NY; j++ {
 				for i := 0; i < g3.NX; i++ {
-					wantXY += x.At(i, j, k) * yy.At(i, j, k)
-					wantYZ += yy.At(i, j, k) * zz.At(i, j, k)
+					wantXY += x.Cell(i, j, k) * yy.Cell(i, j, k)
+					wantYZ += yy.Cell(i, j, k) * zz.Cell(i, j, k)
 				}
 			}
 		}
-		xy, yz := Dot23D(pool, in, x, yy, zz)
+		xy, yz := Dot2(pool, in, x, yy, zz)
 		if !close13(xy, wantXY) || !close13(yz, wantYZ) {
 			t.Errorf("%s: Dot23D = (%v,%v), want (%v,%v)", name, xy, yz, wantXY, wantYZ)
 		}

@@ -30,45 +30,55 @@ import (
 	"tealeaf/internal/par"
 )
 
-// row re-slices one padded row of d to the columns [b.X0, b.X1) of row k.
-// The three-index form pins cap so the compiler can drop bounds checks.
-func row(g *grid.Grid2D, b grid.Bounds, d []float64, k int) []float64 {
-	o := g.Index(b.X0, k)
-	return d[o : o+b.X1-b.X0 : o+b.X1-b.X0]
+// row re-slices one padded row of d to the columns [t.X0, t.X1) of row
+// (y,z). The three-index form pins cap so the compiler can drop bounds
+// checks.
+func row(g *grid.Grid, t par.Tile, d []float64, y, z int) []float64 {
+	o := g.Index(t.X0, y, z)
+	return d[o : o+t.X1-t.X0 : o+t.X1-t.X0]
 }
 
-// tileBounds converts a scheduler tile back to 2D grid bounds, so tile
-// bodies reuse the row helper unchanged.
-func tileBounds(t par.Tile) grid.Bounds {
-	return grid.Bounds{X0: t.X0, X1: t.X1, Y0: t.Y0, Y1: t.Y1}
+// forRows runs fn on every row of b — o the storage index of the row's
+// first cell, n its length — with the rows split across the pool's
+// workers. It serves the elementwise kernels, whose result does not
+// depend on the schedule.
+func forRows(p *par.Pool, g *grid.Grid, b grid.Bounds, fn func(o, n int)) {
+	if b.Empty() {
+		return
+	}
+	p.ForTiles(g.Box(b), func(t par.Tile) {
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				fn(g.Index(t.X0, ky, kz), t.X1-t.X0)
+			}
+		}
+	})
 }
-
-// box is the scheduler iteration box for 2D grid bounds.
-func box(b grid.Bounds) par.Box { return par.Box2D(b.X0, b.X1, b.Y0, b.Y1) }
 
 // Dot returns Σ x·y over the cells of b.
-func Dot(p *par.Pool, b grid.Bounds, x, y *grid.Field2D) float64 {
+func Dot(p *par.Pool, b grid.Bounds, x, y *grid.Field) float64 {
 	if b.Empty() {
 		return 0
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	return p.ForTilesReduceN(1, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+	return p.ForTilesReduceN(1, g.Box(b), func(t par.Tile, acc []float64) {
+		n := t.X1 - t.X0
 		var s0, s1, s2, s3 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			xs := row(g, tb, xd, k)
-			ys := row(g, tb, yd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				s0 += xs[j] * ys[j]
-				s1 += xs[j+1] * ys[j+1]
-				s2 += xs[j+2] * ys[j+2]
-				s3 += xs[j+3] * ys[j+3]
-			}
-			for ; j < n; j++ {
-				s0 += xs[j] * ys[j]
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				xs := row(g, t, xd, ky, kz)
+				ys := row(g, t, yd, ky, kz)
+				j := 0
+				for ; j+3 < n; j += 4 {
+					s0 += xs[j] * ys[j]
+					s1 += xs[j+1] * ys[j+1]
+					s2 += xs[j+2] * ys[j+2]
+					s3 += xs[j+3] * ys[j+3]
+				}
+				for ; j < n; j++ {
+					s0 += xs[j] * ys[j]
+				}
 			}
 		}
 		acc[0] += (s0 + s1) + (s2 + s3)
@@ -76,231 +86,203 @@ func Dot(p *par.Pool, b grid.Bounds, x, y *grid.Field2D) float64 {
 }
 
 // Norm2Sq returns Σ x² over the cells of b.
-func Norm2Sq(p *par.Pool, b grid.Bounds, x *grid.Field2D) float64 {
+func Norm2Sq(p *par.Pool, b grid.Bounds, x *grid.Field) float64 {
 	return Dot(p, b, x, x)
 }
 
 // Norm2 returns the Euclidean norm of x over b.
-func Norm2(p *par.Pool, b grid.Bounds, x *grid.Field2D) float64 {
+func Norm2(p *par.Pool, b grid.Bounds, x *grid.Field) float64 {
 	return math.Sqrt(Norm2Sq(p, b, x))
 }
 
 // Axpy computes y += alpha*x over b.
-func Axpy(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field2D) {
+func Axpy(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			ys := row(g, b, yd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				ys[j] += alpha * xs[j]
-				ys[j+1] += alpha * xs[j+1]
-				ys[j+2] += alpha * xs[j+2]
-				ys[j+3] += alpha * xs[j+3]
-			}
-			for ; j < n; j++ {
-				ys[j] += alpha * xs[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		ys := yd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			ys[j] += alpha * xs[j]
+			ys[j+1] += alpha * xs[j+1]
+			ys[j+2] += alpha * xs[j+2]
+			ys[j+3] += alpha * xs[j+3]
+		}
+		for ; j < n; j++ {
+			ys[j] += alpha * xs[j]
 		}
 	})
 }
 
 // Xpay computes y = x + beta*y over b (the CG direction update
 // p = z + βp).
-func Xpay(p *par.Pool, b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D) {
+func Xpay(p *par.Pool, b grid.Bounds, x *grid.Field, beta float64, y *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			ys := row(g, b, yd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				ys[j] = xs[j] + beta*ys[j]
-				ys[j+1] = xs[j+1] + beta*ys[j+1]
-				ys[j+2] = xs[j+2] + beta*ys[j+2]
-				ys[j+3] = xs[j+3] + beta*ys[j+3]
-			}
-			for ; j < n; j++ {
-				ys[j] = xs[j] + beta*ys[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		ys := yd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			ys[j] = xs[j] + beta*ys[j]
+			ys[j+1] = xs[j+1] + beta*ys[j+1]
+			ys[j+2] = xs[j+2] + beta*ys[j+2]
+			ys[j+3] = xs[j+3] + beta*ys[j+3]
+		}
+		for ; j < n; j++ {
+			ys[j] = xs[j] + beta*ys[j]
 		}
 	})
 }
 
 // Axpby computes z = alpha*x + beta*y over b.
-func Axpby(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field2D, beta float64, y, z *grid.Field2D) {
+func Axpby(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field, beta float64, y, z *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			ys := row(g, b, yd, k)
-			zs := row(g, b, zd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				zs[j] = alpha*xs[j] + beta*ys[j]
-				zs[j+1] = alpha*xs[j+1] + beta*ys[j+1]
-				zs[j+2] = alpha*xs[j+2] + beta*ys[j+2]
-				zs[j+3] = alpha*xs[j+3] + beta*ys[j+3]
-			}
-			for ; j < n; j++ {
-				zs[j] = alpha*xs[j] + beta*ys[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		ys := yd[o : o+n : o+n]
+		zs := zd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			zs[j] = alpha*xs[j] + beta*ys[j]
+			zs[j+1] = alpha*xs[j+1] + beta*ys[j+1]
+			zs[j+2] = alpha*xs[j+2] + beta*ys[j+2]
+			zs[j+3] = alpha*xs[j+3] + beta*ys[j+3]
+		}
+		for ; j < n; j++ {
+			zs[j] = alpha*xs[j] + beta*ys[j]
 		}
 	})
 }
 
 // Copy copies src into dst over b.
-func Copy(p *par.Pool, b grid.Bounds, dst, src *grid.Field2D) {
+func Copy(p *par.Pool, b grid.Bounds, dst, src *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			lo := g.Index(b.X0, k)
-			hi := g.Index(b.X1, k)
-			copy(dd[lo:hi], sd[lo:hi])
-		}
+	forRows(p, g, b, func(o, n int) {
+		copy(dd[o:o+n], sd[o:o+n])
 	})
 }
 
 // Scale computes x *= alpha over b.
-func Scale(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field2D) {
+func Scale(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd := x.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				xs[j] *= alpha
-				xs[j+1] *= alpha
-				xs[j+2] *= alpha
-				xs[j+3] *= alpha
-			}
-			for ; j < n; j++ {
-				xs[j] *= alpha
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			xs[j] *= alpha
+			xs[j+1] *= alpha
+			xs[j+2] *= alpha
+			xs[j+3] *= alpha
+		}
+		for ; j < n; j++ {
+			xs[j] *= alpha
 		}
 	})
 }
 
 // ScaleTo computes dst = alpha*src over b.
-func ScaleTo(p *par.Pool, b grid.Bounds, alpha float64, src, dst *grid.Field2D) {
+func ScaleTo(p *par.Pool, b grid.Bounds, alpha float64, src, dst *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			ss := row(g, b, sd, k)
-			ds := row(g, b, dd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				ds[j] = alpha * ss[j]
-				ds[j+1] = alpha * ss[j+1]
-				ds[j+2] = alpha * ss[j+2]
-				ds[j+3] = alpha * ss[j+3]
-			}
-			for ; j < n; j++ {
-				ds[j] = alpha * ss[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		ss := sd[o : o+n : o+n]
+		ds := dd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			ds[j] = alpha * ss[j]
+			ds[j+1] = alpha * ss[j+1]
+			ds[j+2] = alpha * ss[j+2]
+			ds[j+3] = alpha * ss[j+3]
+		}
+		for ; j < n; j++ {
+			ds[j] = alpha * ss[j]
 		}
 	})
 }
 
 // Fill sets x = v over b.
-func Fill(p *par.Pool, b grid.Bounds, v float64, x *grid.Field2D) {
+func Fill(p *par.Pool, b grid.Bounds, v float64, x *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd := x.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			for j := 0; j < n; j++ {
-				xs[j] = v
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		for j := 0; j < n; j++ {
+			xs[j] = v
 		}
 	})
 }
 
 // Sub computes z = x - y over b.
-func Sub(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) {
+func Sub(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			ys := row(g, b, yd, k)
-			zs := row(g, b, zd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				zs[j] = xs[j] - ys[j]
-				zs[j+1] = xs[j+1] - ys[j+1]
-				zs[j+2] = xs[j+2] - ys[j+2]
-				zs[j+3] = xs[j+3] - ys[j+3]
-			}
-			for ; j < n; j++ {
-				zs[j] = xs[j] - ys[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		ys := yd[o : o+n : o+n]
+		zs := zd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			zs[j] = xs[j] - ys[j]
+			zs[j+1] = xs[j+1] - ys[j+1]
+			zs[j+2] = xs[j+2] - ys[j+2]
+			zs[j+3] = xs[j+3] - ys[j+3]
+		}
+		for ; j < n; j++ {
+			zs[j] = xs[j] - ys[j]
 		}
 	})
 }
 
 // Mul computes z = x ⊙ y (elementwise) over b; used to apply the diagonal
 // (point-Jacobi) preconditioner z = M⁻¹ r when M⁻¹ is stored as a field.
-func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) {
+func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			ys := row(g, b, yd, k)
-			zs := row(g, b, zd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				zs[j] = xs[j] * ys[j]
-				zs[j+1] = xs[j+1] * ys[j+1]
-				zs[j+2] = xs[j+2] * ys[j+2]
-				zs[j+3] = xs[j+3] * ys[j+3]
-			}
-			for ; j < n; j++ {
-				zs[j] = xs[j] * ys[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		xs := xd[o : o+n : o+n]
+		ys := yd[o : o+n : o+n]
+		zs := zd[o : o+n : o+n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			zs[j] = xs[j] * ys[j]
+			zs[j+1] = xs[j+1] * ys[j+1]
+			zs[j+2] = xs[j+2] * ys[j+2]
+			zs[j+3] = xs[j+3] * ys[j+3]
+		}
+		for ; j < n; j++ {
+			zs[j] = xs[j] * ys[j]
 		}
 	})
 }
@@ -308,32 +290,33 @@ func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) {
 // AxpyDot fuses y += alpha*x with the dot product r·r in a single pass;
 // the fused-reduction variant of the CG residual update. Returns Σ y·y
 // over b after the update (y is typically the residual).
-func AxpyDot(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field2D) float64 {
+func AxpyDot(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field) float64 {
 	if b.Empty() {
 		return 0
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	return p.ForTilesReduceN(1, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+	return p.ForTilesReduceN(1, g.Box(b), func(t par.Tile, acc []float64) {
+		n := t.X1 - t.X0
 		var s0, s1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			xs := row(g, tb, xd, k)
-			ys := row(g, tb, yd, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				v0 := ys[j] + alpha*xs[j]
-				ys[j] = v0
-				s0 += v0 * v0
-				v1 := ys[j+1] + alpha*xs[j+1]
-				ys[j+1] = v1
-				s1 += v1 * v1
-			}
-			for ; j < n; j++ {
-				v := ys[j] + alpha*xs[j]
-				ys[j] = v
-				s0 += v * v
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				xs := row(g, t, xd, ky, kz)
+				ys := row(g, t, yd, ky, kz)
+				j := 0
+				for ; j+1 < n; j += 2 {
+					v0 := ys[j] + alpha*xs[j]
+					ys[j] = v0
+					s0 += v0 * v0
+					v1 := ys[j+1] + alpha*xs[j+1]
+					ys[j+1] = v1
+					s1 += v1 * v1
+				}
+				for ; j < n; j++ {
+					v := ys[j] + alpha*xs[j]
+					ys[j] = v
+					s0 += v * v
+				}
 			}
 		}
 		acc[0] += s0 + s1
@@ -343,30 +326,31 @@ func AxpyDot(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field2D) floa
 // Dot2 computes the two dot products x·y and y·z in one pass (the paper's
 // §VII proposes restructuring the Krylov solver so multiple dot products
 // share a single reduction step).
-func Dot2(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) (xy, yz float64) {
+func Dot2(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) (xy, yz float64) {
 	if b.Empty() {
 		return 0, 0
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	acc := p.ForTilesReduceN(2, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+	acc := p.ForTilesReduceN(2, g.Box(b), func(t par.Tile, acc []float64) {
+		n := t.X1 - t.X0
 		var a0, a1, c0, c1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			xs := row(g, tb, xd, k)
-			ys := row(g, tb, yd, k)
-			zs := row(g, tb, zd, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				a0 += xs[j] * ys[j]
-				c0 += ys[j] * zs[j]
-				a1 += xs[j+1] * ys[j+1]
-				c1 += ys[j+1] * zs[j+1]
-			}
-			for ; j < n; j++ {
-				a0 += xs[j] * ys[j]
-				c0 += ys[j] * zs[j]
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				xs := row(g, t, xd, ky, kz)
+				ys := row(g, t, yd, ky, kz)
+				zs := row(g, t, zd, ky, kz)
+				j := 0
+				for ; j+1 < n; j += 2 {
+					a0 += xs[j] * ys[j]
+					c0 += ys[j] * zs[j]
+					a1 += xs[j+1] * ys[j+1]
+					c1 += ys[j+1] * zs[j+1]
+				}
+				for ; j < n; j++ {
+					a0 += xs[j] * ys[j]
+					c0 += ys[j] * zs[j]
+				}
 			}
 		}
 		acc[0] += a0 + a1
@@ -379,7 +363,7 @@ func Dot2(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) (xy, yz float64) {
 // with the dot product r·z in one sweep (the PCG ρ = (r, M⁻¹r) setup pass
 // without a separate preconditioner sweep). A nil minv selects the
 // identity: z is filled with r (unless z aliases r) and r·r is returned.
-func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field2D) float64 {
+func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field) float64 {
 	if b.Empty() {
 		return 0
 	}
@@ -391,27 +375,28 @@ func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field2D) float64 {
 	}
 	g := r.Grid
 	md, rd, zd := minv.Data, r.Data, z.Data
-	return p.ForTilesReduceN(1, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+	return p.ForTilesReduceN(1, g.Box(b), func(t par.Tile, acc []float64) {
+		n := t.X1 - t.X0
 		var s0, s1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			ms := row(g, tb, md, k)
-			rs := row(g, tb, rd, k)
-			zs := row(g, tb, zd, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				v0 := ms[j] * rs[j]
-				zs[j] = v0
-				s0 += rs[j] * v0
-				v1 := ms[j+1] * rs[j+1]
-				zs[j+1] = v1
-				s1 += rs[j+1] * v1
-			}
-			for ; j < n; j++ {
-				v := ms[j] * rs[j]
-				zs[j] = v
-				s0 += rs[j] * v
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				ms := row(g, t, md, ky, kz)
+				rs := row(g, t, rd, ky, kz)
+				zs := row(g, t, zd, ky, kz)
+				j := 0
+				for ; j+1 < n; j += 2 {
+					v0 := ms[j] * rs[j]
+					zs[j] = v0
+					s0 += rs[j] * v0
+					v1 := ms[j+1] * rs[j+1]
+					zs[j+1] = v1
+					s1 += rs[j+1] * v1
+				}
+				for ; j < n; j++ {
+					v := ms[j] * rs[j]
+					zs[j] = v
+					s0 += rs[j] * v
+				}
 			}
 		}
 		acc[0] += s0 + s1
@@ -421,30 +406,27 @@ func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field2D) float64 {
 // AxpyAxpy fuses two independent AXPYs into one sweep:
 // y1 += a1*x1 and y2 += a2*x2. It is the fused solution/residual update
 // u += α·p, r −= α·w shared by the Chebyshev and PPCG outer loops.
-func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field2D, a2 float64, x2, y2 *grid.Field2D) {
+func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field, a2 float64, x2, y2 *grid.Field) {
 	if b.Empty() {
 		return
 	}
 	g := x1.Grid
 	x1d, y1d, x2d, y2d := x1.Data, y1.Data, x2.Data, y2.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			x1s := row(g, b, x1d, k)
-			y1s := row(g, b, y1d, k)
-			x2s := row(g, b, x2d, k)
-			y2s := row(g, b, y2d, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				y1s[j] += a1 * x1s[j]
-				y2s[j] += a2 * x2s[j]
-				y1s[j+1] += a1 * x1s[j+1]
-				y2s[j+1] += a2 * x2s[j+1]
-			}
-			for ; j < n; j++ {
-				y1s[j] += a1 * x1s[j]
-				y2s[j] += a2 * x2s[j]
-			}
+	forRows(p, g, b, func(o, n int) {
+		x1s := x1d[o : o+n : o+n]
+		y1s := y1d[o : o+n : o+n]
+		x2s := x2d[o : o+n : o+n]
+		y2s := y2d[o : o+n : o+n]
+		j := 0
+		for ; j+1 < n; j += 2 {
+			y1s[j] += a1 * x1s[j]
+			y2s[j] += a2 * x2s[j]
+			y1s[j+1] += a1 * x1s[j+1]
+			y2s[j+1] += a2 * x2s[j+1]
+		}
+		for ; j < n; j++ {
+			y1s[j] += a1 * x1s[j]
+			y2s[j] += a2 * x2s[j]
 		}
 	})
 }
@@ -453,7 +435,7 @@ func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field2D, a2 f
 // update: y = a*y + beta*(minv ⊙ r) in one sweep (nil minv → identity).
 // This replaces the two-pass z = M⁻¹r; p = α·p + β·z sequence of the
 // Chebyshev main loop.
-func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field2D, beta float64, minv, r *grid.Field2D) {
+func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field, beta float64, minv, r *grid.Field) {
 	if b.Empty() {
 		return
 	}
@@ -463,31 +445,28 @@ func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field2D, beta float
 	if minv != nil {
 		md = minv.Data
 	}
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			ys := row(g, b, yd, k)
-			rs := row(g, b, rd, k)
-			if md == nil {
-				j := 0
-				for ; j+1 < n; j += 2 {
-					ys[j] = a*ys[j] + beta*rs[j]
-					ys[j+1] = a*ys[j+1] + beta*rs[j+1]
-				}
-				for ; j < n; j++ {
-					ys[j] = a*ys[j] + beta*rs[j]
-				}
-				continue
-			}
-			ms := row(g, b, md, k)
+	forRows(p, g, b, func(o, n int) {
+		ys := yd[o : o+n : o+n]
+		rs := rd[o : o+n : o+n]
+		if md == nil {
 			j := 0
 			for ; j+1 < n; j += 2 {
-				ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
-				ys[j+1] = a*ys[j+1] + beta*(ms[j+1]*rs[j+1])
+				ys[j] = a*ys[j] + beta*rs[j]
+				ys[j+1] = a*ys[j+1] + beta*rs[j+1]
 			}
 			for ; j < n; j++ {
-				ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
+				ys[j] = a*ys[j] + beta*rs[j]
 			}
+			return
+		}
+		ms := md[o : o+n : o+n]
+		j := 0
+		for ; j+1 < n; j += 2 {
+			ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
+			ys[j+1] = a*ys[j+1] + beta*(ms[j+1]*rs[j+1])
+		}
+		for ; j < n; j++ {
+			ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
 		}
 	})
 }
@@ -500,7 +479,7 @@ func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field2D, beta float
 //	s = w + β·s             (maintains s = A·p without a second matvec)
 //
 // with nil minv selecting the identity (u = r).
-func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta float64, p, s *grid.Field2D) {
+func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field, beta float64, p, s *grid.Field) {
 	if b.Empty() {
 		return
 	}
@@ -514,47 +493,48 @@ func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, be
 	// s-recurrence): a 16 KB row stays cache-resident between bursts, and
 	// two-stream bursts sustain measurably higher memory bandwidth than
 	// one four-stream loop on wide grids.
-	pl.ForTiles(box(b), func(t par.Tile) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
-		for k := tb.Y0; k < tb.Y1; k++ {
-			rs := row(g, tb, rd, k)
-			ps := row(g, tb, pd, k)
-			if md == nil {
+	pl.ForTiles(g.Box(b), func(t par.Tile) {
+		n := t.X1 - t.X0
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				rs := row(g, t, rd, ky, kz)
+				ps := row(g, t, pd, ky, kz)
+				if md == nil {
+					j := 0
+					for ; j+3 < n; j += 4 {
+						ps[j] = rs[j] + beta*ps[j]
+						ps[j+1] = rs[j+1] + beta*ps[j+1]
+						ps[j+2] = rs[j+2] + beta*ps[j+2]
+						ps[j+3] = rs[j+3] + beta*ps[j+3]
+					}
+					for ; j < n; j++ {
+						ps[j] = rs[j] + beta*ps[j]
+					}
+				} else {
+					ms := row(g, t, md, ky, kz)
+					j := 0
+					for ; j+3 < n; j += 4 {
+						ps[j] = ms[j]*rs[j] + beta*ps[j]
+						ps[j+1] = ms[j+1]*rs[j+1] + beta*ps[j+1]
+						ps[j+2] = ms[j+2]*rs[j+2] + beta*ps[j+2]
+						ps[j+3] = ms[j+3]*rs[j+3] + beta*ps[j+3]
+					}
+					for ; j < n; j++ {
+						ps[j] = ms[j]*rs[j] + beta*ps[j]
+					}
+				}
+				ws := row(g, t, wd, ky, kz)
+				ss := row(g, t, sd, ky, kz)
 				j := 0
 				for ; j+3 < n; j += 4 {
-					ps[j] = rs[j] + beta*ps[j]
-					ps[j+1] = rs[j+1] + beta*ps[j+1]
-					ps[j+2] = rs[j+2] + beta*ps[j+2]
-					ps[j+3] = rs[j+3] + beta*ps[j+3]
+					ss[j] = ws[j] + beta*ss[j]
+					ss[j+1] = ws[j+1] + beta*ss[j+1]
+					ss[j+2] = ws[j+2] + beta*ss[j+2]
+					ss[j+3] = ws[j+3] + beta*ss[j+3]
 				}
 				for ; j < n; j++ {
-					ps[j] = rs[j] + beta*ps[j]
+					ss[j] = ws[j] + beta*ss[j]
 				}
-			} else {
-				ms := row(g, tb, md, k)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					ps[j] = ms[j]*rs[j] + beta*ps[j]
-					ps[j+1] = ms[j+1]*rs[j+1] + beta*ps[j+1]
-					ps[j+2] = ms[j+2]*rs[j+2] + beta*ps[j+2]
-					ps[j+3] = ms[j+3]*rs[j+3] + beta*ps[j+3]
-				}
-				for ; j < n; j++ {
-					ps[j] = ms[j]*rs[j] + beta*ps[j]
-				}
-			}
-			ws := row(g, tb, wd, k)
-			ss := row(g, tb, sd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				ss[j] = ws[j] + beta*ss[j]
-				ss[j+1] = ws[j+1] + beta*ss[j+1]
-				ss[j+2] = ws[j+2] + beta*ss[j+2]
-				ss[j+3] = ws[j+3] + beta*ss[j+3]
-			}
-			for ; j < n; j++ {
-				ss[j] = ws[j] + beta*ss[j]
 			}
 		}
 	})
@@ -567,7 +547,7 @@ func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, be
 //	x += α·p;  r −= α·s;  γ = Σ r·(minv ⊙ r);  rr = Σ r·r
 //
 // in one sweep. nil minv selects the identity, for which γ == rr.
-func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv *grid.Field2D) (gamma, rr float64) {
+func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv *grid.Field) (gamma, rr float64) {
 	if b.Empty() {
 		return 0, 0
 	}
@@ -580,7 +560,7 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 	// Row-fissioned like FusedCGDirections: the x-update burst, then the
 	// r-update burst carrying both dot products (the freshly written r row
 	// is still in cache for the γ accumulation).
-	acc := pl.ForTilesReduceN(2, box(b), fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
+	acc := pl.ForTilesReduceN(2, g.Box(b), fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
 	return acc[0], acc[1]
 }
 
@@ -590,7 +570,7 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 // temporal-blocked cycle can run the update band-by-band and fold once
 // at the end of the sweep with ForTilesReduceN's exact bits. With a nil
 // minv the folded acc[0] equals acc[1] (γ == rr), as in FusedCGUpdate.
-func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field2D) {
+func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field) {
 	g := r.Grid
 	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
 	var md []float64
@@ -603,60 +583,61 @@ func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha flo
 // fusedCGUpdateBody is the tile body shared by FusedCGUpdate and
 // FusedCGUpdateChain — one closure, so the chained and unchained sweeps
 // cannot drift bit-wise.
-func fusedCGUpdateBody(g *grid.Grid2D, alpha float64, pd, sd, xd, rd, md []float64) func(t par.Tile, acc []float64) {
+func fusedCGUpdateBody(g *grid.Grid, alpha float64, pd, sd, xd, rd, md []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+		n := t.X1 - t.X0
 		var g0, g1, rr0, rr1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			ps := row(g, tb, pd, k)
-			xs := row(g, tb, xd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				xs[j] += alpha * ps[j]
-				xs[j+1] += alpha * ps[j+1]
-				xs[j+2] += alpha * ps[j+2]
-				xs[j+3] += alpha * ps[j+3]
-			}
-			for ; j < n; j++ {
-				xs[j] += alpha * ps[j]
-			}
-			ss := row(g, tb, sd, k)
-			rs := row(g, tb, rd, k)
-			if md == nil {
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				ps := row(g, t, pd, ky, kz)
+				xs := row(g, t, xd, ky, kz)
+				j := 0
+				for ; j+3 < n; j += 4 {
+					xs[j] += alpha * ps[j]
+					xs[j+1] += alpha * ps[j+1]
+					xs[j+2] += alpha * ps[j+2]
+					xs[j+3] += alpha * ps[j+3]
+				}
+				for ; j < n; j++ {
+					xs[j] += alpha * ps[j]
+				}
+				ss := row(g, t, sd, ky, kz)
+				rs := row(g, t, rd, ky, kz)
+				if md == nil {
+					j = 0
+					for ; j+1 < n; j += 2 {
+						v0 := rs[j] - alpha*ss[j]
+						rs[j] = v0
+						rr0 += v0 * v0
+						v1 := rs[j+1] - alpha*ss[j+1]
+						rs[j+1] = v1
+						rr1 += v1 * v1
+					}
+					for ; j < n; j++ {
+						v := rs[j] - alpha*ss[j]
+						rs[j] = v
+						rr0 += v * v
+					}
+					continue
+				}
+				ms := row(g, t, md, ky, kz)
 				j = 0
 				for ; j+1 < n; j += 2 {
 					v0 := rs[j] - alpha*ss[j]
 					rs[j] = v0
+					g0 += ms[j] * v0 * v0
 					rr0 += v0 * v0
 					v1 := rs[j+1] - alpha*ss[j+1]
 					rs[j+1] = v1
+					g1 += ms[j+1] * v1 * v1
 					rr1 += v1 * v1
 				}
 				for ; j < n; j++ {
 					v := rs[j] - alpha*ss[j]
 					rs[j] = v
+					g0 += ms[j] * v * v
 					rr0 += v * v
 				}
-				continue
-			}
-			ms := row(g, tb, md, k)
-			j = 0
-			for ; j+1 < n; j += 2 {
-				v0 := rs[j] - alpha*ss[j]
-				rs[j] = v0
-				g0 += ms[j] * v0 * v0
-				rr0 += v0 * v0
-				v1 := rs[j+1] - alpha*ss[j+1]
-				rs[j+1] = v1
-				g1 += ms[j+1] * v1 * v1
-				rr1 += v1 * v1
-			}
-			for ; j < n; j++ {
-				v := rs[j] - alpha*ss[j]
-				rs[j] = v
-				g0 += ms[j] * v * v
-				rr0 += v * v
 			}
 		}
 		if md == nil {
@@ -681,7 +662,7 @@ func fusedCGUpdateBody(g *grid.Grid2D, alpha float64, pd, sd, xd, rd, md []float
 // b must contain in; rows outside in update rtemp/sd but not z, exactly
 // as the unfused schedule does on extended matrix-powers bounds. nil minv
 // selects the identity preconditioner.
-func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field2D) {
+func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field) {
 	if b.Empty() {
 		return
 	}
@@ -691,41 +672,42 @@ func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rte
 	if minv != nil {
 		md = minv.Data
 	}
-	pl.ForTiles(box(b), func(t par.Tile) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+	pl.ForTiles(g.Box(b), func(t par.Tile) {
+		n := t.X1 - t.X0
 		// Column range of the interior within this tile's row slices (a
 		// tile may lie wholly outside the interior columns).
-		xlo, xhi := max(in.X0, tb.X0), min(in.X1, tb.X1)
-		zb := grid.Bounds{X0: xlo, X1: xhi, Y0: in.Y0, Y1: in.Y1}
-		for k := tb.Y0; k < tb.Y1; k++ {
-			ws := row(g, tb, wd, k)
-			rs := row(g, tb, rd, k)
-			ss := row(g, tb, sdd, k)
-			if md == nil {
-				for j := 0; j < n; j++ {
-					v := rs[j] - ws[j]
-					rs[j] = v
-					ss[j] = alpha*ss[j] + beta*v
+		xlo, xhi := max(in.X0, t.X0), min(in.X1, t.X1)
+		zt := par.Tile{X0: xlo, X1: xhi}
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				ws := row(g, t, wd, ky, kz)
+				rs := row(g, t, rd, ky, kz)
+				ss := row(g, t, sdd, ky, kz)
+				if md == nil {
+					for j := 0; j < n; j++ {
+						v := rs[j] - ws[j]
+						rs[j] = v
+						ss[j] = alpha*ss[j] + beta*v
+					}
+				} else {
+					ms := row(g, t, md, ky, kz)
+					for j := 0; j < n; j++ {
+						v := rs[j] - ws[j]
+						rs[j] = v
+						ss[j] = alpha*ss[j] + beta*(ms[j]*v)
+					}
 				}
-			} else {
-				ms := row(g, tb, md, k)
-				for j := 0; j < n; j++ {
-					v := rs[j] - ws[j]
-					rs[j] = v
-					ss[j] = alpha*ss[j] + beta*(ms[j]*v)
-				}
-			}
-			if k >= in.Y0 && k < in.Y1 && xhi > xlo {
-				zs := row(g, zb, zd, k)
-				sz := ss[xlo-tb.X0 : xhi-tb.X0]
-				j := 0
-				for ; j+1 < len(sz); j += 2 {
-					zs[j] += sz[j]
-					zs[j+1] += sz[j+1]
-				}
-				for ; j < len(sz); j++ {
-					zs[j] += sz[j]
+				if in.Contains(xlo, ky, kz) && xhi > xlo {
+					zs := row(g, zt, zd, ky, kz)
+					sz := ss[xlo-t.X0 : xhi-t.X0]
+					j := 0
+					for ; j+1 < len(sz); j += 2 {
+						zs[j] += sz[j]
+						zs[j+1] += sz[j+1]
+					}
+					for ; j < len(sz); j++ {
+						zs[j] += sz[j]
+					}
 				}
 			}
 		}
@@ -751,7 +733,7 @@ func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rte
 // whole working set twice — the difference between the pipelined engine
 // costing ~30% more traffic than the fused engine and running at
 // near-parity, so the overlapped reduction round is pure win.
-func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field2D, beta, alpha float64, p, s, z, x *grid.Field2D) (gamma, delta, rr float64) {
+func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field, beta, alpha float64, p, s, z, x *grid.Field) (gamma, delta, rr float64) {
 	if b.Empty() {
 		return 0, 0, 0
 	}
@@ -761,7 +743,7 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field2D, 
 	if minv != nil {
 		md = minv.Data
 	}
-	acc := pl.ForTilesReduceN(3, box(b), pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
+	acc := pl.ForTilesReduceN(3, g.Box(b), pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
 	if md == nil {
 		return acc[2], acc[1], acc[2]
 	}
@@ -773,7 +755,7 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field2D, 
 // landing in the per-tile accumulator for an end-of-sweep fold. With a
 // nil minv the caller maps the folded γ to rr, exactly as
 // PipelinedCGStep's return does.
-func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field2D, beta, alpha float64, p, s, z, x *grid.Field2D) {
+func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field, beta, alpha float64, p, s, z, x *grid.Field) {
 	g := r.Grid
 	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
 	var md []float64
@@ -786,144 +768,145 @@ func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r
 // pipelinedCGStepBody is the tile body shared by PipelinedCGStep and
 // PipelinedCGStepChain — one closure, so the chained and unchained
 // sweeps cannot drift bit-wise.
-func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
+func pipelinedCGStepBody(g *grid.Grid, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
+		n := t.X1 - t.X0
 		var ga, de, rra float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			rs := row(g, tb, rd, k)
-			ps := row(g, tb, pd, k)
-			xs := row(g, tb, xd, k)
-			// Burst 1: the p recurrence (old r) and the x update it feeds.
-			if md == nil {
+		for kz := t.Z0; kz < t.Z1; kz++ {
+			for ky := t.Y0; ky < t.Y1; ky++ {
+				rs := row(g, t, rd, ky, kz)
+				ps := row(g, t, pd, ky, kz)
+				xs := row(g, t, xd, ky, kz)
+				// Burst 1: the p recurrence (old r) and the x update it feeds.
+				if md == nil {
+					j := 0
+					for ; j+3 < n; j += 4 {
+						p0 := rs[j] + beta*ps[j]
+						ps[j] = p0
+						xs[j] += alpha * p0
+						p1 := rs[j+1] + beta*ps[j+1]
+						ps[j+1] = p1
+						xs[j+1] += alpha * p1
+						p2 := rs[j+2] + beta*ps[j+2]
+						ps[j+2] = p2
+						xs[j+2] += alpha * p2
+						p3 := rs[j+3] + beta*ps[j+3]
+						ps[j+3] = p3
+						xs[j+3] += alpha * p3
+					}
+					for ; j < n; j++ {
+						p0 := rs[j] + beta*ps[j]
+						ps[j] = p0
+						xs[j] += alpha * p0
+					}
+				} else {
+					ms := row(g, t, md, ky, kz)
+					j := 0
+					for ; j+3 < n; j += 4 {
+						p0 := ms[j]*rs[j] + beta*ps[j]
+						ps[j] = p0
+						xs[j] += alpha * p0
+						p1 := ms[j+1]*rs[j+1] + beta*ps[j+1]
+						ps[j+1] = p1
+						xs[j+1] += alpha * p1
+						p2 := ms[j+2]*rs[j+2] + beta*ps[j+2]
+						ps[j+2] = p2
+						xs[j+2] += alpha * p2
+						p3 := ms[j+3]*rs[j+3] + beta*ps[j+3]
+						ps[j+3] = p3
+						xs[j+3] += alpha * p3
+					}
+					for ; j < n; j++ {
+						p0 := ms[j]*rs[j] + beta*ps[j]
+						ps[j] = p0
+						xs[j] += alpha * p0
+					}
+				}
+				// Burst 2: the s recurrence (old w), the r update, and rr.
+				ws := row(g, t, wd, ky, kz)
+				ss := row(g, t, sd, ky, kz)
+				var rr0, rr1 float64
 				j := 0
-				for ; j+3 < n; j += 4 {
-					p0 := rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-					p1 := rs[j+1] + beta*ps[j+1]
-					ps[j+1] = p1
-					xs[j+1] += alpha * p1
-					p2 := rs[j+2] + beta*ps[j+2]
-					ps[j+2] = p2
-					xs[j+2] += alpha * p2
-					p3 := rs[j+3] + beta*ps[j+3]
-					ps[j+3] = p3
-					xs[j+3] += alpha * p3
+				for ; j+1 < n; j += 2 {
+					s0 := ws[j] + beta*ss[j]
+					ss[j] = s0
+					v0 := rs[j] - alpha*s0
+					rs[j] = v0
+					rr0 += v0 * v0
+					s1 := ws[j+1] + beta*ss[j+1]
+					ss[j+1] = s1
+					v1 := rs[j+1] - alpha*s1
+					rs[j+1] = v1
+					rr1 += v1 * v1
 				}
 				for ; j < n; j++ {
-					p0 := rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
+					s0 := ws[j] + beta*ss[j]
+					ss[j] = s0
+					v := rs[j] - alpha*s0
+					rs[j] = v
+					rr0 += v * v
 				}
-			} else {
-				ms := row(g, tb, md, k)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					p0 := ms[j]*rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-					p1 := ms[j+1]*rs[j+1] + beta*ps[j+1]
-					ps[j+1] = p1
-					xs[j+1] += alpha * p1
-					p2 := ms[j+2]*rs[j+2] + beta*ps[j+2]
-					ps[j+2] = p2
-					xs[j+2] += alpha * p2
-					p3 := ms[j+3]*rs[j+3] + beta*ps[j+3]
-					ps[j+3] = p3
-					xs[j+3] += alpha * p3
+				rra += rr0 + rr1
+				// Burst 3: the z recurrence, the w update, and γ, δ against the
+				// new r still in cache.
+				ns := row(g, t, nd, ky, kz)
+				zs := row(g, t, zd, ky, kz)
+				if md == nil {
+					var d0, d1 float64
+					j = 0
+					for ; j+1 < n; j += 2 {
+						z0 := ns[j] + beta*zs[j]
+						zs[j] = z0
+						v0 := ws[j] - alpha*z0
+						ws[j] = v0
+						d0 += rs[j] * v0
+						z1 := ns[j+1] + beta*zs[j+1]
+						zs[j+1] = z1
+						v1 := ws[j+1] - alpha*z1
+						ws[j+1] = v1
+						d1 += rs[j+1] * v1
+					}
+					for ; j < n; j++ {
+						z0 := ns[j] + beta*zs[j]
+						zs[j] = z0
+						v := ws[j] - alpha*z0
+						ws[j] = v
+						d0 += rs[j] * v
+					}
+					de += d0 + d1
+					continue
 				}
-				for ; j < n; j++ {
-					p0 := ms[j]*rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-				}
-			}
-			// Burst 2: the s recurrence (old w), the r update, and rr.
-			ws := row(g, tb, wd, k)
-			ss := row(g, tb, sd, k)
-			var rr0, rr1 float64
-			j := 0
-			for ; j+1 < n; j += 2 {
-				s0 := ws[j] + beta*ss[j]
-				ss[j] = s0
-				v0 := rs[j] - alpha*s0
-				rs[j] = v0
-				rr0 += v0 * v0
-				s1 := ws[j+1] + beta*ss[j+1]
-				ss[j+1] = s1
-				v1 := rs[j+1] - alpha*s1
-				rs[j+1] = v1
-				rr1 += v1 * v1
-			}
-			for ; j < n; j++ {
-				s0 := ws[j] + beta*ss[j]
-				ss[j] = s0
-				v := rs[j] - alpha*s0
-				rs[j] = v
-				rr0 += v * v
-			}
-			rra += rr0 + rr1
-			// Burst 3: the z recurrence, the w update, and γ, δ against the
-			// new r still in cache.
-			ns := row(g, tb, nd, k)
-			zs := row(g, tb, zd, k)
-			if md == nil {
-				var d0, d1 float64
+				ms := row(g, t, md, ky, kz)
+				var g0, g1, d0, d1 float64
 				j = 0
 				for ; j+1 < n; j += 2 {
 					z0 := ns[j] + beta*zs[j]
 					zs[j] = z0
 					v0 := ws[j] - alpha*z0
 					ws[j] = v0
-					d0 += rs[j] * v0
+					u0 := ms[j] * rs[j]
+					g0 += u0 * rs[j]
+					d0 += u0 * v0
 					z1 := ns[j+1] + beta*zs[j+1]
 					zs[j+1] = z1
 					v1 := ws[j+1] - alpha*z1
 					ws[j+1] = v1
-					d1 += rs[j+1] * v1
+					u1 := ms[j+1] * rs[j+1]
+					g1 += u1 * rs[j+1]
+					d1 += u1 * v1
 				}
 				for ; j < n; j++ {
 					z0 := ns[j] + beta*zs[j]
 					zs[j] = z0
 					v := ws[j] - alpha*z0
 					ws[j] = v
-					d0 += rs[j] * v
+					u := ms[j] * rs[j]
+					g0 += u * rs[j]
+					d0 += u * v
 				}
+				ga += g0 + g1
 				de += d0 + d1
-				continue
 			}
-			ms := row(g, tb, md, k)
-			var g0, g1, d0, d1 float64
-			j = 0
-			for ; j+1 < n; j += 2 {
-				z0 := ns[j] + beta*zs[j]
-				zs[j] = z0
-				v0 := ws[j] - alpha*z0
-				ws[j] = v0
-				u0 := ms[j] * rs[j]
-				g0 += u0 * rs[j]
-				d0 += u0 * v0
-				z1 := ns[j+1] + beta*zs[j+1]
-				zs[j+1] = z1
-				v1 := ws[j+1] - alpha*z1
-				ws[j+1] = v1
-				u1 := ms[j+1] * rs[j+1]
-				g1 += u1 * rs[j+1]
-				d1 += u1 * v1
-			}
-			for ; j < n; j++ {
-				z0 := ns[j] + beta*zs[j]
-				zs[j] = z0
-				v := ws[j] - alpha*z0
-				ws[j] = v
-				u := ms[j] * rs[j]
-				g0 += u * rs[j]
-				d0 += u * v
-			}
-			ga += g0 + g1
-			de += d0 + d1
 		}
 		acc[0] += ga
 		acc[1] += de

@@ -15,16 +15,16 @@ import (
 // achieved effective bandwidth — the figure of merit for every kernel in
 // this package (§III-A).
 
-func benchGrid(n int) *grid.Grid2D { return grid.UnitGrid2D(n, n, 2) }
+func benchGrid(n int) *grid.Grid { return grid.UnitGrid(n, n, 1, 2) }
 
-func benchField(g *grid.Grid2D, seed int64) *grid.Field2D {
+func benchField(g *grid.Grid, seed int64) *grid.Field {
 	return testField(g, seed)
 }
 
-func benchOp(g *grid.Grid2D) *stencil.Operator2D {
-	den := grid.NewField2D(g)
+func benchOp(g *grid.Grid) *stencil.Operator {
+	den := grid.NewField(g)
 	den.Fill(1.7)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +70,7 @@ func BenchmarkApply(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			g := benchGrid(n)
 			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
+			p, w := benchField(g, 1), grid.NewField(g)
 			in := g.Interior()
 			b.SetBytes(int64(n) * int64(n) * 8 * 5)
 			b.ResetTimer()
@@ -86,7 +86,7 @@ func BenchmarkApplyDot(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			g := benchGrid(n)
 			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
+			p, w := benchField(g, 1), grid.NewField(g)
 			in := g.Interior()
 			b.SetBytes(int64(n) * int64(n) * 8 * 5)
 			b.ResetTimer()
@@ -104,7 +104,7 @@ func BenchmarkApplyDot2(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			g := benchGrid(n)
 			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
+			p, w := benchField(g, 1), grid.NewField(g)
 			in := g.Interior()
 			b.SetBytes(int64(n) * int64(n) * 8 * 5)
 			b.ResetTimer()
@@ -122,7 +122,7 @@ func BenchmarkPrecondDot(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			g := benchGrid(n)
-			minv, r, z := benchField(g, 1), benchField(g, 2), grid.NewField2D(g)
+			minv, r, z := benchField(g, 1), benchField(g, 2), grid.NewField(g)
 			in := g.Interior()
 			b.SetBytes(int64(n) * int64(n) * 8 * 4)
 			b.ResetTimer()

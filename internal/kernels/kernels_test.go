@@ -10,8 +10,8 @@ import (
 	"tealeaf/internal/par"
 )
 
-func testField(g *grid.Grid2D, seed int64) *grid.Field2D {
-	f := grid.NewField2D(g)
+func testField(g *grid.Grid, seed int64) *grid.Field {
+	f := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()*2 - 1
@@ -25,7 +25,7 @@ var pools = map[string]*par.Pool{
 }
 
 func TestDot(t *testing.T) {
-	g := grid.UnitGrid2D(17, 11, 2)
+	g := grid.UnitGrid(17, 11, 1, 2)
 	x := testField(g, 1)
 	y := testField(g, 2)
 	b := g.Interior()
@@ -40,14 +40,14 @@ func TestDot(t *testing.T) {
 			t.Errorf("%s: Dot = %v, want %v", name, got, want)
 		}
 	}
-	if Dot(par.Serial, grid.Bounds{X0: 3, X1: 3, Y0: 0, Y1: 5}, x, y) != 0 {
+	if Dot(par.Serial, grid.Bounds{X0: 3, X1: 3, Y0: 0, Y1: 5, Z0: 0, Z1: 1}, x, y) != 0 {
 		t.Error("empty bounds dot must be 0")
 	}
 }
 
 func TestDotExcludesHalo(t *testing.T) {
-	g := grid.UnitGrid2D(4, 4, 2)
-	x := grid.NewField2D(g)
+	g := grid.UnitGrid(4, 4, 1, 2)
+	x := grid.NewField(g)
 	x.Fill(1) // halos are 1 as well
 	got := Dot(par.Serial, g.Interior(), x, x)
 	if got != 16 {
@@ -56,7 +56,7 @@ func TestDotExcludesHalo(t *testing.T) {
 }
 
 func TestAxpy(t *testing.T) {
-	g := grid.UnitGrid2D(9, 9, 1)
+	g := grid.UnitGrid(9, 9, 1, 1)
 	b := g.Interior()
 	for name, p := range pools {
 		x := testField(g, 3)
@@ -75,11 +75,11 @@ func TestAxpy(t *testing.T) {
 }
 
 func TestXpay(t *testing.T) {
-	g := grid.UnitGrid2D(8, 6, 1)
+	g := grid.UnitGrid(8, 6, 1, 1)
 	b := g.Interior()
 	x := testField(g, 5)
 	y := testField(g, 6)
-	want := grid.NewField2D(g)
+	want := grid.NewField(g)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
 			want.Set(j, k, x.At(j, k)+0.75*y.At(j, k))
@@ -92,11 +92,11 @@ func TestXpay(t *testing.T) {
 }
 
 func TestAxpby(t *testing.T) {
-	g := grid.UnitGrid2D(8, 6, 1)
+	g := grid.UnitGrid(8, 6, 1, 1)
 	b := g.Interior()
 	x := testField(g, 7)
 	y := testField(g, 8)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	Axpby(par.NewPool(3).WithGrain(1), b, 2, x, -3, y, z)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -109,15 +109,15 @@ func TestAxpby(t *testing.T) {
 }
 
 func TestCopyScaleFill(t *testing.T) {
-	g := grid.UnitGrid2D(10, 10, 1)
-	b := grid.Bounds{X0: 2, X1: 8, Y0: 3, Y1: 7}
+	g := grid.UnitGrid(10, 10, 1, 1)
+	b := grid.Bounds{X0: 2, X1: 8, Y0: 3, Y1: 7, Z0: 0, Z1: 1}
 	src := testField(g, 9)
-	dst := grid.NewField2D(g)
+	dst := grid.NewField(g)
 	Copy(par.Serial, b, dst, src)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
 			want := 0.0
-			if b.Contains(j, k) {
+			if b.Contains(j, k, 0) {
 				want = src.At(j, k)
 			}
 			if dst.At(j, k) != want {
@@ -140,11 +140,11 @@ func TestCopyScaleFill(t *testing.T) {
 }
 
 func TestSubMul(t *testing.T) {
-	g := grid.UnitGrid2D(6, 6, 1)
+	g := grid.UnitGrid(6, 6, 1, 1)
 	b := g.Interior()
 	x := testField(g, 10)
 	y := testField(g, 11)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	Sub(par.Serial, b, x, y, z)
 	if math.Abs(z.At(2, 2)-(x.At(2, 2)-y.At(2, 2))) > 1e-15 {
 		t.Error("Sub wrong")
@@ -156,7 +156,7 @@ func TestSubMul(t *testing.T) {
 }
 
 func TestAxpyDotFusionMatchesUnfused(t *testing.T) {
-	g := grid.UnitGrid2D(20, 14, 2)
+	g := grid.UnitGrid(20, 14, 1, 2)
 	b := g.Interior()
 	for name, p := range pools {
 		x := testField(g, 12)
@@ -176,7 +176,7 @@ func TestAxpyDotFusionMatchesUnfused(t *testing.T) {
 }
 
 func TestDot2MatchesTwoDots(t *testing.T) {
-	g := grid.UnitGrid2D(15, 9, 1)
+	g := grid.UnitGrid(15, 9, 1, 1)
 	b := g.Interior()
 	x, y, z := testField(g, 14), testField(g, 15), testField(g, 16)
 	for name, p := range pools {
@@ -193,7 +193,7 @@ func TestDot2MatchesTwoDots(t *testing.T) {
 func TestKernelsOnExpandedBounds(t *testing.T) {
 	// The matrix-powers kernel runs vector ops on bounds extended into the
 	// halo; kernels must handle negative coordinates.
-	g := grid.UnitGrid2D(8, 8, 3)
+	g := grid.UnitGrid(8, 8, 1, 3)
 	b := g.Interior().Expand(2, g)
 	x := testField(g, 17)
 	y := testField(g, 18)
@@ -213,8 +213,8 @@ func TestKernelsOnExpandedBounds(t *testing.T) {
 }
 
 func TestNorm2(t *testing.T) {
-	g := grid.UnitGrid2D(3, 1, 1)
-	x := grid.NewField2D(g)
+	g := grid.UnitGrid(3, 1, 1, 1)
+	x := grid.NewField(g)
 	x.Set(0, 0, 2)
 	x.Set(1, 0, 3)
 	x.Set(2, 0, 6)
@@ -224,7 +224,7 @@ func TestNorm2(t *testing.T) {
 }
 
 func TestDotLinearityQuick(t *testing.T) {
-	g := grid.UnitGrid2D(12, 8, 1)
+	g := grid.UnitGrid(12, 8, 1, 1)
 	b := g.Interior()
 	x := testField(g, 19)
 	y := testField(g, 20)
@@ -232,7 +232,7 @@ func TestDotLinearityQuick(t *testing.T) {
 	f := func(au, bu int8) bool {
 		alpha, beta := float64(au)/16, float64(bu)/16
 		// <αx + βy, z> == α<x,z> + β<y,z>
-		tmp := grid.NewField2D(g)
+		tmp := grid.NewField(g)
 		Axpby(par.Serial, b, alpha, x, beta, y, tmp)
 		lhs := Dot(par.Serial, b, tmp, z)
 		rhs := alpha*Dot(par.Serial, b, x, z) + beta*Dot(par.Serial, b, y, z)

@@ -13,7 +13,7 @@ import (
 // unfused equivalents to 1e-13 across pool sizes and odd-shaped bounds.
 
 func TestPipelinedCGStepMatchesComposed(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
+	g := grid.UnitGrid(19, 13, 1, 2)
 	minv := testField(g, 91)
 	r0 := testField(g, 92)
 	w0 := testField(g, 93)
@@ -21,13 +21,13 @@ func TestPipelinedCGStepMatchesComposed(t *testing.T) {
 	const beta, alpha = 0.43, 0.27
 	for _, b := range fusionBounds(g) {
 		for name, pool := range fusionPools() {
-			for _, m := range []*grid.Field2D{nil, minv} {
+			for _, m := range []*grid.Field{nil, minv} {
 				// Reference, composed: u = m⊙r; p = u + β·p; s = w + β·s;
 				// z = n + β·z; x += α·p; r −= α·s; w −= α·z; then
 				// u' = m⊙r; γ = r·u'; δ = u'·w; rr = r·r.
 				u := r0
 				if m != nil {
-					u = grid.NewField2D(g)
+					u = grid.NewField(g)
 					Mul(par.Serial, b, m, r0, u)
 				}
 				pRef, sRef, zRef := testField(g, 95), testField(g, 96), testField(g, 97)
@@ -41,7 +41,7 @@ func TestPipelinedCGStepMatchesComposed(t *testing.T) {
 				Axpy(par.Serial, b, -alpha, zRef, wRef)
 				u2 := rRef
 				if m != nil {
-					u2 = grid.NewField2D(g)
+					u2 = grid.NewField(g)
 					Mul(par.Serial, b, m, rRef, u2)
 				}
 				gammaRef := Dot(par.Serial, b, rRef, u2)
@@ -71,10 +71,10 @@ func TestPipelinedCGStepMatchesComposed(t *testing.T) {
 }
 
 func TestPipelinedCGStep3DMatchesComposed(t *testing.T) {
-	g3 := grid.UnitGrid3D(11, 7, 5, 1)
+	g3 := grid.UnitGrid(11, 7, 5, 1)
 	in := g3.Interior()
-	mk := func(seed int64) *grid.Field3D {
-		f := grid.NewField3D(g3)
+	mk := func(seed int64) *grid.Field {
+		f := grid.NewField(g3)
 		rng := newRng(seed)
 		for i := range f.Data {
 			f.Data[i] = rng.Float64()*2 - 1
@@ -88,34 +88,34 @@ func TestPipelinedCGStep3DMatchesComposed(t *testing.T) {
 	}
 	const alpha, beta = 0.33, 0.61
 	for name, pool := range fusionPools() {
-		for _, m := range []*grid.Field3D{nil, minv} {
+		for _, m := range []*grid.Field{nil, minv} {
 			u := r0
 			if m != nil {
-				u = grid.NewField3D(g3)
+				u = grid.NewField(g3)
 				for i := range u.Data {
 					u.Data[i] = m.Data[i] * r0.Data[i]
 				}
 			}
 			pRef, sRef, zRef := mk(114), mk(115), mk(116)
-			Xpay3D(par.Serial, in, u, beta, pRef)
-			Xpay3D(par.Serial, in, w0, beta, sRef)
-			Xpay3D(par.Serial, in, nv, beta, zRef)
+			Xpay(par.Serial, in, u, beta, pRef)
+			Xpay(par.Serial, in, w0, beta, sRef)
+			Xpay(par.Serial, in, nv, beta, zRef)
 			xRef := mk(117)
 			rRef, wRef := r0.Clone(), w0.Clone()
-			Axpy3D(par.Serial, in, alpha, pRef, xRef)
-			Axpy3D(par.Serial, in, -alpha, sRef, rRef)
-			Axpy3D(par.Serial, in, -alpha, zRef, wRef)
+			Axpy(par.Serial, in, alpha, pRef, xRef)
+			Axpy(par.Serial, in, -alpha, sRef, rRef)
+			Axpy(par.Serial, in, -alpha, zRef, wRef)
 			var gammaRef, deltaRef, rrRef float64
 			for k := 0; k < g3.NZ; k++ {
 				for j := 0; j < g3.NY; j++ {
 					for i := 0; i < g3.NX; i++ {
-						rv := rRef.At(i, j, k)
+						rv := rRef.Cell(i, j, k)
 						uv := rv
 						if m != nil {
-							uv = m.At(i, j, k) * rv
+							uv = m.Cell(i, j, k) * rv
 						}
 						gammaRef += uv * rv
-						deltaRef += uv * wRef.At(i, j, k)
+						deltaRef += uv * wRef.Cell(i, j, k)
 						rrRef += rv * rv
 					}
 				}
@@ -123,7 +123,7 @@ func TestPipelinedCGStep3DMatchesComposed(t *testing.T) {
 			p, s, z := mk(114), mk(115), mk(116)
 			x := mk(117)
 			r, w := r0.Clone(), w0.Clone()
-			gamma, delta, rr := PipelinedCGStep3D(pool, in, m, r, w, nv, beta, alpha, p, s, z, x)
+			gamma, delta, rr := PipelinedCGStep(pool, in, m, r, w, nv, beta, alpha, p, s, z, x)
 			if !close13(gamma, gammaRef) || !close13(delta, deltaRef) || !close13(rr, rrRef) {
 				t.Errorf("%s minv=%v: (γ,δ,rr) = (%v,%v,%v), want (%v,%v,%v)",
 					name, m != nil, gamma, delta, rr, gammaRef, deltaRef, rrRef)

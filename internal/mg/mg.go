@@ -58,11 +58,11 @@ func (o Options) withDefaults() Options {
 }
 
 type level struct {
-	g    *grid.Grid2D
-	op   *stencil.Operator2D
-	diag *grid.Field2D
+	g    *grid.Grid
+	op   *stencil.Operator
+	diag *grid.Field
 	// scratch fields
-	z, r, res, tmp *grid.Field2D
+	z, r, res, tmp *grid.Field
 }
 
 // Hierarchy is a multigrid preconditioner/solver for one fine-level
@@ -79,7 +79,7 @@ type Hierarchy struct {
 
 // Build constructs the hierarchy from the fine-level density. Arguments
 // mirror stencil.BuildOperator2D; the fine density must have valid halos.
-func Build(pool *par.Pool, density *grid.Field2D, dt float64, coef stencil.Coefficient, o Options) (*Hierarchy, error) {
+func Build(pool *par.Pool, density *grid.Field, dt float64, coef stencil.Coefficient, o Options) (*Hierarchy, error) {
 	o = o.withDefaults()
 	if pool == nil {
 		pool = par.Serial
@@ -89,15 +89,15 @@ func Build(pool *par.Pool, density *grid.Field2D, dt float64, coef stencil.Coeff
 	den := density
 	g := density.Grid
 	for {
-		op, err := stencil.BuildOperator2D(pool, den, dt, coef, stencil.AllPhysical)
+		op, err := stencil.BuildOperator(pool, den, dt, coef, grid.AllSides)
 		if err != nil {
 			return nil, err
 		}
 		lv := &level{
 			g: g, op: op,
-			diag: grid.NewField2D(g),
-			z:    grid.NewField2D(g), r: grid.NewField2D(g),
-			res: grid.NewField2D(g), tmp: grid.NewField2D(g),
+			diag: grid.NewField(g),
+			z:    grid.NewField(g), r: grid.NewField(g),
+			res: grid.NewField(g), tmp: grid.NewField(g),
 		}
 		op.Diagonal(pool, g.Interior(), lv.diag)
 		h.levels = append(h.levels, lv)
@@ -111,7 +111,7 @@ func Build(pool *par.Pool, density *grid.Field2D, dt float64, coef stencil.Coeff
 		if err != nil {
 			return nil, err
 		}
-		cden := grid.NewField2D(cg)
+		cden := grid.NewField(cg)
 		for k := 0; k < cg.NY; k++ {
 			for j := 0; j < cg.NX; j++ {
 				avg := 0.25 * (den.At(2*j, 2*k) + den.At(2*j+1, 2*k) +
@@ -148,7 +148,7 @@ func (h *Hierarchy) Name() string { return "mg_vcycle" }
 // Apply implements the preconditioner interface: z = V-cycle(r). The
 // bounds argument must be the fine grid's interior (multigrid transfers
 // are whole-grid operations); anything else is a programming error.
-func (h *Hierarchy) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field2D) {
+func (h *Hierarchy) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field) {
 	if b != h.levels[0].g.Interior() {
 		panic(fmt.Sprintf("mg: Apply bounds %v must be the fine interior %v", b, h.levels[0].g.Interior()))
 	}
@@ -196,7 +196,7 @@ func (h *Hierarchy) smooth(lv *level) {
 	omega := h.opts.Omega
 	g := lv.g
 	for k := 0; k < g.NY; k++ {
-		base := g.Index(0, k)
+		base := g.Index(0, k, 0)
 		for j := 0; j < g.NX; j++ {
 			lv.z.Data[base+j] += omega * lv.res.Data[base+j] / lv.diag.Data[base+j]
 		}
@@ -212,11 +212,11 @@ func (h *Hierarchy) coarseSolve(lv *level) {
 	r.CopyFrom(lv.r) // z = 0 → residual is r
 	p := lv.tmp.Clone()
 	p.CopyFrom(r)
-	w := grid.NewField2D(g)
-	dot := func(a, b *grid.Field2D) float64 {
+	w := grid.NewField(g)
+	dot := func(a, b *grid.Field) float64 {
 		var s float64
 		for k := 0; k < g.NY; k++ {
-			base := g.Index(0, k)
+			base := g.Index(0, k, 0)
 			for j := 0; j < g.NX; j++ {
 				s += a.Data[base+j] * b.Data[base+j]
 			}
@@ -237,7 +237,7 @@ func (h *Hierarchy) coarseSolve(lv *level) {
 		}
 		alpha := rr / pw
 		for k := 0; k < g.NY; k++ {
-			base := g.Index(0, k)
+			base := g.Index(0, k, 0)
 			for j := 0; j < g.NX; j++ {
 				lv.z.Data[base+j] += alpha * p.Data[base+j]
 				r.Data[base+j] -= alpha * w.Data[base+j]
@@ -250,7 +250,7 @@ func (h *Hierarchy) coarseSolve(lv *level) {
 		beta := rrNew / rr
 		rr = rrNew
 		for k := 0; k < g.NY; k++ {
-			base := g.Index(0, k)
+			base := g.Index(0, k, 0)
 			for j := 0; j < g.NX; j++ {
 				p.Data[base+j] = r.Data[base+j] + beta*p.Data[base+j]
 			}
@@ -260,7 +260,7 @@ func (h *Hierarchy) coarseSolve(lv *level) {
 
 // restrictFW computes the cell-centred full-weighting restriction: each
 // coarse cell averages its four fine children.
-func restrictFW(fine, coarse *grid.Field2D) {
+func restrictFW(fine, coarse *grid.Field) {
 	cg := coarse.Grid
 	for k := 0; k < cg.NY; k++ {
 		for j := 0; j < cg.NX; j++ {
@@ -272,7 +272,7 @@ func restrictFW(fine, coarse *grid.Field2D) {
 
 // prolongPC is piecewise-constant prolongation: each fine child inherits
 // its coarse parent's value.
-func prolongPC(coarse, fine *grid.Field2D) {
+func prolongPC(coarse, fine *grid.Field) {
 	cg := coarse.Grid
 	for k := 0; k < cg.NY; k++ {
 		for j := 0; j < cg.NX; j++ {
@@ -285,15 +285,15 @@ func prolongPC(coarse, fine *grid.Field2D) {
 	}
 }
 
-func fillZero(f *grid.Field2D, b grid.Bounds) {
+func fillZero(f *grid.Field, b grid.Bounds) {
 	f.Zero() // halos too: smoothers reflect from clean state
 	_ = b
 }
 
-func addInto(dst, src *grid.Field2D, b grid.Bounds) {
+func addInto(dst, src *grid.Field, b grid.Bounds) {
 	g := dst.Grid
 	for k := b.Y0; k < b.Y1; k++ {
-		base := g.Index(0, k)
+		base := g.Index(0, k, 0)
 		for j := b.X0; j < b.X1; j++ {
 			dst.Data[base+j] += src.Data[base+j]
 		}
@@ -303,10 +303,10 @@ func addInto(dst, src *grid.Field2D, b grid.Bounds) {
 // SolveMG iterates V-cycles as a stand-alone solver until the relative
 // residual meets tol, returning (iterations, final relative residual,
 // converged).
-func (h *Hierarchy) SolveMG(u, rhs *grid.Field2D, tol float64, maxIters int) (int, float64, bool) {
+func (h *Hierarchy) SolveMG(u, rhs *grid.Field, tol float64, maxIters int) (int, float64, bool) {
 	lv := h.levels[0]
 	in := lv.g.Interior()
-	r := grid.NewField2D(lv.g)
+	r := grid.NewField(lv.g)
 	u.ReflectHalos(1)
 	lv.op.Residual(h.pool, in, u, rhs, r)
 	norm0 := math.Sqrt(dotInterior(r))
@@ -328,11 +328,11 @@ func (h *Hierarchy) SolveMG(u, rhs *grid.Field2D, tol float64, maxIters int) (in
 	return maxIters, math.Sqrt(dotInterior(r)) / norm0, false
 }
 
-func dotInterior(f *grid.Field2D) float64 {
+func dotInterior(f *grid.Field) float64 {
 	g := f.Grid
 	var s float64
 	for k := 0; k < g.NY; k++ {
-		base := g.Index(0, k)
+		base := g.Index(0, k, 0)
 		for j := 0; j < g.NX; j++ {
 			v := f.Data[base+j]
 			s += v * v

@@ -12,9 +12,9 @@ import (
 	"tealeaf/internal/stencil"
 )
 
-func buildDensity(n int, seed int64) *grid.Field2D {
-	g := grid.MustGrid2D(n, n, 2, 0, 10, 0, 10)
-	d := grid.NewField2D(g)
+func buildDensity(n int, seed int64) *grid.Field {
+	g := grid.MustGrid(n, n, 1, 2, 0, 10, 0, 10, 0, 1)
+	d := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
@@ -25,8 +25,8 @@ func buildDensity(n int, seed int64) *grid.Field2D {
 	return d
 }
 
-func buildRHS(g *grid.Grid2D) *grid.Field2D {
-	rhs := grid.NewField2D(g)
+func buildRHS(g *grid.Grid) *grid.Field {
+	rhs := grid.NewField(g)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
 			v := 0.1
@@ -83,20 +83,20 @@ func TestBuildOddSizeStopsCoarsening(t *testing.T) {
 
 func TestTransfersAdjoint(t *testing.T) {
 	// <R f, c>_coarse · 4 == <f, P c>_fine  (R = ¼ Pᵀ for PC/FW pair).
-	fg := grid.MustGrid2D(16, 16, 1, 0, 1, 0, 1)
-	cgr := grid.MustGrid2D(8, 8, 1, 0, 1, 0, 1)
+	fg := grid.MustGrid(16, 16, 1, 1, 0, 1, 0, 1, 0, 1)
+	cgr := grid.MustGrid(8, 8, 1, 1, 0, 1, 0, 1, 0, 1)
 	rng := rand.New(rand.NewSource(4))
-	f := grid.NewField2D(fg)
-	c := grid.NewField2D(cgr)
+	f := grid.NewField(fg)
+	c := grid.NewField(cgr)
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()
 	}
 	for i := range c.Data {
 		c.Data[i] = rng.Float64()
 	}
-	rf := grid.NewField2D(cgr)
+	rf := grid.NewField(cgr)
 	restrictFW(f, rf)
-	pc := grid.NewField2D(fg)
+	pc := grid.NewField(fg)
 	prolongPC(c, pc)
 	var lhs, rhs float64
 	for k := 0; k < 8; k++ {
@@ -115,11 +115,11 @@ func TestTransfersAdjoint(t *testing.T) {
 }
 
 func TestRestrictionPreservesConstants(t *testing.T) {
-	fg := grid.MustGrid2D(8, 8, 1, 0, 1, 0, 1)
-	cgr := grid.MustGrid2D(4, 4, 1, 0, 1, 0, 1)
-	f := grid.NewField2D(fg)
+	fg := grid.MustGrid(8, 8, 1, 1, 0, 1, 0, 1, 0, 1)
+	cgr := grid.MustGrid(4, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := grid.NewField(fg)
 	f.FillBounds(fg.Interior(), 3.5)
-	c := grid.NewField2D(cgr)
+	c := grid.NewField(cgr)
 	restrictFW(f, c)
 	for k := 0; k < 4; k++ {
 		for j := 0; j < 4; j++ {
@@ -129,7 +129,7 @@ func TestRestrictionPreservesConstants(t *testing.T) {
 		}
 	}
 	// Prolongation too.
-	f2 := grid.NewField2D(fg)
+	f2 := grid.NewField(fg)
 	prolongPC(c, f2)
 	for k := 0; k < 8; k++ {
 		for j := 0; j < 8; j++ {
@@ -190,7 +190,7 @@ func TestMGAsPreconditionerForCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := den.Grid
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +227,9 @@ func TestApplyBoundsGuard(t *testing.T) {
 			t.Error("Apply with wrong bounds must panic")
 		}
 	}()
-	r := grid.NewField2D(den.Grid)
-	z := grid.NewField2D(den.Grid)
-	h.Apply(par.Serial, grid.Bounds{X0: 0, X1: 4, Y0: 0, Y1: 4}, r, z)
+	r := grid.NewField(den.Grid)
+	z := grid.NewField(den.Grid)
+	h.Apply(par.Serial, grid.Bounds{X0: 0, X1: 4, Y0: 0, Y1: 4, Z0: 0, Z1: 1}, r, z)
 }
 
 func TestVCycleReducesResidual(t *testing.T) {
@@ -240,13 +240,13 @@ func TestVCycleReducesResidual(t *testing.T) {
 	}
 	g := den.Grid
 	rhs := buildRHS(g)
-	u := grid.NewField2D(g)
+	u := grid.NewField(g)
 	op := h.levels[0].op
-	r := grid.NewField2D(g)
+	r := grid.NewField(g)
 	op.Residual(par.Serial, g.Interior(), u, rhs, r)
 	n0 := math.Sqrt(dotInterior(r))
 	// One V-cycle.
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	h.Apply(par.Serial, g.Interior(), r, z)
 	addInto(u, z, g.Interior())
 	u.ReflectHalos(1)

@@ -120,7 +120,7 @@ func StepTime(m machine.Machine, cfg Config, w Workload, nodes int) Breakdown {
 	if ranks > w.Mesh*w.Mesh {
 		ranks = w.Mesh * w.Mesh
 	}
-	px, py := grid.FactorNearSquare(ranks, w.Mesh, w.Mesh)
+	px, py, _ := grid.FactorRanks(ranks, w.Mesh, w.Mesh, 1)
 	subX := float64(w.Mesh) / float64(px)
 	subY := float64(w.Mesh) / float64(py)
 	cellsRank := subX * subY

@@ -17,7 +17,7 @@ import (
 // WritePGM writes the interior of f as a binary 8-bit PGM image, mapping
 // [lo, hi] to [0, 255]. Pass lo >= hi to auto-range. Row order is flipped
 // so y increases upward as in the paper's plots.
-func WritePGM(w io.Writer, f *grid.Field2D, lo, hi float64) error {
+func WritePGM(w io.Writer, f *grid.Field, lo, hi float64) error {
 	g := f.Grid
 	if lo >= hi {
 		lo, hi = f.MinMaxInterior()
@@ -46,7 +46,7 @@ func WritePGM(w io.Writer, f *grid.Field2D, lo, hi float64) error {
 
 // WritePPM writes a false-colour PPM using a blue→red heat map like the
 // paper's Fig. 3 ("redder colors indicate higher temperatures").
-func WritePPM(w io.Writer, f *grid.Field2D, lo, hi float64) error {
+func WritePPM(w io.Writer, f *grid.Field, lo, hi float64) error {
 	g := f.Grid
 	if lo >= hi {
 		lo, hi = f.MinMaxInterior()
@@ -91,7 +91,7 @@ func heatColor(t float64) (r, g, b byte) {
 // ASCIIHeatmap renders the interior of f as a width×height character
 // map using a density ramp, averaging cells into character bins; handy
 // for eyeballing the crooked pipe in a terminal.
-func ASCIIHeatmap(f *grid.Field2D, width, height int) string {
+func ASCIIHeatmap(f *grid.Field, width, height int) string {
 	g := f.Grid
 	if width <= 0 {
 		width = 64
@@ -169,11 +169,11 @@ func WriteCSVSeries(w io.Writer, xName string, xs []int, names []string, series 
 
 // WriteVTK writes the interior of the named fields as a legacy-VTK
 // structured-points dataset readable by ParaView/VisIt.
-func WriteVTK(w io.Writer, title string, fields map[string]*grid.Field2D) error {
+func WriteVTK(w io.Writer, title string, fields map[string]*grid.Field) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("output: no fields to write")
 	}
-	var g *grid.Grid2D
+	var g *grid.Grid
 	for _, f := range fields {
 		if g == nil {
 			g = f.Grid

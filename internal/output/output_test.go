@@ -8,9 +8,9 @@ import (
 	"tealeaf/internal/grid"
 )
 
-func gradientField(nx, ny int) *grid.Field2D {
-	g := grid.MustGrid2D(nx, ny, 1, 0, 1, 0, 1)
-	f := grid.NewField2D(g)
+func gradientField(nx, ny int) *grid.Field {
+	g := grid.MustGrid(nx, ny, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := grid.NewField(g)
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
 			f.Set(j, k, float64(j+k))
@@ -54,8 +54,8 @@ func TestWritePGM(t *testing.T) {
 }
 
 func TestWritePGMConstantField(t *testing.T) {
-	g := grid.MustGrid2D(4, 4, 1, 0, 1, 0, 1)
-	f := grid.NewField2D(g)
+	g := grid.MustGrid(4, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	f := grid.NewField(g)
 	f.FillBounds(g.Interior(), 5)
 	var buf bytes.Buffer
 	if err := WritePGM(&buf, f, 0, 0); err != nil {
@@ -148,7 +148,7 @@ func TestWriteCSVSeries(t *testing.T) {
 func TestWriteVTK(t *testing.T) {
 	f := gradientField(4, 3)
 	var buf bytes.Buffer
-	err := WriteVTK(&buf, "test", map[string]*grid.Field2D{"energy": f, "density": f})
+	err := WriteVTK(&buf, "test", map[string]*grid.Field{"energy": f, "density": f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestWriteVTK(t *testing.T) {
 	if err := WriteVTK(&buf, "x", nil); err == nil {
 		t.Error("no fields must error")
 	}
-	g2 := grid.MustGrid2D(5, 3, 1, 0, 1, 0, 1)
-	if err := WriteVTK(&buf, "x", map[string]*grid.Field2D{"a": f, "b": grid.NewField2D(g2)}); err == nil {
+	g2 := grid.MustGrid(5, 3, 1, 1, 0, 1, 0, 1, 0, 1)
+	if err := WriteVTK(&buf, "x", map[string]*grid.Field{"a": f, "b": grid.NewField(g2)}); err == nil {
 		t.Error("mismatched grids must error")
 	}
 }

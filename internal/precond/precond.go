@@ -5,11 +5,12 @@
 //
 //   - None: z = r.
 //   - Jacobi: z = D⁻¹r, the point-diagonal scaling.
-//   - BlockJacobi: the mesh is split into 4×1 strips in y; each strip's
-//     4×4 block of A is tridiagonal (the Ky coupling within the strip) and
-//     is solved with the Thomas algorithm. Strips at mesh or rank
-//     boundaries truncate to 3, 2 or 1 rows. Typically reduces κ(A) by
-//     ≈40% on TeaLeaf problems.
+//   - BlockJacobi: the mesh is split into strips of 4 cells along its
+//     outermost axis (y on a flat grid, z in 3D); each strip's 4×4 block
+//     of A is tridiagonal (the coupling within the strip) and is solved
+//     with the Thomas algorithm. Strips at mesh or rank boundaries
+//     truncate to 3, 2 or 1 cells. Typically reduces κ(A) by ≈40% on
+//     TeaLeaf problems.
 package precond
 
 import (
@@ -17,6 +18,7 @@ import (
 	"strings"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 	"tealeaf/internal/tridiag"
@@ -29,7 +31,7 @@ type Preconditioner interface {
 	// implementation documents it as safe (all implementations here are
 	// safe with r == z except BlockJacobi, which is also safe because it
 	// buffers each strip).
-	Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field2D)
+	Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field)
 	// Name returns the TeaLeaf input-deck name of the preconditioner.
 	Name() string
 }
@@ -41,18 +43,10 @@ type None struct{}
 func NewNone() None { return None{} }
 
 // Apply implements Preconditioner: z = r.
-func (None) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field2D) {
-	if r == z {
-		return
+func (None) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field) {
+	if r != z {
+		kernels.Copy(pool, b, z, r)
 	}
-	g := r.Grid
-	rd, zd := r.Data, z.Data
-	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			lo, hi := g.Index(b.X0, k), g.Index(b.X1, k)
-			copy(zd[lo:hi], rd[lo:hi])
-		}
-	})
 }
 
 // Name implements Preconditioner.
@@ -60,37 +54,39 @@ func (None) Name() string { return "none" }
 
 // Jacobi is the point-diagonal preconditioner z = D⁻¹r.
 type Jacobi struct {
-	invDiag *grid.Field2D
+	invDiag *grid.Field
 }
 
 // NewJacobi precomputes 1/diag(A) over the full addressable region (minus
 // the outermost layer, where the stencil cannot be evaluated), so the
 // preconditioner remains valid on matrix-powers extended bounds.
-func NewJacobi(pool *par.Pool, op *stencil.Operator2D) *Jacobi {
-	g := op.Grid
-	d := grid.NewField2D(g)
-	inner := grid.Bounds{X0: -g.Halo + 1, X1: g.NX + g.Halo - 1, Y0: -g.Halo + 1, Y1: g.NY + g.Halo - 1}
-	op.Diagonal(pool, inner, d)
-	for k := inner.Y0; k < inner.Y1; k++ {
-		for j := inner.X0; j < inner.X1; j++ {
-			d.Set(j, k, 1/d.At(j, k))
+func NewJacobi(pool *par.Pool, op *stencil.Operator) *Jacobi {
+	d := diagonal(pool, op)
+	for i, v := range d.Data {
+		if v != 0 {
+			d.Data[i] = 1 / v
 		}
 	}
 	return &Jacobi{invDiag: d}
 }
 
+// diagonal is diag(A) over the padded region minus its outermost layer
+// (zero beyond it).
+func diagonal(pool *par.Pool, op *stencil.Operator) *grid.Field {
+	g := op.Grid
+	d := grid.NewField(g)
+	h, zh := g.Halo, g.ZHalo()
+	inner := grid.Bounds{X0: -h + 1, X1: g.NX + h - 1, Y0: -h + 1, Y1: g.NY + h - 1, Z0: -zh + 1, Z1: g.NZ + zh - 1}
+	if g.Flat() {
+		inner.Z0, inner.Z1 = 0, 1
+	}
+	op.Diagonal(pool, inner, d)
+	return d
+}
+
 // Apply implements Preconditioner.
-func (m *Jacobi) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field2D) {
-	g := r.Grid
-	rd, zd, dd := r.Data, z.Data, m.invDiag.Data
-	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				zd[base+j] = rd[base+j] * dd[base+j]
-			}
-		}
-	})
+func (m *Jacobi) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field) {
+	kernels.Mul(pool, b, r, m.invDiag, z)
 }
 
 // Name implements Preconditioner.
@@ -100,7 +96,7 @@ func (m *Jacobi) Name() string { return "jac_diag" }
 // region minus its outermost layer. It implements DiagonalFoldable: the
 // fused solver loops fold this field directly into their sweeps instead
 // of calling Apply.
-func (m *Jacobi) InvDiag() *grid.Field2D { return m.invDiag }
+func (m *Jacobi) InvDiag() *grid.Field { return m.invDiag }
 
 // DiagonalFoldable is implemented by preconditioners that are a pure
 // diagonal scaling z = d ⊙ r. The fused single-reduction solver paths
@@ -108,13 +104,13 @@ func (m *Jacobi) InvDiag() *grid.Field2D { return m.invDiag }
 // free, instead of spending a separate grid pass on Apply. None is
 // foldable with a nil field (identity).
 type DiagonalFoldable interface {
-	InvDiag() *grid.Field2D
+	InvDiag() *grid.Field
 }
 
 // FoldableDiag returns (diagonal-field, true) if m can be folded into
 // fused sweeps: nil for the identity, the inverse diagonal for Jacobi.
 // Block preconditioners are not foldable.
-func FoldableDiag(m Preconditioner) (*grid.Field2D, bool) {
+func FoldableDiag(m Preconditioner) (*grid.Field, bool) {
 	if _, isNone := m.(None); isNone {
 		return nil, true
 	}
@@ -127,78 +123,93 @@ func FoldableDiag(m Preconditioner) (*grid.Field2D, bool) {
 // DefaultBlockSize is TeaLeaf's JAC_BLOCK_SIZE: strips of four cells.
 const DefaultBlockSize = 4
 
-// BlockJacobi solves an independent tridiagonal system per 4×1 strip.
+// BlockJacobi solves an independent tridiagonal system per strip of
+// blockSize cells along the grid's outermost axis: y-strips on a flat
+// grid (coupled through Ky), z-lines in 3D (coupled through Kz).
 type BlockJacobi struct {
-	op        *stencil.Operator2D
-	diag      *grid.Field2D // full diagonal of A, precomputed
+	op        *stencil.Operator
+	diag      *grid.Field // full diagonal of A, precomputed
 	blockSize int
 }
 
 // NewBlockJacobi builds the strip preconditioner. blockSize <= 0 selects
 // the TeaLeaf default of 4.
-func NewBlockJacobi(pool *par.Pool, op *stencil.Operator2D, blockSize int) *BlockJacobi {
+func NewBlockJacobi(pool *par.Pool, op *stencil.Operator, blockSize int) *BlockJacobi {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	g := op.Grid
-	d := grid.NewField2D(g)
-	inner := grid.Bounds{X0: -g.Halo + 1, X1: g.NX + g.Halo - 1, Y0: -g.Halo + 1, Y1: g.NY + g.Halo - 1}
-	op.Diagonal(pool, inner, d)
-	return &BlockJacobi{op: op, diag: d, blockSize: blockSize}
+	return &BlockJacobi{op: op, diag: diagonal(pool, op), blockSize: blockSize}
 }
 
-// Apply implements Preconditioner: for every column j in b, rows are cut
-// into strips of blockSize anchored at b.Y0 (truncated at b.Y1), and each
-// strip's tridiagonal block
+// Apply implements Preconditioner: every line of b along the outermost
+// axis is cut into strips of blockSize anchored at b's low edge
+// (truncated at its high edge), and each strip's tridiagonal block
 //
-//	[ diag(j,k)   −Ky(j,k+1)                ]
-//	[ −Ky(j,k+1)  diag(j,k+1)  −Ky(j,k+2)   ]  ...
+//	[ diag(c)     −K(c+1)                ]
+//	[ −K(c+1)     diag(c+1)   −K(c+2)    ]  ...
 //
-// is solved by the Thomas algorithm. Strips never couple across b's edge,
-// which is what makes the preconditioner communication-free.
-func (m *BlockJacobi) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field2D) {
+// with K the coupling along the axis is solved by the Thomas algorithm.
+// Strips never couple across b's edge, which is what makes the
+// preconditioner communication-free. Safe with r == z: each strip is
+// buffered before the solution is written back.
+func (m *BlockJacobi) Apply(pool *par.Pool, b grid.Bounds, r, z *grid.Field) {
 	if b.Empty() {
 		return
 	}
-	ky := m.op.Ky
+	g := m.op.Grid
+	// The lines run along y (stride one row) on a flat grid and along z
+	// (stride one plane) in 3D; the workers split the cross-section.
+	kl, ls := m.op.Ky, g.Stride()
+	l0, l1 := b.Y0, b.Y1
+	c0, c1 := b.X0, b.X1 // flat: one line per column
+	if !g.Flat() {
+		kl, ls = m.op.Kz, g.PlaneStride()
+		l0, l1 = b.Z0, b.Z1
+		c0, c1 = b.Y0, b.Y1 // 3D: one row of lines per y
+	}
 	bs := m.blockSize
-	// Parallelise over columns: strips are independent, and each worker
-	// gets its own scratch.
-	pool.For(b.X0, b.X1, func(j0, j1 int) {
+	kd, dd, rd, zd := kl.Data, m.diag.Data, r.Data, z.Data
+	pool.For(c0, c1, func(lo, hi int) {
 		sub := make([]float64, bs)
 		dia := make([]float64, bs)
 		sup := make([]float64, bs)
 		rhs := make([]float64, bs)
 		sol := make([]float64, bs)
 		wrk := make([]float64, bs)
-		for j := j0; j < j1; j++ {
-			for k0 := b.Y0; k0 < b.Y1; k0 += bs {
-				k1 := min(k0+bs, b.Y1)
-				n := k1 - k0
-				for i := 0; i < n; i++ {
-					k := k0 + i
-					dia[i] = m.diag.At(j, k)
-					if i > 0 {
-						sub[i] = -ky.At(j, k)
-					} else {
-						sub[i] = 0
+		for c := lo; c < hi; c++ {
+			i0, i1, j := c, c+1, 0
+			if !g.Flat() {
+				i0, i1, j = b.X0, b.X1, c
+			}
+			for i := i0; i < i1; i++ {
+				for s0 := l0; s0 < l1; s0 += bs {
+					n := min(s0+bs, l1) - s0
+					o := g.Index(i, j, s0) // start of the strip
+					if g.Flat() {
+						o = g.Index(i, s0, 0)
 					}
-					if i < n-1 {
-						sup[i] = -ky.At(j, k+1)
-					} else {
-						sup[i] = 0
+					for t := 0; t < n; t++ {
+						at := o + t*ls
+						dia[t] = dd[at]
+						sub[t], sup[t] = 0, 0
+						if t > 0 {
+							sub[t] = -kd[at]
+						}
+						if t < n-1 {
+							sup[t] = -kd[at+ls]
+						}
+						rhs[t] = rd[at]
 					}
-					rhs[i] = r.At(j, k)
-				}
-				// The blocks are strictly diagonally dominant, so Thomas
-				// cannot fail on well-formed operators; a failure would
-				// indicate a corrupted coefficient field, which Build
-				// already rejects.
-				if err := tridiag.Thomas(sub[:n], dia[:n], sup[:n], rhs[:n], sol[:n], wrk[:n]); err != nil {
-					panic(fmt.Sprintf("precond: block solve failed: %v", err))
-				}
-				for i := 0; i < n; i++ {
-					z.Set(j, k0+i, sol[i])
+					// The blocks are strictly diagonally dominant, so Thomas
+					// cannot fail on well-formed operators; a failure would
+					// indicate a corrupted coefficient field, which Build
+					// already rejects.
+					if err := tridiag.Thomas(sub[:n], dia[:n], sup[:n], rhs[:n], sol[:n], wrk[:n]); err != nil {
+						panic(fmt.Sprintf("precond: block solve failed: %v", err))
+					}
+					for t := 0; t < n; t++ {
+						zd[o+t*ls] = sol[t]
+					}
 				}
 			}
 		}
@@ -211,19 +222,16 @@ func (m *BlockJacobi) Name() string { return "jac_block" }
 // BlockSize returns the strip length.
 func (m *BlockJacobi) BlockSize() int { return m.blockSize }
 
-// Spec is one entry of the unified preconditioner registry: the deck name
-// plus the capability flags both solve paths consult. The registry is the
-// single source of truth for which names exist, which dimensionalities
-// they support, and which solver configurations they compose with — the
-// 2D and 3D FromName constructors and the solver's option validation all
+// Spec is one entry of the preconditioner registry: the deck name plus
+// the capability flags the solver consults. The registry is the single
+// source of truth for which names exist and which solver configurations
+// they compose with — FromName and the solver's option validation both
 // read it, so a new preconditioner is added in exactly one place.
 type Spec struct {
 	// Name is the TeaLeaf input-deck name (tl_preconditioner_type).
 	Name string
 	// Summary is a one-line description for error messages and docs.
 	Summary string
-	// Dims2, Dims3 report which dimensionalities implement the entry.
-	Dims2, Dims3 bool
 	// Foldable reports a pure diagonal scaling: the fused single-reduction
 	// loops fold it into their sweeps (see DiagonalFoldable) instead of
 	// spending a separate grid pass.
@@ -242,11 +250,11 @@ type Spec struct {
 // registry lists every preconditioner in deck-name order.
 var registry = []Spec{
 	{Name: "none", Summary: "identity (z = r)",
-		Dims2: true, Dims3: true, Foldable: true, CommFree: true, DeepHalo: true},
+		Foldable: true, CommFree: true, DeepHalo: true},
 	{Name: "jac_diag", Summary: "point-diagonal Jacobi (z = D⁻¹r)",
-		Dims2: true, Dims3: true, Foldable: true, CommFree: true, DeepHalo: true},
-	{Name: "jac_block", Summary: "tridiagonal block-Jacobi (4-cell y-strips in 2D, z-lines in 3D)",
-		Dims2: true, Dims3: true, Foldable: false, CommFree: true, DeepHalo: false},
+		Foldable: true, CommFree: true, DeepHalo: true},
+	{Name: "jac_block", Summary: "tridiagonal block-Jacobi (4-cell strips along y on a flat grid, along z in 3D)",
+		Foldable: false, CommFree: true, DeepHalo: false},
 }
 
 // Specs returns the registry in deck-name order (a copy).
@@ -268,42 +276,23 @@ func Lookup(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Names returns the deck names supported for the given dimensionality
-// (2 or 3); any other value returns every registered name.
-func Names(dims int) []string {
+// Names returns every registered deck name.
+func Names() []string {
 	var out []string
 	for _, s := range registry {
-		if (dims == 2 && !s.Dims2) || (dims == 3 && !s.Dims3) {
-			continue
-		}
 		out = append(out, s.Name)
 	}
 	return out
 }
 
-// lookupFor resolves a deck name for one dimensionality, with errors that
-// enumerate what IS supported: an unknown name lists every registered
-// name, and a known name unavailable in the requested dimensionality says
-// so and lists that dimensionality's names.
-func lookupFor(name string, dims int) (Spec, error) {
+// FromName builds the preconditioner named by a TeaLeaf input deck value
+// (tl_preconditioner_type), consulting the registry; an unknown name's
+// error lists every registered one.
+func FromName(name string, pool *par.Pool, op *stencil.Operator) (Preconditioner, error) {
 	s, ok := Lookup(name)
 	if !ok {
-		return Spec{}, fmt.Errorf("precond: unknown preconditioner %q (supported: %s)",
-			name, strings.Join(Names(0), ", "))
-	}
-	if (dims == 2 && !s.Dims2) || (dims == 3 && !s.Dims3) {
-		return Spec{}, fmt.Errorf("precond: %q (%s) is not available on the %dD path (supported in %dD: %s)",
-			s.Name, s.Summary, dims, dims, strings.Join(Names(dims), ", "))
-	}
-	return s, nil
-}
-
-// FromName builds the 2D preconditioner named by a TeaLeaf input deck
-// value (tl_preconditioner_type), consulting the unified registry.
-func FromName(name string, pool *par.Pool, op *stencil.Operator2D) (Preconditioner, error) {
-	s, err := lookupFor(name, 2)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("precond: unknown preconditioner %q (supported: %s)",
+			name, strings.Join(Names(), ", "))
 	}
 	switch s.Name {
 	case "none":
@@ -313,5 +302,5 @@ func FromName(name string, pool *par.Pool, op *stencil.Operator2D) (Precondition
 	case "jac_block":
 		return NewBlockJacobi(pool, op, DefaultBlockSize), nil
 	}
-	return nil, fmt.Errorf("precond: %q is registered but has no 2D constructor", s.Name)
+	return nil, fmt.Errorf("precond: %q is registered but has no constructor", s.Name)
 }

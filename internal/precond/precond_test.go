@@ -12,10 +12,10 @@ import (
 	"tealeaf/internal/stencil"
 )
 
-func testOperator(t *testing.T, nx, ny, halo int, seed int64) *stencil.Operator2D {
+func testOperator(t *testing.T, nx, ny, halo int, seed int64) *stencil.Operator {
 	t.Helper()
-	g := grid.UnitGrid2D(nx, ny, halo)
-	d := grid.NewField2D(g)
+	g := grid.UnitGrid(nx, ny, 1, halo)
+	d := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
@@ -23,15 +23,15 @@ func testOperator(t *testing.T, nx, ny, halo int, seed int64) *stencil.Operator2
 		}
 	}
 	d.ReflectHalos(halo)
-	op, err := stencil.BuildOperator2D(par.Serial, d, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, d, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return op
 }
 
-func randomField(g *grid.Grid2D, seed int64) *grid.Field2D {
-	f := grid.NewField2D(g)
+func randomField(g *grid.Grid, seed int64) *grid.Field {
+	f := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -45,7 +45,7 @@ func TestNoneIsIdentity(t *testing.T) {
 	op := testOperator(t, 8, 8, 2, 1)
 	g := op.Grid
 	r := randomField(g, 2)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	NewNone().Apply(par.Serial, g.Interior(), r, z)
 	if !z.ApproxEqual(r, 0) {
 		t.Error("None must copy r into z")
@@ -62,9 +62,9 @@ func TestJacobiMatchesDiagonal(t *testing.T) {
 	g := op.Grid
 	m := NewJacobi(par.Serial, op)
 	r := randomField(g, 4)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	m.Apply(par.Serial, g.Interior(), r, z)
-	d := grid.NewField2D(g)
+	d := grid.NewField(g)
 	op.Diagonal(par.Serial, g.Interior(), d)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -82,10 +82,10 @@ func TestJacobiMatchesDiagonal(t *testing.T) {
 // blockResidual checks that within every strip, M·z == r exactly: the
 // strip rows of A restricted to the strip (diagonal + intra-strip Ky
 // coupling) reproduce r.
-func blockResidual(t *testing.T, op *stencil.Operator2D, b grid.Bounds, bs int, r, z *grid.Field2D) float64 {
+func blockResidual(t *testing.T, op *stencil.Operator, b grid.Bounds, bs int, r, z *grid.Field) float64 {
 	t.Helper()
 	g := op.Grid
-	d := grid.NewField2D(g)
+	d := grid.NewField(g)
 	op.Diagonal(par.Serial, b, d)
 	var worst float64
 	for j := b.X0; j < b.X1; j++ {
@@ -113,7 +113,7 @@ func TestBlockJacobiSolvesStrips(t *testing.T) {
 	g := op.Grid
 	m := NewBlockJacobi(par.Serial, op, 4)
 	r := randomField(g, 6)
-	z := grid.NewField2D(g)
+	z := grid.NewField(g)
 	m.Apply(par.Serial, g.Interior(), r, z)
 	if worst := blockResidual(t, op, g.Interior(), 4, r, z); worst > 1e-12 {
 		t.Errorf("strip residual = %v", worst)
@@ -130,7 +130,7 @@ func TestBlockJacobiTruncatedStrips(t *testing.T) {
 		g := op.Grid
 		m := NewBlockJacobi(par.Serial, op, 4)
 		r := randomField(g, int64(20+ny))
-		z := grid.NewField2D(g)
+		z := grid.NewField(g)
 		m.Apply(par.Serial, g.Interior(), r, z)
 		if worst := blockResidual(t, op, g.Interior(), 4, r, z); worst > 1e-12 {
 			t.Errorf("ny=%d: strip residual = %v", ny, worst)
@@ -143,8 +143,8 @@ func TestBlockJacobiParallelMatchesSerial(t *testing.T) {
 	g := op.Grid
 	m := NewBlockJacobi(par.Serial, op, 4)
 	r := randomField(g, 8)
-	z1 := grid.NewField2D(g)
-	z2 := grid.NewField2D(g)
+	z1 := grid.NewField(g)
+	z2 := grid.NewField(g)
 	m.Apply(par.Serial, g.Interior(), r, z1)
 	m.Apply(par.NewPool(4).WithGrain(1), g.Interior(), r, z2)
 	if z1.MaxDiff(z2) != 0 {
@@ -168,18 +168,18 @@ func TestPreconditionersApproximateInverse(t *testing.T) {
 	g := op.Grid
 	b := g.Interior()
 	v := randomField(g, 12)
-	av := grid.NewField2D(g)
+	av := grid.NewField(g)
 	op.Apply(par.Serial, b, v, av)
 
 	normV := kernels.Norm2(par.Serial, b, v)
 	// Baseline: how far A itself is from the identity on this vector.
-	base := grid.NewField2D(g)
+	base := grid.NewField(g)
 	kernels.Sub(par.Serial, b, av, v, base)
 	baseErr := kernels.Norm2(par.Serial, b, base) / normV
 	for _, m := range []Preconditioner{NewJacobi(par.Serial, op), NewBlockJacobi(par.Serial, op, 4)} {
-		z := grid.NewField2D(g)
+		z := grid.NewField(g)
 		m.Apply(par.Serial, b, av, z) // z = M⁻¹ A v ≈ v
-		diff := grid.NewField2D(g)
+		diff := grid.NewField(g)
 		kernels.Sub(par.Serial, b, z, v, diff)
 		relErr := kernels.Norm2(par.Serial, b, diff) / normV
 		if relErr >= baseErr {
@@ -198,8 +198,8 @@ func TestBlockJacobiSymmetric(t *testing.T) {
 	for _, m := range []Preconditioner{NewJacobi(par.Serial, op), NewBlockJacobi(par.Serial, op, 4)} {
 		x := randomField(g, 14)
 		y := randomField(g, 15)
-		mx := grid.NewField2D(g)
-		my := grid.NewField2D(g)
+		mx := grid.NewField(g)
+		my := grid.NewField(g)
 		m.Apply(par.Serial, b, x, mx)
 		m.Apply(par.Serial, b, y, my)
 		lhs := kernels.Dot(par.Serial, b, mx, y)
@@ -230,7 +230,7 @@ func TestFromName(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown name must error")
 	}
-	for _, name := range Names(0) {
+	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-name error %q does not mention supported name %q", err, name)
 		}
@@ -238,27 +238,24 @@ func TestFromName(t *testing.T) {
 }
 
 // The registry is the single source of truth: every entry must be
-// constructible in every dimensionality it claims, its capability flags
-// must agree with the behavioural interfaces (DiagonalFoldable), and the
-// dimensionality-restriction error must name what is supported.
+// constructible, and its capability flags must agree with the behavioural
+// interfaces (DiagonalFoldable).
 func TestRegistryCapabilities(t *testing.T) {
 	op := testOperator(t, 6, 6, 1, 16)
-	if len(Specs()) != len(Names(0)) {
-		t.Fatalf("Specs()/Names() disagree: %d vs %d", len(Specs()), len(Names(0)))
+	if len(Specs()) != len(Names()) {
+		t.Fatalf("Specs()/Names() disagree: %d vs %d", len(Specs()), len(Names()))
 	}
 	for _, s := range Specs() {
 		if !s.CommFree {
 			t.Errorf("%s: every registered preconditioner must be comm-free (§IV-C1)", s.Name)
 		}
-		if s.Dims2 {
-			m, err := FromName(s.Name, par.Serial, op)
-			if err != nil {
-				t.Errorf("%s claims Dims2 but FromName failed: %v", s.Name, err)
-				continue
-			}
-			if _, foldable := FoldableDiag(m); foldable != s.Foldable {
-				t.Errorf("%s: registry Foldable=%v but FoldableDiag says %v", s.Name, s.Foldable, foldable)
-			}
+		m, err := FromName(s.Name, par.Serial, op)
+		if err != nil {
+			t.Errorf("%s: FromName failed: %v", s.Name, err)
+			continue
+		}
+		if _, foldable := FoldableDiag(m); foldable != s.Foldable {
+			t.Errorf("%s: registry Foldable=%v but FoldableDiag says %v", s.Name, s.Foldable, foldable)
 		}
 	}
 	if _, ok := Lookup(""); !ok {
@@ -266,20 +263,5 @@ func TestRegistryCapabilities(t *testing.T) {
 	}
 	if s, ok := Lookup("jac_block"); !ok || s.DeepHalo {
 		t.Error("jac_block must be registered as deep-halo incompatible")
-	}
-	// The dimensionality-restriction error path: a synthetic spec check
-	// through lookupFor, so the message shape stays pinned even while every
-	// real entry supports both dimensionalities.
-	saved := registry
-	registry = append(append([]Spec(nil), registry...),
-		Spec{Name: "test_2donly", Summary: "synthetic", Dims2: true, CommFree: true})
-	defer func() { registry = saved }()
-	_, err := lookupFor("test_2donly", 3)
-	if err == nil {
-		t.Fatal("2D-only entry must be rejected on the 3D path")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "3D") || !strings.Contains(msg, "jac_diag") {
-		t.Errorf("dimensionality-restriction error %q must state the restriction and enumerate the supported names", msg)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 func TestPaintBackgroundOnly(t *testing.T) {
-	g := grid.MustGrid2D(8, 8, 1, 0, 10, 0, 10)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(8, 8, 1, 1, 0, 10, 0, 10, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	states := []deck.State{{Index: 1, Density: 5, Energy: 0.5}}
 	if err := Paint(states, den, en); err != nil {
 		t.Fatal(err)
@@ -26,9 +26,9 @@ func TestPaintBackgroundOnly(t *testing.T) {
 }
 
 func TestPaintValidation(t *testing.T) {
-	g := grid.MustGrid2D(4, 4, 1, 0, 1, 0, 1)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(4, 4, 1, 1, 0, 1, 0, 1, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	if err := Paint(nil, den, en); err == nil {
 		t.Error("no states must error")
 	}
@@ -39,9 +39,9 @@ func TestPaintValidation(t *testing.T) {
 }
 
 func TestPaintRectangle(t *testing.T) {
-	g := grid.MustGrid2D(10, 10, 1, 0, 10, 0, 10)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(10, 10, 1, 1, 0, 10, 0, 10, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	states := []deck.State{
 		{Index: 1, Density: 1, Energy: 0},
 		{Index: 2, Density: 9, Energy: 2, Geometry: deck.GeomRectangle,
@@ -65,9 +65,9 @@ func TestPaintRectangle(t *testing.T) {
 }
 
 func TestPaintCircle(t *testing.T) {
-	g := grid.MustGrid2D(20, 20, 1, 0, 10, 0, 10)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(20, 20, 1, 1, 0, 10, 0, 10, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	states := []deck.State{
 		{Index: 1, Density: 1, Energy: 0},
 		{Index: 2, Density: 3, Energy: 1, Geometry: deck.GeomCircle, CX: 5, CY: 5, Radius: 2},
@@ -98,9 +98,9 @@ func TestPaintCircle(t *testing.T) {
 }
 
 func TestPaintPoint(t *testing.T) {
-	g := grid.MustGrid2D(10, 10, 1, 0, 10, 0, 10)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(10, 10, 1, 1, 0, 10, 0, 10, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	states := []deck.State{
 		{Index: 1, Density: 1, Energy: 0},
 		{Index: 2, Density: 7, Energy: 1, Geometry: deck.GeomPoint, CX: 3.7, CY: 8.2},
@@ -125,9 +125,9 @@ func TestPaintPoint(t *testing.T) {
 }
 
 func TestPaintLaterStatesOverwrite(t *testing.T) {
-	g := grid.MustGrid2D(10, 10, 1, 0, 10, 0, 10)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(10, 10, 1, 1, 0, 10, 0, 10, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	states := []deck.State{
 		{Index: 1, Density: 1, Energy: 0},
 		{Index: 2, Density: 2, Energy: 1, Geometry: deck.GeomRectangle, XMin: 0, XMax: 10, YMin: 0, YMax: 10},
@@ -148,9 +148,9 @@ func TestPaintSubGridMatchesGlobal(t *testing.T) {
 	// Painting a sub-grid must produce exactly the global painting
 	// restricted to the extent — the distributed initialisation path.
 	d := CrookedPipeDeck(40, 40)
-	gg := grid.MustGrid2D(40, 40, 2, d.XMin, d.XMax, d.YMin, d.YMax)
-	gden := grid.NewField2D(gg)
-	gen := grid.NewField2D(gg)
+	gg := grid.MustGrid(40, 40, 1, 2, d.XMin, d.XMax, d.YMin, d.YMax, 0, 1)
+	gden := grid.NewField(gg)
+	gen := grid.NewField(gg)
 	if err := Paint(d.States, gden, gen); err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestPaintSubGridMatchesGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sden := grid.NewField2D(sub)
-	sen := grid.NewField2D(sub)
+	sden := grid.NewField(sub)
+	sen := grid.NewField(sub)
 	if err := Paint(d.States, sden, sen); err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestPaintSubGridMatchesGlobal(t *testing.T) {
 }
 
 func TestEnergyToURoundTrip(t *testing.T) {
-	g := grid.MustGrid2D(6, 6, 1, 0, 1, 0, 1)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
-	u := grid.NewField2D(g)
-	out := grid.NewField2D(g)
+	g := grid.MustGrid(6, 6, 1, 1, 0, 1, 0, 1, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
+	u := grid.NewField(g)
+	out := grid.NewField(g)
 	for k := 0; k < 6; k++ {
 		for j := 0; j < 6; j++ {
 			den.Set(j, k, float64(j+1))
@@ -208,9 +208,9 @@ func TestCrookedPipeDeckStructure(t *testing.T) {
 	if d.Coefficient != "density" {
 		t.Error("crooked pipe uses TeaLeaf's density mode (face coefficient ∝ 1/ρ: low-density pipe conducts)")
 	}
-	g := grid.MustGrid2D(100, 100, 2, d.XMin, d.XMax, d.YMin, d.YMax)
-	den := grid.NewField2D(g)
-	en := grid.NewField2D(g)
+	g := grid.MustGrid(100, 100, 1, 2, d.XMin, d.XMax, d.YMin, d.YMax, 0, 1)
+	den := grid.NewField(g)
+	en := grid.NewField(g)
 	if err := Paint(d.States, den, en); err != nil {
 		t.Fatal(err)
 	}

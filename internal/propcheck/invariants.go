@@ -56,8 +56,8 @@ func legTol(floor, mult float64, d *deck.Deck, base *runOut) float64 {
 // 3D), the internal energy before and after stepping, and the total
 // outer-iteration count.
 type runOut struct {
-	e2       *grid.Field2D
-	e3       *grid.Field3D
+	e2       *grid.Field
+	e3       *grid.Field
 	ie0, ie1 float64
 	iters    int
 }
@@ -88,7 +88,7 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 		defer pool.Close()
 	}
 	if d.Dims == 3 {
-		inst, err := core.NewSerial3D(d, pool)
+		inst, err := core.NewSerial(d, pool)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", leg, err)
 		}
@@ -134,13 +134,13 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 // backend with one worker per rank, returning the gathered global field.
 func (h *harness) runDist(d *deck.Deck, leg string, px, py, pz int, backend core.Backend) (*runOut, error) {
 	if d.Dims == 3 {
-		res, err := core.RunDistributed3D(d, px, py, pz, d.Steps(), 1, core.WithBackend(backend))
+		res, err := core.RunDistributed(d, px, py, pz, d.Steps(), 1, core.WithBackend(backend))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", leg, err)
 		}
 		return &runOut{e3: res.Energy, ie1: res.Summary.InternalEnergy, iters: res.Summary.TotalIterations}, nil
 	}
-	res, err := core.RunDistributed(d, px, py, d.Steps(), 1, core.WithBackend(backend))
+	res, err := core.RunDistributed(d, px, py, 1, d.Steps(), 1, core.WithBackend(backend))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", leg, err)
 	}
@@ -179,7 +179,7 @@ func maxAbs(o *runOut) float64 {
 		for k := 0; k < g.NZ; k++ {
 			for j := 0; j < g.NY; j++ {
 				for i := 0; i < g.NX; i++ {
-					if v := math.Abs(o.e3.At(i, j, k)); v > m {
+					if v := math.Abs(o.e3.Cell(i, j, k)); v > m {
 						m = v
 					}
 				}
@@ -215,7 +215,7 @@ func bitDiff(a, b *runOut) (cells int, worst float64) {
 		for k := 0; k < g.NZ; k++ {
 			for j := 0; j < g.NY; j++ {
 				for i := 0; i < g.NX; i++ {
-					if va, vb := a.e3.At(i, j, k), b.e3.At(i, j, k); va != vb {
+					if va, vb := a.e3.Cell(i, j, k), b.e3.Cell(i, j, k); va != vb {
 						cells++
 						if d := math.Abs(va - vb); d > worst {
 							worst = d
@@ -288,7 +288,7 @@ func checkFinite(h *harness) error {
 		for k := 0; k < g.NZ; k++ {
 			for j := 0; j < g.NY; j++ {
 				for i := 0; i < g.NX; i++ {
-					scan(base.e3.At(i, j, k))
+					scan(base.e3.Cell(i, j, k))
 				}
 			}
 		}

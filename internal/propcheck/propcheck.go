@@ -47,7 +47,7 @@ import (
 // "tiled-w4", "halo1", "halo2", "halo3". Perturbing one leg simulates a
 // kernel bug confined to that configuration; tests use it to demonstrate
 // detection and shrinking without actually breaking a kernel.
-type TamperFunc func(leg string, energy *grid.Field2D)
+type TamperFunc func(leg string, energy *grid.Field)
 
 // Config controls a fuzzing run.
 type Config struct {

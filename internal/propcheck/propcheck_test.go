@@ -102,7 +102,7 @@ func tamperDeck(t *testing.T) *deck.Deck {
 // fails.
 func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
 	cfg := Config{
-		Tamper: func(leg string, energy *grid.Field2D) {
+		Tamper: func(leg string, energy *grid.Field) {
 			if leg != "tiled-w2" {
 				return
 			}
@@ -155,7 +155,7 @@ func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
 // re-summarised internal energy exposes it as a conservation violation.
 func TestTamperedBaseTripsConservation(t *testing.T) {
 	cfg := Config{
-		Tamper: func(leg string, energy *grid.Field2D) {
+		Tamper: func(leg string, energy *grid.Field) {
 			if leg != "base" {
 				return
 			}

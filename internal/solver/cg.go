@@ -1,7 +1,5 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolveCG runs (preconditioned) conjugate gradients. With the default
 // identity preconditioner this is the paper's baseline "CG - 1"
 // configuration. The default engine (EngineFused) restructures the
@@ -19,14 +17,13 @@ import "tealeaf/internal/grid"
 // The projection is fully distributed and costs one extra reduction
 // round per iteration on every engine.
 //
-// The iteration body itself lives in loops.go (runCGCore) and is shared
-// verbatim with SolveCG3D.
+// The iteration body itself lives in loops.go (runCGCore), and runs on
+// flat and 3D grids alike.
 func SolveCG(p Problem, o Options) (Result, error) {
 	o = o.withDefaults()
 	if err := o.validate(p); err != nil {
 		return Result{}, err
 	}
-	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
-	res, _, err := runCGCore(e, o.MaxIters, o.Tol)
+	res, _, err := runCGCore(newEngine(p, o), o.MaxIters, o.Tol)
 	return res, err
 }

@@ -12,29 +12,29 @@ import (
 	"tealeaf/internal/stencil"
 )
 
-func buildProblem3D(t *testing.T, n int, seed int64) Problem3D {
+func buildProblem3D(t *testing.T, n int, seed int64) Problem {
 	t.Helper()
 	return buildProblem3DHalo(t, n, seed, 1)
 }
 
-func buildProblem3DHalo(t *testing.T, n int, seed int64, halo int) Problem3D {
+func buildProblem3DHalo(t *testing.T, n int, seed int64, halo int) Problem {
 	t.Helper()
-	g := grid.UnitGrid3D(n, n, n, halo)
-	den := grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, halo)
+	den := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				den.Set(i, j, k, 0.5+rng.Float64()*4)
+				den.SetCell(i, j, k, 0.5+rng.Float64()*4)
 			}
 		}
 	}
 	den.ReflectHalos(halo)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 0.02, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.02, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField3D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
@@ -42,16 +42,16 @@ func buildProblem3DHalo(t *testing.T, n int, seed int64, halo int) Problem3D {
 				if i < n/2 && j < n/2 && k < n/2 {
 					v = 5
 				}
-				rhs.Set(i, j, k, v)
+				rhs.SetCell(i, j, k, v)
 			}
 		}
 	}
-	return Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
 func TestSolveCG3DConverges(t *testing.T) {
 	p := buildProblem3D(t, 12, 1)
-	res, err := SolveCG3D(p, Options{Tol: 1e-10})
+	res, err := SolveCG(p, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +60,15 @@ func TestSolveCG3DConverges(t *testing.T) {
 	}
 	// Verify the true residual.
 	g := p.Op.Grid
-	r := grid.NewField3D(g)
+	r := grid.NewField(g)
 	p.U.ReflectHalos(1)
 	p.Op.Residual(par.Serial, g.Interior(), p.U, p.RHS, r)
 	var rr, bb float64
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
 			for i := 0; i < g.NX; i++ {
-				rr += r.At(i, j, k) * r.At(i, j, k)
-				bb += p.RHS.At(i, j, k) * p.RHS.At(i, j, k)
+				rr += r.Cell(i, j, k) * r.Cell(i, j, k)
+				bb += p.RHS.Cell(i, j, k) * p.RHS.Cell(i, j, k)
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func TestSolveCG3DConverges(t *testing.T) {
 }
 
 func TestSolveCG3DValidation(t *testing.T) {
-	if _, err := SolveCG3D(Problem3D{}, Options{}); err == nil {
+	if _, err := SolveCG(Problem{}, Options{}); err == nil {
 		t.Error("empty 3D problem must error")
 	}
 }
@@ -87,7 +87,7 @@ func TestSolveCG3DZeroRHS(t *testing.T) {
 	p := buildProblem3D(t, 6, 2)
 	p.RHS.Fill(0)
 	p.U.Fill(0)
-	res, err := SolveCG3D(p, Options{})
+	res, err := SolveCG(p, Options{})
 	if err != nil || !res.Converged || res.Iterations != 0 {
 		t.Errorf("zero RHS: %v %+v", err, res)
 	}
@@ -100,20 +100,20 @@ func TestSolveCG3DPreservesConstant(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		for j := 0; j < 8; j++ {
 			for i := 0; i < 8; i++ {
-				p.RHS.Set(i, j, k, 1)
+				p.RHS.SetCell(i, j, k, 1)
 			}
 		}
 	}
 	p.U.CopyFrom(p.RHS)
-	res, err := SolveCG3D(p, Options{Tol: 1e-12})
+	res, err := SolveCG(p, Options{Tol: 1e-12})
 	if err != nil || !res.Converged {
 		t.Fatalf("%v %+v", err, res)
 	}
 	for k := 0; k < 8; k++ {
 		for j := 0; j < 8; j++ {
 			for i := 0; i < 8; i++ {
-				if math.Abs(p.U.At(i, j, k)-1) > 1e-10 {
-					t.Fatalf("u(%d,%d,%d) = %v, want 1", i, j, k, p.U.At(i, j, k))
+				if math.Abs(p.U.Cell(i, j, k)-1) > 1e-10 {
+					t.Fatalf("u(%d,%d,%d) = %v, want 1", i, j, k, p.U.Cell(i, j, k))
 				}
 			}
 		}
@@ -124,7 +124,7 @@ func TestSolveCG3DIterationsGrowWithMesh(t *testing.T) {
 	var prev int
 	for _, n := range []int{8, 16} {
 		p := buildProblem3D(t, n, 4)
-		res, err := SolveCG3D(p, Options{Tol: 1e-10})
+		res, err := SolveCG(p, Options{Tol: 1e-10})
 		if err != nil || !res.Converged {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -140,11 +140,11 @@ func TestFusedMatchesUnfusedCG3D(t *testing.T) {
 		pool := par.NewPool(workers).WithGrain(1)
 		pf := buildProblem3D(t, 14, 66)
 		pu := buildProblem3D(t, 14, 66)
-		resF, err := SolveCG3D(pf, Options{Tol: 1e-10, Pool: pool})
+		resF, err := SolveCG(pf, Options{Tol: 1e-10, Pool: pool})
 		if err != nil || !resF.Converged {
 			t.Fatalf("w%d fused: %v (converged=%v)", workers, err, resF.Converged)
 		}
-		resU, err := SolveCG3D(pu, Options{Tol: 1e-10, Pool: pool, Engine: EngineClassic})
+		resU, err := SolveCG(pu, Options{Tol: 1e-10, Pool: pool, Engine: EngineClassic})
 		if err != nil || !resU.Converged {
 			t.Fatalf("w%d unfused: %v", workers, err)
 		}
@@ -163,13 +163,13 @@ func TestFusedMatchesUnfusedCG3D(t *testing.T) {
 func TestSolveCG3DJacobiPreconditioned(t *testing.T) {
 	pf := buildProblem3DHalo(t, 12, 7, 2)
 	pu := buildProblem3DHalo(t, 12, 7, 2)
-	mf := precond.NewJacobi3D(par.Serial, pf.Op)
-	mu := precond.NewJacobi3D(par.Serial, pu.Op)
-	resF, err := SolveCG3D(pf, Options{Tol: 1e-10, Precond3D: mf})
+	mf := precond.NewJacobi(par.Serial, pf.Op)
+	mu := precond.NewJacobi(par.Serial, pu.Op)
+	resF, err := SolveCG(pf, Options{Tol: 1e-10, Precond: mf})
 	if err != nil || !resF.Converged {
 		t.Fatalf("fused jacobi: %v %+v", err, resF)
 	}
-	resU, err := SolveCG3D(pu, Options{Tol: 1e-10, Precond3D: mu, Engine: EngineClassic})
+	resU, err := SolveCG(pu, Options{Tol: 1e-10, Precond: mu, Engine: EngineClassic})
 	if err != nil || !resU.Converged {
 		t.Fatalf("unfused jacobi: %v", err)
 	}
@@ -185,10 +185,10 @@ func TestSolveCG3DJacobiPreconditioned(t *testing.T) {
 // startup — not the old silent {FinalResidual: 1, err: nil} return that
 // was indistinguishable from divergence.
 func TestSolveCG3DStartupBreakdownIsExplicit(t *testing.T) {
-	g := grid.UnitGrid3D(6, 6, 6, 1)
-	op := &stencil.Operator3D{
+	g := grid.UnitGrid(6, 6, 6, 1)
+	op := &stencil.Operator{
 		Grid: g,
-		Kx:   grid.NewField3D(g), Ky: grid.NewField3D(g), Kz: grid.NewField3D(g),
+		Kx:   grid.NewField(g), Ky: grid.NewField(g), Kz: grid.NewField(g),
 	}
 	// Large negative couplings keep row sums at one but make the diagonal
 	// negative; on an odd-even oscillating residual the quadratic form
@@ -196,7 +196,7 @@ func TestSolveCG3DStartupBreakdownIsExplicit(t *testing.T) {
 	op.Kx.Fill(-5)
 	op.Ky.Fill(-5)
 	op.Kz.Fill(-5)
-	rhs := grid.NewField3D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < 6; k++ {
 		for j := 0; j < 6; j++ {
 			for i := 0; i < 6; i++ {
@@ -204,12 +204,12 @@ func TestSolveCG3DStartupBreakdownIsExplicit(t *testing.T) {
 				if (i+j+k)%2 == 1 {
 					v = -1
 				}
-				rhs.Set(i, j, k, v)
+				rhs.SetCell(i, j, k, v)
 			}
 		}
 	}
-	p := Problem3D{Op: op, U: grid.NewField3D(g), RHS: rhs}
-	res, err := SolveCG3D(p, Options{Tol: 1e-10, MaxIters: 10})
+	p := Problem{Op: op, U: grid.NewField(g), RHS: rhs}
+	res, err := SolveCG(p, Options{Tol: 1e-10, MaxIters: 10})
 	if err == nil {
 		t.Fatal("indefinite operator must return an error")
 	}
@@ -229,7 +229,7 @@ func TestSolveCheby3DConverges(t *testing.T) {
 	// Chebyshev needs a λmax estimate from the full spectrum: too few
 	// bootstrap iterations underestimate it and the iteration diverges
 	// (the same sensitivity eigen.EstimateFromCG documents for 2D).
-	res, err := SolveCheby3D(p, Options{Tol: 1e-9, EigenCGIters: 25})
+	res, err := SolveChebyshev(p, Options{Tol: 1e-9, EigenCGIters: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +244,8 @@ func TestSolveCheby3DConverges(t *testing.T) {
 func TestSolvePPCG3DConverges(t *testing.T) {
 	for _, depth := range []int{1, 2} {
 		p := buildProblem3DHalo(t, 12, 10, 2)
-		m := precond.NewJacobi3D(par.Serial, p.Op)
-		res, err := SolvePPCG3D(p, Options{Tol: 1e-10, EigenCGIters: 10, InnerSteps: 4, HaloDepth: depth, Precond3D: m})
+		m := precond.NewJacobi(par.Serial, p.Op)
+		res, err := SolvePPCG(p, Options{Tol: 1e-10, EigenCGIters: 10, InnerSteps: 4, HaloDepth: depth, Precond: m})
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -260,16 +260,16 @@ func TestSolvePPCG3DConverges(t *testing.T) {
 
 func TestSolve3DDispatch(t *testing.T) {
 	p := buildProblem3D(t, 8, 11)
-	res, err := Solve3D(KindJacobi, p, Options{Tol: 1e-9, MaxIters: 50000})
+	res, err := Solve(KindJacobi, p, Options{Tol: 1e-9, MaxIters: 50000})
 	if err != nil || !res.Converged {
 		t.Errorf("dispatch jacobi: %v %+v", err, res)
 	}
 	p = buildProblem3D(t, 8, 11)
-	res, err = Solve3D(KindCG, p, Options{Tol: 1e-9})
+	res, err = Solve(KindCG, p, Options{Tol: 1e-9})
 	if err != nil || !res.Converged {
 		t.Errorf("dispatch cg: %v", err)
 	}
-	if _, err := Solve3D(Kind("nope"), p, Options{}); err == nil {
+	if _, err := Solve(Kind("nope"), p, Options{}); err == nil {
 		t.Error("unknown kind must error")
 	}
 }
@@ -280,10 +280,10 @@ func TestSolve3DDispatch(t *testing.T) {
 func TestSolveJacobi3DMatchesCG(t *testing.T) {
 	a := buildProblem3D(t, 10, 7)
 	b := buildProblem3D(t, 10, 7)
-	if _, err := SolveCG3D(a, Options{Tol: 1e-12}); err != nil {
+	if _, err := SolveCG(a, Options{Tol: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveJacobi3D(b, Options{Tol: 1e-12, MaxIters: 200000})
+	res, err := SolveJacobi(b, Options{Tol: 1e-12, MaxIters: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolveChebyshev runs the stand-alone Chebyshev iteration: EigenCGIters
 // of CG estimate the extremal eigenvalues (§III-D), then the main loop
 //
@@ -12,7 +10,7 @@ import "tealeaf/internal/grid"
 // profile is why Chebyshev (and its use as the CPPCG preconditioner)
 // scales so well. A residual-growth guard re-bootstraps automatically
 // when the eigenvalue estimate proves divergent; see solveChebyCore in
-// loops.go, which this constructor shares verbatim with SolveCheby3D.
+// loops.go.
 func SolveChebyshev(p Problem, o Options) (Result, error) {
 	o = o.withDefaults()
 	if err := o.validate(p); err != nil {
@@ -21,5 +19,5 @@ func SolveChebyshev(p Problem, o Options) (Result, error) {
 	if err := o.requireNoDeflation(KindCheby); err != nil {
 		return Result{}, err
 	}
-	return solveChebyCore(newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS))
+	return solveChebyCore(newEngine(p, o))
 }

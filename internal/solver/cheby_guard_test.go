@@ -18,15 +18,15 @@ import (
 
 func smoothProblem2D(t *testing.T, n int) Problem {
 	t.Helper()
-	g := grid.UnitGrid2D(n, n, 2)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(n, n, 1, 2)
+	den := grid.NewField(g)
 	den.Fill(1)
 	den.ReflectHalos(2)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.5, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.5, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			x := (float64(j) + 0.5) / float64(n)
@@ -37,28 +37,28 @@ func smoothProblem2D(t *testing.T, n int) Problem {
 	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
-func smoothProblem3D(t *testing.T, n int) Problem3D {
+func smoothProblem3D(t *testing.T, n int) Problem {
 	t.Helper()
-	g := grid.UnitGrid3D(n, n, n, 2)
-	den := grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, 2)
+	den := grid.NewField(g)
 	den.Fill(1)
 	den.ReflectHalos(2)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 0.5, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.5, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField3D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				x := (float64(i) + 0.5) / float64(n)
 				y := (float64(j) + 0.5) / float64(n)
 				z := (float64(k) + 0.5) / float64(n)
-				rhs.Set(i, j, k, 1+0.5*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)*math.Sin(math.Pi*z))
+				rhs.SetCell(i, j, k, 1+0.5*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)*math.Sin(math.Pi*z))
 			}
 		}
 	}
-	return Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
 // The bootstrap guard regression, 2D: with EigenCGIters well under 20 on
@@ -92,7 +92,7 @@ func TestChebyBootstrapGuard2D(t *testing.T) {
 // bootstrap (EigenCGIters = 25) the guard must stay silent.
 func TestChebyBootstrapGuard3D(t *testing.T) {
 	p := smoothProblem3D(t, 16)
-	res, err := SolveCheby3D(p, Options{Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000})
+	res, err := SolveChebyshev(p, Options{Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChebyBootstrapGuard3D(t *testing.T) {
 	t.Logf("converged in %d iterations after %d re-bootstrap(s)", res.Iterations, res.Rebootstraps)
 
 	healthy := smoothProblem3D(t, 16)
-	res, err = SolveCheby3D(healthy, Options{Tol: 1e-10, EigenCGIters: 25, MaxIters: 2000})
+	res, err = SolveChebyshev(healthy, Options{Tol: 1e-10, EigenCGIters: 25, MaxIters: 2000})
 	if err != nil || !res.Converged {
 		t.Fatalf("healthy bootstrap: %v %+v", err, res)
 	}

@@ -11,7 +11,7 @@ import (
 	"tealeaf/internal/stencil"
 )
 
-func precondJacobi(t *testing.T, op *stencil.Operator2D) precond.Preconditioner {
+func precondJacobi(t *testing.T, op *stencil.Operator) precond.Preconditioner {
 	t.Helper()
 	return precond.NewJacobi(par.Serial, op)
 }
@@ -21,19 +21,19 @@ func precondJacobi(t *testing.T, op *stencil.Operator2D) precond.Preconditioner 
 // outliers and deflation pays (see internal/deflate's package comment).
 func stiffProblem(t *testing.T, n int) Problem {
 	t.Helper()
-	g := grid.MustGrid2D(n, n, 2, 0, 1, 0, 1)
-	den := grid.NewField2D(g)
+	g := grid.MustGrid(n, n, 1, 2, 0, 1, 0, 1, 0, 1)
+	den := grid.NewField(g)
 	den.Fill(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 10.0, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 10.0, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
-	rhs.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4}, 1)
+	rhs := grid.NewField(g)
+	rhs.FillBounds(grid.Bounds{X0: 0, X1: n / 4, Y0: 0, Y1: n / 4, Z0: 0, Z1: 1}, 1)
 	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
-func newDeflation(t *testing.T, op *stencil.Operator2D, blocks, levels int) *deflate.Deflation {
+func newDeflation(t *testing.T, op *stencil.Operator, blocks, levels int) *deflate.Deflation {
 	t.Helper()
 	d, err := deflate.New(par.Serial, nil, op, deflate.Geometry{},
 		deflate.Config{BX: blocks, BY: blocks, Levels: levels})
@@ -91,9 +91,8 @@ func TestDeflationVsPPCGOnStiffProblem(t *testing.T) {
 }
 
 // Deflation's composition rules at the solver layer: CG and PPCG compose
-// (both engines, both dimensionalities), Jacobi and the stand-alone
-// Chebyshev iteration do not, and a projector of the wrong dimensionality
-// is rejected — each with an actionable error.
+// (every engine, flat and 3D grids), Jacobi and the stand-alone
+// Chebyshev iteration do not — each with an actionable error.
 func TestDeflationValidation(t *testing.T) {
 	p := stiffProblem(t, 16)
 	defl := newDeflation(t, p.Op, 4, 1)
@@ -102,13 +101,6 @@ func TestDeflationValidation(t *testing.T) {
 	}
 	if _, err := SolveJacobi(p, Options{Deflation: defl}); err == nil {
 		t.Error("deflation with Jacobi must be rejected")
-	}
-	p3 := buildProblem3D(t, 8, 5)
-	if _, err := SolveCG3D(p3, Options{Deflation: defl}); err == nil {
-		t.Error("a 2D projector on the 3D path must be rejected")
-	}
-	if _, err := SolveJacobi3D(p3, Options{Deflation: defl}); err == nil {
-		t.Error("a 2D projector on the 3D jacobi path must be rejected")
 	}
 	// PPCG now composes: the solve must run and converge.
 	pp := stiffProblem(t, 16)

@@ -29,11 +29,11 @@ func rhsAt3D(i, j, k int) float64 {
 }
 
 // solveSerial2D produces the single-rank baseline for the invariance tests.
-func solveSerial2D(t *testing.T, kind Kind, nx, ny, halo, depth int) (Result, *grid.Field2D) {
+func solveSerial2D(t *testing.T, kind Kind, nx, ny, halo, depth int) (Result, *grid.Field) {
 	t.Helper()
-	g := grid.UnitGrid2D(nx, ny, halo)
-	den := grid.NewField2D(g)
-	rhs := grid.NewField2D(g)
+	g := grid.UnitGrid(nx, ny, 1, halo)
+	den := grid.NewField(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
 			den.Set(j, k, denAt2D(j, k))
@@ -41,7 +41,7 @@ func solveSerial2D(t *testing.T, kind Kind, nx, ny, halo, depth int) (Result, *g
 		}
 	}
 	den.ReflectHalos(halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func TestRankCountInvariance2D(t *testing.T) {
 			}
 			refRes, refU := solveSerial2D(t, kind, nx, ny, halo, depth)
 			for ranks, pxpy := range layouts {
-				part := grid.MustPartition(nx, ny, pxpy[0], pxpy[1])
-				gg := grid.UnitGrid2D(nx, ny, halo)
-				gathered := grid.NewField2D(gg)
+				part := grid.MustPartition(nx, ny, 1, pxpy[0], pxpy[1], 1)
+				gg := grid.UnitGrid(nx, ny, 1, halo)
+				gathered := grid.NewField(gg)
 				iters := make([]int, part.Ranks())
 				err := comm.Run(part, func(c *comm.RankComm) error {
 					ext := part.ExtentOf(c.Rank())
@@ -82,8 +82,8 @@ func TestRankCountInvariance2D(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					den := grid.NewField2D(sub)
-					rhs := grid.NewField2D(sub)
+					den := grid.NewField(sub)
+					rhs := grid.NewField(sub)
 					for k := 0; k < sub.NY; k++ {
 						for j := 0; j < sub.NX; j++ {
 							den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -94,8 +94,8 @@ func TestRankCountInvariance2D(t *testing.T) {
 						return err
 					}
 					phys := c.Physical()
-					op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-						stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+					op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+						grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 					if err != nil {
 						return err
 					}
@@ -111,7 +111,7 @@ func TestRankCountInvariance2D(t *testing.T) {
 						t.Errorf("%s ranks=%d depth=%d rank %d: not converged: %+v", kind, ranks, depth, c.Rank(), res)
 					}
 					iters[c.Rank()] = res.Iterations
-					var dst *grid.Field2D
+					var dst *grid.Field
 					if c.Rank() == 0 {
 						dst = gathered
 					}
@@ -135,27 +135,27 @@ func TestRankCountInvariance2D(t *testing.T) {
 }
 
 // solveSerial3D produces the single-rank 3D baseline.
-func solveSerial3D(t *testing.T, kind Kind, n, halo, depth int) (Result, *grid.Field3D) {
+func solveSerial3D(t *testing.T, kind Kind, n, halo, depth int) (Result, *grid.Field) {
 	t.Helper()
-	g := grid.UnitGrid3D(n, n, n, halo)
-	den := grid.NewField3D(g)
-	rhs := grid.NewField3D(g)
+	g := grid.UnitGrid(n, n, n, halo)
+	den := grid.NewField(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				den.Set(i, j, k, denAt3D(i, j, k))
-				rhs.Set(i, j, k, rhsAt3D(i, j, k))
+				den.SetCell(i, j, k, denAt3D(i, j, k))
+				rhs.SetCell(i, j, k, rhsAt3D(i, j, k))
 			}
 		}
 	}
 	den.ReflectHalos(halo)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-	res, err := Solve3D(kind, p, Options{
-		Tol: 1e-12, Precond3D: precond.NewJacobi3D(par.Serial, op),
+	p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+	res, err := Solve(kind, p, Options{
+		Tol: 1e-12, Precond: precond.NewJacobi(par.Serial, op),
 		EigenCGIters: 10, InnerSteps: 4, HaloDepth: depth,
 	})
 	if err != nil {
@@ -169,46 +169,46 @@ func solveSerial3D(t *testing.T, kind Kind, n, halo, depth int) (Result, *grid.F
 
 // solveDistributed3D runs the distributed 3D solve and returns rank 0's
 // trace, the per-rank iteration counts and the gathered solution.
-func solveDistributed3D(t *testing.T, kind Kind, n, halo, depth, px, py, pz int) ([]int, *grid.Field3D, Result, *comm.RankComm) {
+func solveDistributed3D(t *testing.T, kind Kind, n, halo, depth, px, py, pz int) ([]int, *grid.Field, Result, *comm.RankComm) {
 	t.Helper()
-	part := grid.MustPartition3D(n, n, n, px, py, pz)
-	gg := grid.UnitGrid3D(n, n, n, halo)
-	gathered := grid.NewField3D(gg)
+	part := grid.MustPartition(n, n, n, px, py, pz)
+	gg := grid.UnitGrid(n, n, n, halo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	var rank0Res Result
 	var rank0Comm *comm.RankComm
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+		sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 		if err != nil {
 			return err
 		}
-		den := grid.NewField3D(sub)
-		rhs := grid.NewField3D(sub)
+		den := grid.NewField(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NZ; k++ {
 			for j := 0; j < sub.NY; j++ {
 				for i := 0; i < sub.NX; i++ {
-					den.Set(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					rhs.Set(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					den.SetCell(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					rhs.SetCell(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
 				}
 			}
 		}
-		if err := c.Exchange3D(sub.Halo, den); err != nil {
+		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
-		phys := c.Physical3D()
-		op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
+		phys := c.Physical()
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down,
 				Up: phys.Up, Back: phys.Back, Front: phys.Front})
 		if err != nil {
 			return err
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 		// The density pre-exchange above is test-harness setup; clear it so
 		// the trace holds solver communication only.
 		c.Trace().Reset()
-		res, err := Solve3D(kind, p, Options{
-			Tol: 1e-12, Comm: c, Precond3D: precond.NewJacobi3D(par.Serial, op),
+		res, err := Solve(kind, p, Options{
+			Tol: 1e-12, Comm: c, Precond: precond.NewJacobi(par.Serial, op),
 			EigenCGIters: 10, InnerSteps: 4, HaloDepth: depth,
 		})
 		if err != nil {
@@ -222,11 +222,11 @@ func solveDistributed3D(t *testing.T, kind Kind, n, halo, depth, px, py, pz int)
 			rank0Res = res
 			rank0Comm = c
 		}
-		var dst *grid.Field3D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
-		return c.GatherInterior3D(p.U, dst)
+		return c.GatherInterior(p.U, dst)
 	})
 	if err != nil {
 		t.Fatalf("3D %s %dx%dx%d ranks: %v", kind, px, py, pz, err)

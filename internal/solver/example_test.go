@@ -19,11 +19,11 @@ import (
 func ExampleSolve() {
 	// A 32x32 unit-square grid with a 2-cell halo (enough for the
 	// operator build plus classic depth-1 exchanges).
-	g := grid.UnitGrid2D(32, 32, 2)
+	g := grid.UnitGrid(32, 32, 1, 2)
 
 	// Uniform density, a hot square patch as the right-hand side.
-	den := grid.NewField2D(g)
-	rhs := grid.NewField2D(g)
+	den := grid.NewField(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
 			den.Set(j, k, 1.0)
@@ -38,7 +38,7 @@ func ExampleSolve() {
 
 	// The implicit heat operator A = I + dt·L with conductivity = density
 	// and zero-flux physical boundaries on all four sides.
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		log.Fatal(err)
 	}

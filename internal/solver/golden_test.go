@@ -83,14 +83,14 @@ const (
 	goldenTol  = 1e-10
 )
 
-func goldenOpts(c comm.Communicator, m precond.Preconditioner, m3 precond.Preconditioner3D, fused bool) Options {
+func goldenOpts(c comm.Communicator, m precond.Preconditioner, fused bool) Options {
 	engine := EngineFused
 	if !fused {
 		engine = EngineClassic
 	}
 	return Options{
 		Tol: goldenTol, Comm: c,
-		Precond: m, Precond3D: m3,
+		Precond: m,
 		EigenCGIters: 10, InnerSteps: 4, HaloDepth: 1,
 		Engine: engine,
 	}
@@ -103,8 +103,8 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 	t.Helper()
 	const n = goldenN2D
 	if ranks == 1 {
-		g := grid.UnitGrid2D(n, n, goldenHalo)
-		den, rhs := grid.NewField2D(g), grid.NewField2D(g)
+		g := grid.UnitGrid(n, n, 1, goldenHalo)
+		den, rhs := grid.NewField(g), grid.NewField(g)
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
 				den.Set(j, k, denAt2D(j, k))
@@ -112,12 +112,12 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			}
 		}
 		den.ReflectHalos(goldenHalo)
-		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve(kind, p, goldenOpts(nil, precond.NewJacobi(par.Serial, op), nil, fused))
+		res, err := Solve(kind, p, goldenOpts(nil, precond.NewJacobi(par.Serial, op), fused))
 		if err != nil {
 			t.Fatalf("serial 2D %s: %v", kind, err)
 		}
@@ -127,9 +127,9 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 		return res.Iterations, p.U.Norm2Interior()
 	}
 
-	part := grid.MustPartition(n, n, 2, 2)
-	gg := grid.UnitGrid2D(n, n, goldenHalo)
-	gathered := grid.NewField2D(gg)
+	part := grid.MustPartition(n, n, 1, 2, 2, 1)
+	gg := grid.UnitGrid(n, n, 1, goldenHalo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
@@ -137,7 +137,7 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 		if err != nil {
 			return err
 		}
-		den, rhs := grid.NewField2D(sub), grid.NewField2D(sub)
+		den, rhs := grid.NewField(sub), grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -148,13 +148,13 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			return err
 		}
 		phys := c.Physical()
-		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 		if err != nil {
 			return err
 		}
 		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve(kind, p, goldenOpts(c, precond.NewJacobi(par.Serial, op), nil, fused))
+		res, err := Solve(kind, p, goldenOpts(c, precond.NewJacobi(par.Serial, op), fused))
 		if err != nil {
 			return err
 		}
@@ -162,7 +162,7 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			t.Errorf("2D %s ranks=4 rank %d: not converged: %+v", kind, c.Rank(), res)
 		}
 		iters[c.Rank()] = res.Iterations
-		var dst *grid.Field2D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
@@ -174,13 +174,13 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 	return iters[0], gathered.Norm2Interior()
 }
 
-func norm3D(f *grid.Field3D) float64 {
+func norm3D(f *grid.Field) float64 {
 	g := f.Grid
 	var s float64
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
 			for i := 0; i < g.NX; i++ {
-				v := f.At(i, j, k)
+				v := f.Cell(i, j, k)
 				s += v * v
 			}
 		}
@@ -194,23 +194,23 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 	t.Helper()
 	const n = goldenN3D
 	if ranks == 1 {
-		g := grid.UnitGrid3D(n, n, n, goldenHalo)
-		den, rhs := grid.NewField3D(g), grid.NewField3D(g)
+		g := grid.UnitGrid(n, n, n, goldenHalo)
+		den, rhs := grid.NewField(g), grid.NewField(g)
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
 				for i := 0; i < n; i++ {
-					den.Set(i, j, k, denAt3D(i, j, k))
-					rhs.Set(i, j, k, rhsAt3D(i, j, k))
+					den.SetCell(i, j, k, denAt3D(i, j, k))
+					rhs.SetCell(i, j, k, rhsAt3D(i, j, k))
 				}
 			}
 		}
 		den.ReflectHalos(goldenHalo)
-		op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve3D(kind, p, goldenOpts(nil, nil, precond.NewJacobi3D(par.Serial, op), fused))
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		res, err := Solve(kind, p, goldenOpts(nil, precond.NewJacobi(par.Serial, op), fused))
 		if err != nil {
 			t.Fatalf("serial 3D %s: %v", kind, err)
 		}
@@ -220,37 +220,37 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 		return res.Iterations, norm3D(p.U)
 	}
 
-	part := grid.MustPartition3D(n, n, n, 2, 2, 1)
-	gg := grid.UnitGrid3D(n, n, n, goldenHalo)
-	gathered := grid.NewField3D(gg)
+	part := grid.MustPartition(n, n, n, 2, 2, 1)
+	gg := grid.UnitGrid(n, n, n, goldenHalo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+		sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 		if err != nil {
 			return err
 		}
-		den, rhs := grid.NewField3D(sub), grid.NewField3D(sub)
+		den, rhs := grid.NewField(sub), grid.NewField(sub)
 		for k := 0; k < sub.NZ; k++ {
 			for j := 0; j < sub.NY; j++ {
 				for i := 0; i < sub.NX; i++ {
-					den.Set(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					rhs.Set(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					den.SetCell(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					rhs.SetCell(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
 				}
 			}
 		}
-		if err := c.Exchange3D(sub.Halo, den); err != nil {
+		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
-		phys := c.Physical3D()
-		op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
+		phys := c.Physical()
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down,
 				Up: phys.Up, Back: phys.Back, Front: phys.Front})
 		if err != nil {
 			return err
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve3D(kind, p, goldenOpts(c, nil, precond.NewJacobi3D(par.Serial, op), fused))
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		res, err := Solve(kind, p, goldenOpts(c, precond.NewJacobi(par.Serial, op), fused))
 		if err != nil {
 			return err
 		}
@@ -258,11 +258,11 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			t.Errorf("3D %s ranks=4 rank %d: not converged: %+v", kind, c.Rank(), res)
 		}
 		iters[c.Rank()] = res.Iterations
-		var dst *grid.Field3D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
-		return c.GatherInterior3D(p.U, dst)
+		return c.GatherInterior(p.U, dst)
 	})
 	if err != nil {
 		t.Fatalf("3D %s ranks=4: %v", kind, err)

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"math"
-
-	"tealeaf/internal/grid"
-)
+import "tealeaf/internal/grid"
 
 // SolveJacobi runs the point-Jacobi fixed-point iteration
 //
@@ -13,8 +9,8 @@ import (
 // TeaLeaf's simplest solver. Convergence is monitored the way TeaLeaf
 // does: the global L1 norm of the update Σ|u⁺−u|, relative to the first
 // sweep's value, plus a final true-residual measurement for the Result.
-// The sweep reads the 5-point coefficients directly; SolveJacobi3D is its
-// 7-point twin, so every solver kind runs in both dimensionalities.
+// The sweep is the operator's (stencil.Operator.JacobiSweep), 5-point on
+// a flat grid and 7-point in 3D.
 func SolveJacobi(p Problem, o Options) (Result, error) {
 	o = o.withDefaults()
 	if err := o.validate(p); err != nil {
@@ -23,14 +19,11 @@ func SolveJacobi(p Problem, o Options) (Result, error) {
 	if err := o.requireNoDeflation(KindJacobi); err != nil {
 		return Result{}, err
 	}
-	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
+	e := newEngine(p, o)
 	g := p.Op.Grid
 	in := e.in
 	var result Result
-
-	un := grid.NewField2D(g)
-	kx, ky := p.Op.Kx.Data, p.Op.Ky.Data
-	s := g.Stride()
+	un := grid.NewField(g)
 
 	var err0 float64
 	for it := 0; it < o.MaxIters; it++ {
@@ -40,23 +33,7 @@ func SolveJacobi(p Problem, o Options) (Result, error) {
 		un.CopyFrom(p.U)
 		e.vectorPass(in)
 
-		ud, nd, bd := p.U.Data, un.Data, p.RHS.Data
-		localErr := o.Pool.ForReduce(in.Y0, in.Y1, func(k0, k1 int) float64 {
-			var sum float64
-			for k := k0; k < k1; k++ {
-				base := g.Index(0, k)
-				for j := in.X0; j < in.X1; j++ {
-					i := base + j
-					diag := 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
-					v := (bd[i] +
-						ky[i+s]*nd[i+s] + ky[i]*nd[i-s] +
-						kx[i+1]*nd[i+1] + kx[i]*nd[i-1]) / diag
-					ud[i] = v
-					sum += math.Abs(v - nd[i])
-				}
-			}
-			return sum
-		})
+		localErr := p.Op.JacobiSweep(o.Pool, in, un, p.RHS, p.U)
 		e.tr.AddMatvec(in.Cells())
 		e.tr.AddDot(in.Cells())
 		gerr := e.reduce(localErr)
@@ -77,7 +54,7 @@ func SolveJacobi(p Problem, o Options) (Result, error) {
 	}
 
 	// True relative residual for reporting (one extra matvec + reduction).
-	r := grid.NewField2D(g)
+	r := grid.NewField(g)
 	rr, err := e.initialResidual(p.U, p.RHS, r)
 	if err != nil {
 		return result, err

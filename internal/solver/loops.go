@@ -6,6 +6,9 @@ import (
 
 	"tealeaf/internal/cheby"
 	"tealeaf/internal/eigen"
+	"tealeaf/internal/grid"
+	"tealeaf/internal/halo"
+	"tealeaf/internal/kernels"
 )
 
 // This file holds the one and only implementation of each solver
@@ -15,8 +18,8 @@ import (
 
 // cgState is the live state runCGCore leaves behind so Chebyshev/PPCG can
 // continue from the bootstrap phase without recomputing the residual.
-type cgState[F comparable] struct {
-	r, z, w, pvec F
+type cgState struct {
+	r, z, w, pvec *grid.Field
 	rz, rr, rr0   float64
 	// base is the squared baseline the relative stop test divides by:
 	// rr0 on the plain paths, max(rr0, ‖b‖²) on deflated solves (see
@@ -30,7 +33,7 @@ type cgState[F comparable] struct {
 // multi-pass. All three record the (α, β) scalars and return the final
 // state for solvers that continue the run. Deflated solves run on every
 // engine, at the cost of one extra reduction round per iteration.
-func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGCore(e *engine, maxIters int, tol float64) (Result, *cgState, error) {
 	switch e.plan.Engine {
 	case EnginePipelined:
 		return runCGPipelinedCore(e, maxIters, tol)
@@ -61,7 +64,7 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 // Plain solves keep baseline rr0 whenever they iterate at all, so the
 // historical stop behaviour — and every pinned golden — is preserved
 // bit for bit. Costs one extra reduction round at startup.
-func (e *engine[F, B]) startupBaseSq(deflated bool, rr0, tol float64) (base float64, done bool) {
+func (e *engine) startupBaseSq(deflated bool, rr0, tol float64) (base float64, done bool) {
 	bb := e.dot(e.rhs, e.rhs)
 	if rr0 <= 100*tol*tol*bb {
 		return bb, true
@@ -78,11 +81,11 @@ func (e *engine[F, B]) startupBaseSq(deflated bool, rr0, tol float64) (base floa
 // against rr0. It leaves r holding the corrected residual and u the
 // corrected solution, so continuation solvers (the PPCG outer loop after
 // a deflated bootstrap) resume from a consistent state with Wᵀ·r = 0.
-func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float64, error) {
+func (e *engine) finishDeflated(defl Deflator, r *grid.Field, rr0 float64) (float64, error) {
 	if err := e.exchange(1, e.u); err != nil {
 		return 0, err
 	}
-	e.sys.Residual(e.in, e.u, e.rhs, r)
+	e.sys.op.Residual(e.sys.p, e.in, e.u, e.rhs, r)
 	e.tr.AddMatvec(e.cells)
 	defl.CoarseCorrect(r, e.u)
 	rrTrue, err := e.initialResidual(e.u, e.rhs, r)
@@ -96,14 +99,14 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 // projection replaced w: the fused sweep's δ saw the unprojected matvec,
 // and the Chronopoulos–Gear recurrence needs the curvature of P·A. zd is
 // the M⁻¹r scratch (unused for the identity, where M⁻¹r aliases r).
-func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
+func (e *engine) deflDelta(minv, zd, r, w *grid.Field) float64 {
 	e.tr.AddDot(e.cells)
-	if isZeroF(minv) {
-		return e.sys.Dot(e.in, r, w)
+	if minv == nil {
+		return kernels.Dot(e.sys.p, e.in, r, w)
 	}
 	e.sys.PrecondApply(e.in, r, zd)
 	e.tr.AddPrecond(e.cells)
-	return e.sys.Dot(e.in, zd, w)
+	return kernels.Dot(e.sys.p, e.in, zd, w)
 }
 
 // runCGFusedCore is the Chronopoulos–Gear single-reduction PCG engine
@@ -144,15 +147,15 @@ func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
 // messages, the same latency-for-bandwidth trade the PPCG inner powers
 // schedule makes. Deflated solves join the cycle via ProjectWBounds,
 // which maintains w = P·A·u' on the extended bounds (deepDeflator).
-func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGFusedCore(e *engine, maxIters int, tol float64) (Result, *cgState, error) {
 	sys := e.sys
 	in := e.in
 	minv := e.minv
 	result := Result{Plan: e.plan}
 
-	defl := sys.Deflation()
-	var zd F // deflated-path M⁻¹r scratch (δ must see the projected w)
-	if defl != nil && !isZeroF(minv) {
+	defl := sys.defl
+	var zd *grid.Field // deflated-path M⁻¹r scratch (δ must see the projected w)
+	if defl != nil && minv != nil {
 		zd = sys.NewVec()
 	}
 
@@ -165,13 +168,13 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 	// folded preconditioner it stays zero and the Chebyshev continuation
 	// allocates its own scratch on demand.
 	z := r
-	if !isZeroF(minv) {
-		var zero F
+	if minv != nil {
+		var zero *grid.Field
 		z = zero
 	}
 	base := 0.0 // stop-test baseline, widened from rr0 once it is known
-	mkState := func(gamma, rr, rr0 float64) *cgState[F] {
-		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
+	mkState := func(gamma, rr, rr0 float64) *cgState {
+		return &cgState{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
 	}
 
 	// Startup: r = rhs − A·u, then one fused stencil sweep produces
@@ -179,7 +182,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 	if err := e.exchange(1, e.u); err != nil {
 		return result, nil, err
 	}
-	sys.Residual(in, e.u, e.rhs, r)
+	sys.op.Residual(sys.p, in, e.u, e.rhs, r)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
 		// Initial coarse correction (Wᵀ·r = 0 afterwards, and the
@@ -189,13 +192,13 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 		if err := e.exchange(1, e.u); err != nil {
 			return result, nil, err
 		}
-		sys.Residual(in, e.u, e.rhs, r)
+		sys.op.Residual(sys.p, in, e.u, e.rhs, r)
 		e.tr.AddMatvec(e.cells)
 	}
 	if err := e.exchange(1, r); err != nil {
 		return result, nil, err
 	}
-	gamma, delta, rr0 := sys.ApplyPreDotInit(in, minv, r, w)
+	gamma, delta, rr0 := sys.op.ApplyPreDotInit(sys.p, in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
 		defl.ProjectW(w) // w = P·A·M⁻¹r
@@ -227,7 +230,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 	}
 
 	depth := e.plan.CycleDepth
-	if depth > 1 && !isZeroF(minv) {
+	if depth > 1 && minv != nil {
 		// The folded diagonal is sweep input on the full extended bounds;
 		// it never changes during the solve, so one deep exchange suffices.
 		if err := e.exchange(depth, minv); err != nil {
@@ -257,26 +260,26 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 				// LLC band so each band streams through cache once.
 				gammaNew, rrNew, deltaNew = cs.fusedIter(e, ab, mb, minv, r, w, pvec, svec, alpha, beta)
 			} else {
-				sys.FusedCGDirections(ab, minv, r, w, beta, pvec, svec)
+				kernels.FusedCGDirections(sys.p, ab, minv, r, w, beta, pvec, svec)
 				e.vectorPass(ab)
 				// The x update and the dots are interior-only; r's extended
 				// ring gets the matching r −= α·s separately so the next
 				// matvec reads a consistent r one cell beyond mb.
-				gammaNew, rrNew = sys.FusedCGUpdate(in, alpha, pvec, svec, e.u, r, minv)
+				gammaNew, rrNew = kernels.FusedCGUpdate(sys.p, in, alpha, pvec, svec, e.u, r, minv)
 				for _, rb := range sys.Rings(ab) {
-					sys.Axpy(rb, -alpha, svec, r)
+					kernels.Axpy(sys.p, rb, -alpha, svec, r)
 				}
 				e.vectorPass(ab)
 				deltaNew = e.applyPreDotDeep(mb, minv, r, w)
 			}
 			if defl != nil {
-				defl.(deepDeflator[F, B]).ProjectWBounds(mb, w)
+				defl.(deepDeflator).ProjectWBounds(mb, w)
 				deltaNew = e.deflDelta(minv, zd, r, w)
 			}
 		} else {
-			sys.FusedCGDirections(in, minv, r, w, beta, pvec, svec)
+			kernels.FusedCGDirections(sys.p, in, minv, r, w, beta, pvec, svec)
 			e.vectorPass(in)
-			gammaNew, rrNew = sys.FusedCGUpdate(in, alpha, pvec, svec, e.u, r, minv)
+			gammaNew, rrNew = kernels.FusedCGUpdate(sys.p, in, alpha, pvec, svec, e.u, r, minv)
 			e.vectorPass(in)
 			var err error
 			deltaNew, err = e.applyPreDotX(minv, r, w)
@@ -384,15 +387,15 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], maxIters int, tol floa
 // reads w one cell beyond its bounds and the recurrences that produced
 // that w read the others at the same cell. Dots stay interior-only, so
 // the reduced scalars match depth 1.
-func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState, error) {
 	sys := e.sys
 	in := e.in
 	minv := e.minv
 	result := Result{Plan: e.plan}
 
-	defl := sys.Deflation()
-	var zd F // deflated-path M⁻¹r scratch (startup δ must see the projected w)
-	if defl != nil && !isZeroF(minv) {
+	defl := sys.defl
+	var zd *grid.Field // deflated-path M⁻¹r scratch (startup δ must see the projected w)
+	if defl != nil && minv != nil {
 		zd = sys.NewVec()
 	}
 
@@ -405,13 +408,13 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 	// Like the fused engine, z = M⁻¹r is never materialised; the
 	// continuation state's z aliases r for the identity.
 	z := r
-	if !isZeroF(minv) {
-		var zero F
+	if minv != nil {
+		var zero *grid.Field
 		z = zero
 	}
 	base := 0.0 // stop-test baseline, widened from rr0 once it is known
-	mkState := func(gamma, rr, rr0 float64) *cgState[F] {
-		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
+	mkState := func(gamma, rr, rr0 float64) *cgState {
+		return &cgState{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
 	}
 
 	// Startup: identical to the fused engine — r = rhs − A·u (with the
@@ -422,20 +425,20 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 	if err := e.exchange(1, e.u); err != nil {
 		return result, nil, err
 	}
-	sys.Residual(in, e.u, e.rhs, r)
+	sys.op.Residual(sys.p, in, e.u, e.rhs, r)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
 		defl.CoarseCorrect(r, e.u)
 		if err := e.exchange(1, e.u); err != nil {
 			return result, nil, err
 		}
-		sys.Residual(in, e.u, e.rhs, r)
+		sys.op.Residual(sys.p, in, e.u, e.rhs, r)
 		e.tr.AddMatvec(e.cells)
 	}
 	if err := e.exchange(1, r); err != nil {
 		return result, nil, err
 	}
-	gamma, delta, rr := sys.ApplyPreDotInit(in, minv, r, w)
+	gamma, delta, rr := sys.op.ApplyPreDotInit(sys.p, in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
 		defl.ProjectW(w) // w = P·A·M⁻¹r
@@ -443,7 +446,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 	}
 
 	depth := e.plan.CycleDepth
-	if depth > 1 && !isZeroF(minv) {
+	if depth > 1 && minv != nil {
 		// One-time deep refresh of the folded diagonal (sweep input on the
 		// full extended bounds, constant across the solve).
 		if err := e.exchange(depth, minv); err != nil {
@@ -451,9 +454,9 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 		}
 	}
 	cs := newChainState(e)
-	var sdefl splitDeflator[F, B] // non-nil exactly when cs chains a deflated solve
+	var sdefl splitDeflator // non-nil exactly when cs chains a deflated solve
 	if cs != nil && defl != nil {
-		sdefl = defl.(splitDeflator[F, B])
+		sdefl = defl.(splitDeflator)
 	}
 	// drain completes a chained pass's deferred matvec bands and posted
 	// coarse round before any exit from the loop (no-op unchained).
@@ -464,7 +467,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 	}
 
 	var alpha, gammaOld, rr0 float64
-	var mb B // this pass's matvec bounds (deep path)
+	var mb grid.Bounds // this pass's matvec bounds (deep path)
 	first := true
 	cyc := 0
 	for {
@@ -486,8 +489,8 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 			if cs != nil {
 				cs.pipelinedMatvec(e, mb, minv, w, nvec, sdefl)
 			} else {
-				sys.ApplyPreDot(mb, minv, w, nvec)
-				e.tr.AddMatvec(sys.Cells(mb))
+				sys.op.ApplyPreDot(sys.p, mb, minv, w, nvec)
+				e.tr.AddMatvec(mb.Cells())
 			}
 		} else if _, err := e.applyPreDotX(minv, w, nvec); err != nil {
 			// Drain the posted round before surfacing the error: the other
@@ -562,7 +565,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 			case depth > 1:
 				// n = P·A·M⁻¹w on the extended matvec bounds, strictly after
 				// Finish (the projector's coarse round is a collective).
-				defl.(deepDeflator[F, B]).ProjectWBounds(mb, nvec)
+				defl.(deepDeflator).ProjectWBounds(mb, nvec)
 			default:
 				defl.ProjectW(nvec) // n = P·A·M⁻¹w, strictly after Finish
 			}
@@ -593,18 +596,18 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 			e.vectorPass(mb)
 			continue
 		}
-		gamma, delta, rr = sys.PipelinedCGStep(in, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
+		gamma, delta, rr = kernels.PipelinedCGStep(sys.p, in, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
 		if depth > 1 {
 			// Extend every recurrence except x (a solution cell is owned by
 			// exactly one rank) over the matvec bounds' rings, in the same
 			// order the fused step applies them so old-value reads (s reads
 			// the pre-update w; r, w read the fresh s, z) are preserved.
 			for _, rb := range sys.Rings(mb) {
-				sys.AxpbyPre(rb, beta, pvec, 1, minv, r) // p = u' + β·p
-				sys.Xpay(rb, w, beta, svec)              // s = w + β·s
-				sys.Xpay(rb, nvec, beta, zvec)           // z = n + β·z
-				sys.Axpy(rb, -alpha, svec, r)            // r −= α·s
-				sys.Axpy(rb, -alpha, zvec, w)            // w −= α·z
+				kernels.AxpbyPre(sys.p, rb, beta, pvec, 1, minv, r) // p = u' + β·p
+				kernels.Xpay(sys.p, rb, w, beta, svec)              // s = w + β·s
+				kernels.Xpay(sys.p, rb, nvec, beta, zvec)           // z = n + β·z
+				kernels.Axpy(sys.p, rb, -alpha, svec, r)            // r −= α·s
+				kernels.Axpy(sys.p, rb, -alpha, zvec, w)            // w −= α·z
 			}
 			e.vectorPass(mb)
 		} else {
@@ -635,7 +638,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], maxIters int, tol 
 // deflation-space component of the solution the projected iteration
 // cannot see — the same composition the fused engine applies to its
 // recurrences.
-func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGClassicCore(e *engine, maxIters int, tol float64) (Result, *cgState, error) {
 	sys := e.sys
 	in := e.in
 	result := Result{Plan: e.plan}
@@ -647,7 +650,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	if !sys.PrecondIsIdentity() {
 		z = sys.NewVec()
 	}
-	defl := sys.Deflation()
+	defl := sys.defl
 
 	rr0, err := e.initialResidual(e.u, e.rhs, r)
 	if err != nil {
@@ -665,7 +668,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	}
 	if rr0 == 0 {
 		result.Converged = true
-		return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec}, nil
+		return result, &cgState{r: r, z: z, w: w, pvec: pvec}, nil
 	}
 	base, done := e.startupBaseSq(defl != nil, rr0, tol)
 	if done {
@@ -673,7 +676,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		// precision; iterating would only pump roundoff into it.
 		result.Converged = true
 		result.FinalResidual = relResidual(rr0, base)
-		return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rr: rr0, rr0: rr0, base: base}, nil
+		return result, &cgState{r: r, z: z, w: w, pvec: pvec, rr: rr0, rr0: rr0, base: base}, nil
 	}
 
 	// finish re-measures the true residual after a final coarse
@@ -687,7 +690,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	}
 
 	e.applyPrecond(in, r, z)
-	sys.Copy(in, pvec, z)
+	kernels.Copy(sys.p, in, pvec, z)
 	e.vectorPass(in)
 
 	var rz, rr float64
@@ -724,8 +727,8 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			}
 		}
 		alpha := rz / pw
-		sys.Axpy(in, alpha, pvec, e.u)
-		sys.Axpy(in, -alpha, w, r)
+		kernels.Axpy(sys.p, in, alpha, pvec, e.u)
+		kernels.Axpy(sys.p, in, -alpha, w, r)
 		e.vectorPass(in)
 		e.vectorPass(in)
 
@@ -759,11 +762,11 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			} else {
 				result.Converged = true
 			}
-			return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
+			return result, &cgState{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
 		}
 		result.Betas = append(result.Betas, beta)
 
-		sys.Xpay(in, z, beta, pvec)
+		kernels.Xpay(sys.p, in, z, beta, pvec)
 		e.vectorPass(in)
 	}
 	rel, err := finish(rr)
@@ -771,7 +774,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		return result, nil, err
 	}
 	result.FinalResidual = rel
-	return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
+	return result, &cgState{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
 }
 
 // chebyGuardFactor is the residual-growth threshold of the bootstrap
@@ -803,12 +806,12 @@ const chebyMaxRebootstraps = 3
 // iterations (continuing from the current iterate — CG contracts the
 // inflated modes right back) and rebuilds the schedule from the sharper
 // estimate. Result.Rebootstraps counts the retries.
-func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
+func solveChebyCore(e *engine) (Result, error) {
 	o := e.o
 	sys := e.sys
 	in := e.in
 	result := Result{Plan: e.plan}
-	var zscr F // lazily allocated preconditioner scratch
+	var zscr *grid.Field // lazily allocated preconditioner scratch
 	var rr0 float64
 	bootIters := o.EigenCGIters
 
@@ -876,11 +879,11 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 
 		// --- Chebyshev main loop, continuing from the CG state. ---
 		r, z, w := st.r, st.z, st.w
-		if isZeroF(z) {
+		if z == nil {
 			// The fused CG engine folds diagonal preconditioners and leaves
 			// no z scratch behind; the startup (and the unfused branch
 			// below) still need one.
-			if isZeroF(zscr) {
+			if zscr == nil {
 				zscr = sys.NewVec()
 			}
 			z = zscr
@@ -888,7 +891,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		pvec := st.pvec
 
 		e.applyPrecond(in, r, z)
-		sys.ScaleTo(in, 1/sched.Theta, z, pvec) // p = z/θ
+		kernels.ScaleTo(sys.p, in, 1/sched.Theta, z, pvec) // p = z/θ
 		e.vectorPass(in)
 
 		startRel := relResidual(st.rr, rr0)
@@ -907,20 +910,20 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			if e.plan.Folded {
 				// u += p and r −= A·p share one sweep; the direction update
 				// p = α·p + β·M⁻¹r folds the preconditioner into a second.
-				sys.AxpyAxpy(in, 1, pvec, e.u, -1, w, r)
+				kernels.AxpyAxpy(sys.p, in, 1, pvec, e.u, -1, w, r)
 				e.vectorPass(in)
-				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], e.minv, r)
+				kernels.AxpbyPre(sys.p, in, sched.Alpha[step], pvec, sched.Beta[step], e.minv, r)
 				e.vectorPass(in)
 			} else {
-				sys.Axpy(in, 1, pvec, e.u) // u += p
-				sys.Axpy(in, -1, w, r)     // r -= A·p
+				kernels.Axpy(sys.p, in, 1, pvec, e.u) // u += p
+				kernels.Axpy(sys.p, in, -1, w, r)     // r -= A·p
 				e.vectorPass(in)
 				e.vectorPass(in)
 
 				e.applyPrecond(in, r, z)
 				// p = α·p + β·z (AxpbyPre with the identity).
-				var zero F
-				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], zero, z)
+				var zero *grid.Field
+				kernels.AxpbyPre(sys.p, in, sched.Alpha[step], pvec, sched.Beta[step], zero, z)
 				e.vectorPass(in)
 			}
 
@@ -986,11 +989,11 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // coarse correction recovers the deflated solution component. The
 // bootstrap's eigenvalue estimate then describes the deflated spectrum,
 // which is exactly the interval the polynomial should target.
-func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
+func solvePPCGCore(e *engine) (Result, error) {
 	o := e.o
 	sys := e.sys
 	in := e.in
-	defl := sys.Deflation()
+	defl := sys.defl
 
 	// --- Bootstrap: PCG for eigenvalue estimation (spectrum of M⁻¹A). ---
 	boot, st, err := runCGCore(e, o.EigenCGIters, o.Tol)
@@ -1043,7 +1046,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		return result, err
 	}
 	result.TotalInner += o.InnerSteps
-	sys.Copy(in, pvec, z)
+	kernels.Copy(sys.p, in, pvec, z)
 	e.vectorPass(in)
 
 	rz := e.dot(r, z)
@@ -1073,7 +1076,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			}
 		}
 		alpha := rz / pw
-		sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, w, r)
+		kernels.AxpyAxpy(sys.p, in, alpha, pvec, e.u, -alpha, w, r)
 		e.vectorPass(in)
 
 		if err := inner.apply(r); err != nil {
@@ -1100,7 +1103,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			}
 			return result, nil
 		}
-		sys.Xpay(in, z, beta, pvec)
+		kernels.Xpay(sys.p, in, z, beta, pvec)
 		e.vectorPass(in)
 	}
 	if defl != nil && rr0 > 0 {
@@ -1118,20 +1121,20 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 // innerCore applies the Chebyshev polynomial preconditioner z ≈ B(A)·r
 // via InnerSteps smoothing steps (TeaLeaf's tl_ppcg inner solve), using
 // the matrix-powers schedule for its halo exchanges.
-type innerCore[F comparable, B any] struct {
-	e      *engine[F, B]
+type innerCore struct {
+	e      *engine
 	sched  *cheby.Schedule
-	powers powersSched[B]
-	z      F // output: accumulated correction
-	rtemp  F
-	sd     F
-	zscr   F
-	w      F
+	powers *halo.Schedule
+	z      *grid.Field // output: accumulated correction
+	rtemp  *grid.Field
+	sd     *grid.Field
+	zscr   *grid.Field
+	w      *grid.Field
 }
 
-func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B],
-	z, rtemp, sd, zscr F) *innerCore[F, B] {
-	return &innerCore[F, B]{
+func newInnerCore(e *engine, sched *cheby.Schedule, powers *halo.Schedule,
+	z, rtemp, sd, zscr *grid.Field) *innerCore {
+	return &innerCore{
 		e: e, sched: sched, powers: powers,
 		z: z, rtemp: rtemp, sd: sd, zscr: zscr,
 		w: e.sys.NewVec(),
@@ -1149,33 +1152,33 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 // leaving the polynomial-preconditioned residual in s.z. With the
 // diagonal folded everything after the matvec is one sweep
 // (FusedPPCGInner).
-func (s *innerCore[F, B]) apply(r F) error {
+func (s *innerCore) apply(r *grid.Field) error {
 	e := s.e
 	sys := e.sys
 	in := e.in
 
 	// rtemp starts as a copy of the outer residual; the depth-d exchange
 	// below makes its halo consistent before any extended-bounds work.
-	sys.CopyAll(s.rtemp, r)
+	s.rtemp.CopyFrom(r)
 	e.vectorPass(in)
 
 	if e.plan.Folded {
 		// sd = (M⁻¹rtemp)/θ with the preconditioner folded, then z = sd.
-		sys.AxpbyPre(in, 0, s.sd, 1/s.sched.Theta, e.minv, s.rtemp)
+		kernels.AxpbyPre(sys.p, in, 0, s.sd, 1/s.sched.Theta, e.minv, s.rtemp)
 		e.vectorPass(in)
 	} else {
 		e.applyPrecond(in, s.rtemp, s.zscr)
-		sys.ScaleTo(in, 1/s.sched.Theta, s.zscr, s.sd)
+		kernels.ScaleTo(sys.p, in, 1/s.sched.Theta, s.zscr, s.sd)
 		e.vectorPass(in)
 	}
-	sys.Copy(in, s.z, s.sd)
+	kernels.Copy(sys.p, in, s.z, s.sd)
 	e.vectorPass(in)
 
 	// Force a fresh exchange at the start of every inner solve: rtemp and
 	// sd were rebuilt from the outer residual.
 	needExchange := true
 	for step := 0; step < e.o.InnerSteps; step++ {
-		var b B
+		var b grid.Bounds
 		if !needExchange {
 			var ok bool
 			b, ok = s.powers.Next()
@@ -1201,22 +1204,22 @@ func (s *innerCore[F, B]) apply(r F) error {
 
 		e.matvec(b, s.sd, s.w)
 		if e.plan.Folded {
-			sys.FusedPPCGInner(b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
+			kernels.FusedPPCGInner(sys.p, b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
 				s.w, s.rtemp, e.minv, s.sd, s.z)
 			e.vectorPass(b)
 			continue
 		}
 
-		sys.Axpy(b, -1, s.w, s.rtemp) // rtemp -= A·sd
+		kernels.Axpy(sys.p, b, -1, s.w, s.rtemp) // rtemp -= A·sd
 		e.vectorPass(b)
 
 		e.applyPrecond(b, s.rtemp, s.zscr)
 		// sd = α·sd + β·zscr (AxpbyPre with the identity).
-		var zero F
-		sys.AxpbyPre(b, s.sched.Alpha[step2], s.sd, s.sched.Beta[step2], zero, s.zscr)
+		var zero *grid.Field
+		kernels.AxpbyPre(sys.p, b, s.sched.Alpha[step2], s.sd, s.sched.Beta[step2], zero, s.zscr)
 		e.vectorPass(b)
 
-		sys.Axpy(in, 1, s.sd, s.z) // z += sd (interior)
+		kernels.Axpy(sys.p, in, 1, s.sd, s.z) // z += sd (interior)
 		e.vectorPass(in)
 	}
 	return nil

@@ -25,7 +25,7 @@ type faultComm struct {
 	finished  int
 }
 
-func (f *faultComm) Exchange(depth int, fields ...*grid.Field2D) error {
+func (f *faultComm) Exchange(depth int, fields ...*grid.Field) error {
 	f.exchanges++
 	if f.exchanges > f.failAfter {
 		return fmt.Errorf("injected exchange failure on call %d", f.exchanges)

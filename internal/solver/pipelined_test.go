@@ -48,7 +48,7 @@ func TestPipelinedCGMatchesFusedSerial(t *testing.T) {
 		if err != nil || !res.Converged {
 			t.Fatalf("%s pipelined: %v %+v", precondName, err, res)
 		}
-		for name, refU := range map[string]*grid.Field2D{"fused": ref.U, "classic": classic.U} {
+		for name, refU := range map[string]*grid.Field{"fused": ref.U, "classic": classic.U} {
 			if d := p.U.MaxDiff(refU); d > 1e-10 {
 				t.Errorf("%s pipelined solution differs from %s by %v", precondName, name, d)
 			}
@@ -62,26 +62,26 @@ func TestPipelinedCGMatchesFusedSerial(t *testing.T) {
 
 func TestPipelinedCG3DMatchesFused(t *testing.T) {
 	refRes, refU := solveSerial3D(t, KindCG, 12, 2, 1)
-	g := grid.UnitGrid3D(12, 12, 12, 2)
-	den := grid.NewField3D(g)
-	rhs := grid.NewField3D(g)
+	g := grid.UnitGrid(12, 12, 12, 2)
+	den := grid.NewField(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < 12; k++ {
 		for j := 0; j < 12; j++ {
 			for i := 0; i < 12; i++ {
-				den.Set(i, j, k, denAt3D(i, j, k))
-				rhs.Set(i, j, k, rhsAt3D(i, j, k))
+				den.SetCell(i, j, k, denAt3D(i, j, k))
+				rhs.SetCell(i, j, k, rhsAt3D(i, j, k))
 			}
 		}
 	}
 	den.ReflectHalos(2)
-	op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-	res, err := SolveCG3D(p, Options{
+	p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+	res, err := SolveCG(p, Options{
 		Tol: 1e-12, Engine: EnginePipelined,
-		Precond3D: precond.NewJacobi3D(par.Serial, op),
+		Precond: precond.NewJacobi(par.Serial, op),
 	})
 	if err != nil || !res.Converged {
 		t.Fatalf("%v %+v", err, res)
@@ -205,15 +205,15 @@ func TestPipelinedDeflatedMatchesFused(t *testing.T) {
 // solvePipelinedRank2D builds the rank-local problem on c's extent and
 // solves it with the pipelined engine, gathering into dst on rank 0.
 func solvePipelinedRank2D(t *testing.T, c comm.Communicator, part *grid.Partition,
-	gg *grid.Grid2D, precondName string, iters []int, dst *grid.Field2D) error {
+	gg *grid.Grid, precondName string, iters []int, dst *grid.Field) error {
 	t.Helper()
 	ext := part.ExtentOf(c.Rank())
 	sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
 	if err != nil {
 		return err
 	}
-	den := grid.NewField2D(sub)
-	rhs := grid.NewField2D(sub)
+	den := grid.NewField(sub)
+	rhs := grid.NewField(sub)
 	for k := 0; k < sub.NY; k++ {
 		for j := 0; j < sub.NX; j++ {
 			den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -224,8 +224,8 @@ func solvePipelinedRank2D(t *testing.T, c comm.Communicator, part *grid.Partitio
 		return err
 	}
 	phys := c.Physical()
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-		stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+		grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 	if err != nil {
 		return err
 	}
@@ -243,14 +243,14 @@ func solvePipelinedRank2D(t *testing.T, c comm.Communicator, part *grid.Partitio
 	}
 	iters[c.Rank()] = res.Iterations
 	if rc, ok := c.(*comm.RankComm); ok {
-		var d *grid.Field2D
+		var d *grid.Field
 		if c.Rank() == 0 {
 			d = dst
 		}
 		return rc.GatherInterior(p.U, d)
 	}
 	if tc, ok := c.(*comm.TCP); ok {
-		var d *grid.Field2D
+		var d *grid.Field
 		if c.Rank() == 0 {
 			d = dst
 		}
@@ -262,11 +262,11 @@ func solvePipelinedRank2D(t *testing.T, c comm.Communicator, part *grid.Partitio
 
 // serialFused2DBaseline is the single-rank fused-engine golden solution
 // on the shared deterministic fields.
-func serialFused2DBaseline(t *testing.T, nx, ny, halo int, precondName string) (Result, *grid.Field2D) {
+func serialFused2DBaseline(t *testing.T, nx, ny, halo int, precondName string) (Result, *grid.Field) {
 	t.Helper()
-	g := grid.UnitGrid2D(nx, ny, halo)
-	den := grid.NewField2D(g)
-	rhs := grid.NewField2D(g)
+	g := grid.UnitGrid(nx, ny, 1, halo)
+	den := grid.NewField(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
 			den.Set(j, k, denAt2D(j, k))
@@ -274,7 +274,7 @@ func serialFused2DBaseline(t *testing.T, nx, ny, halo int, precondName string) (
 		}
 	}
 	den.ReflectHalos(halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestPipelinedCGHubMatchesSerialFused(t *testing.T) {
 	for _, precondName := range []string{"none", "jac_diag"} {
 		refRes, refU := serialFused2DBaseline(t, nx, ny, halo, precondName)
 		for ranks, pxpy := range layouts {
-			part := grid.MustPartition(nx, ny, pxpy[0], pxpy[1])
-			gg := grid.UnitGrid2D(nx, ny, halo)
-			gathered := grid.NewField2D(gg)
+			part := grid.MustPartition(nx, ny, 1, pxpy[0], pxpy[1], 1)
+			gg := grid.UnitGrid(nx, ny, 1, halo)
+			gathered := grid.NewField(gg)
 			iters := make([]int, part.Ranks())
 			err := comm.Run(part, func(c *comm.RankComm) error {
 				return solvePipelinedRank2D(t, c, part, gg, precondName, iters, gathered)
@@ -333,9 +333,9 @@ func TestPipelinedCGTCPMatchesSerialFused(t *testing.T) {
 	}
 	const nx, ny, halo = 16, 16, 2
 	refRes, refU := serialFused2DBaseline(t, nx, ny, halo, "jac_diag")
-	part := grid.MustPartition(nx, ny, 2, 2)
-	gg := grid.UnitGrid2D(nx, ny, halo)
-	gathered := grid.NewField2D(gg)
+	part := grid.MustPartition(nx, ny, 1, 2, 2, 1)
+	gg := grid.UnitGrid(nx, ny, 1, halo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	err := comm.RunTCP(part, func(c comm.Communicator) error {
 		return solvePipelinedRank2D(t, c, part, gg, "jac_diag", iters, gathered)
@@ -358,40 +358,40 @@ func TestPipelinedCGTCPMatchesSerialFused(t *testing.T) {
 func TestPipelinedCG3DHubMatchesSerialFused(t *testing.T) {
 	const n, halo = 12, 2
 	refRes, refU := solveSerial3D(t, KindCG, n, halo, 1)
-	part := grid.MustPartition3D(n, n, n, 2, 1, 1)
-	gg := grid.UnitGrid3D(n, n, n, halo)
-	gathered := grid.NewField3D(gg)
+	part := grid.MustPartition(n, n, n, 2, 1, 1)
+	gg := grid.UnitGrid(n, n, n, halo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+		sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 		if err != nil {
 			return err
 		}
-		den := grid.NewField3D(sub)
-		rhs := grid.NewField3D(sub)
+		den := grid.NewField(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NZ; k++ {
 			for j := 0; j < sub.NY; j++ {
 				for i := 0; i < sub.NX; i++ {
-					den.Set(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					rhs.Set(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					den.SetCell(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					rhs.SetCell(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
 				}
 			}
 		}
-		if err := c.Exchange3D(sub.Halo, den); err != nil {
+		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
-		phys := c.Physical3D()
-		op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
+		phys := c.Physical()
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down,
 				Up: phys.Up, Back: phys.Back, Front: phys.Front})
 		if err != nil {
 			return err
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := SolveCG3D(p, Options{
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		res, err := SolveCG(p, Options{
 			Tol: 1e-12, Comm: c, Engine: EnginePipelined,
-			Precond3D: precond.NewJacobi3D(par.Serial, op),
+			Precond: precond.NewJacobi(par.Serial, op),
 		})
 		if err != nil {
 			return err
@@ -400,11 +400,11 @@ func TestPipelinedCG3DHubMatchesSerialFused(t *testing.T) {
 			t.Errorf("rank %d: not converged: %+v", c.Rank(), res)
 		}
 		iters[c.Rank()] = res.Iterations
-		var dst *grid.Field3D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
-		return c.GatherInterior3D(p.U, dst)
+		return c.GatherInterior(p.U, dst)
 	})
 	if err != nil {
 		t.Fatalf("%v", err)

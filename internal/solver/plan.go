@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/precond"
 )
 
 // Engine selects the CG iteration engine a solve runs: the CG solver
@@ -88,17 +90,17 @@ func (p Plan) String() string {
 // rank boundaries the coupling is real: the CG engine falls back to the
 // classic loop rather than silently dropping it. The Chebyshev and PPCG
 // inner updates apply minv pointwise and keep it folded.
-func resolvePlan[F comparable, B any](sys system[F, B], o Options, ranks int) (Plan, F, []par.ChainBand) {
+func resolvePlan(sys *system, o Options, ranks int) (Plan, *grid.Field, []par.ChainBand) {
 	p := Plan{Engine: o.Engine, CycleDepth: 1}
-	minv, foldable := sys.FoldableDiag()
+	minv, foldable := precond.FoldableDiag(sys.m)
 	if o.Engine != EngineClassic {
 		p.Folded = foldable
 		why := ""
 		switch {
 		case !foldable:
-			why = "preconditioner " + sys.PrecondName() + " is not a diagonal scaling and cannot fold into the sweeps"
-		case !isZeroF(minv) && ranks > 1 && sys.GridHalo() < 2:
-			why = "folded " + sys.PrecondName() + " needs grid halo >= 2 on multi-rank runs"
+			why = "preconditioner " + sys.m.Name() + " is not a diagonal scaling and cannot fold into the sweeps"
+		case minv != nil && ranks > 1 && sys.op.Grid.Halo < 2:
+			why = "folded " + sys.m.Name() + " needs grid halo >= 2 on multi-rank runs"
 		}
 		if why != "" {
 			p.fallback("%s→classic: %s", o.Engine, why)
@@ -106,10 +108,10 @@ func resolvePlan[F comparable, B any](sys system[F, B], o Options, ranks int) (P
 		}
 	}
 
-	defl := sys.Deflation()
+	defl := sys.defl
 	if p.Engine != EngineClassic && o.HaloDepth > 1 {
 		p.CycleDepth = o.HaloDepth
-		if _, ok := defl.(deepDeflator[F, B]); defl != nil && !ok {
+		if _, ok := defl.(deepDeflator); defl != nil && !ok {
 			p.CycleDepth = 1
 			p.fallback("cycle depth %d→1: the deflator cannot project on extended bounds", o.HaloDepth)
 		}
@@ -117,7 +119,7 @@ func resolvePlan[F comparable, B any](sys system[F, B], o Options, ranks int) (P
 
 	var bands []par.ChainBand
 	if o.Temporal {
-		_, split := defl.(splitDeflator[F, B])
+		_, split := defl.(splitDeflator)
 		switch {
 		case p.Engine == EngineClassic:
 			p.fallback("temporal→unchained: the classic engine has no deep-halo cycle")

@@ -88,22 +88,22 @@ func TestPlanResolution(t *testing.T) {
 func TestClassicPairsRhoAndResidual(t *testing.T) {
 	const n = 24
 	const tol = 1e-10
-	gg := grid.UnitGrid2D(n, n, 1)
+	gg := grid.UnitGrid(n, n, 1, 1)
 	type run struct {
-		u     *grid.Field2D
+		u     *grid.Field
 		iters int
 		tr    stats.Trace
 	}
 	solve := func(part *grid.Partition, runner func(fn func(c comm.Communicator) error) error) run {
 		t.Helper()
-		out := run{u: grid.NewField2D(gg)}
+		out := run{u: grid.NewField(gg)}
 		err := runner(func(c comm.Communicator) error {
 			ext := part.ExtentOf(c.Rank())
 			sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
 			if err != nil {
 				return err
 			}
-			den, rhs := grid.NewField2D(sub), grid.NewField2D(sub)
+			den, rhs := grid.NewField(sub), grid.NewField(sub)
 			for k := 0; k < sub.NY; k++ {
 				for j := 0; j < sub.NX; j++ {
 					den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -114,8 +114,8 @@ func TestClassicPairsRhoAndResidual(t *testing.T) {
 				return err
 			}
 			phys := c.Physical()
-			op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-				stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+			op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+				grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 			if err != nil {
 				return err
 			}
@@ -129,7 +129,7 @@ func TestClassicPairsRhoAndResidual(t *testing.T) {
 			if !res.Converged || res.Plan.Engine != EngineClassic {
 				return fmt.Errorf("rank %d: converged=%v plan %v", c.Rank(), res.Converged, res.Plan)
 			}
-			var dst *grid.Field2D
+			var dst *grid.Field
 			if c.Rank() == 0 {
 				dst = out.u
 				out.iters, out.tr = res.Iterations, *c.Trace()
@@ -144,7 +144,7 @@ func TestClassicPairsRhoAndResidual(t *testing.T) {
 
 	// The true residual of the gathered solution, against the solver's
 	// stop baseline max(‖r₀‖, ‖b‖) for the initial guess u = b.
-	den, rhs := grid.NewField2D(gg), grid.NewField2D(gg)
+	den, rhs := grid.NewField(gg), grid.NewField(gg)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			den.Set(j, k, denAt2D(j, k))
@@ -152,12 +152,12 @@ func TestClassicPairsRhoAndResidual(t *testing.T) {
 		}
 	}
 	den.ReflectHalos(1)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	residual := func(u *grid.Field2D) float64 {
-		r, uu := grid.NewField2D(gg), u.Clone()
+	residual := func(u *grid.Field) float64 {
+		r, uu := grid.NewField(gg), u.Clone()
 		uu.ReflectHalos(1)
 		op.Residual(par.Serial, gg.Interior(), uu, rhs, r)
 		return r.Norm2Interior()
@@ -179,9 +179,9 @@ func TestClassicPairsRhoAndResidual(t *testing.T) {
 		}
 	}
 
-	one := grid.MustPartition(n, n, 1, 1)
+	one := grid.MustPartition(n, n, 1, 1, 1, 1)
 	check("ranks=1", solve(one, func(fn func(c comm.Communicator) error) error { return fn(comm.NewSerial()) }))
-	two := grid.MustPartition(n, n, 2, 1)
+	two := grid.MustPartition(n, n, 1, 2, 1, 1)
 	hub := solve(two, func(fn func(c comm.Communicator) error) error {
 		return comm.Run(two, func(c *comm.RankComm) error { return fn(c) })
 	})

@@ -1,12 +1,10 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolvePPCG runs the paper's headline solver: CG preconditioned by a
 // shifted and scaled Chebyshev polynomial (CPPCG, §III), with the
 // matrix-powers kernel (§IV-C2) at HaloDepth > 1. The iteration body —
 // outer PCG, inner Chebyshev smoothing, fused kernels — lives in
-// solvePPCGCore in loops.go and is shared verbatim with SolvePPCG3D.
+// solvePPCGCore in loops.go.
 //
 // With Options.Deflation set, the outer PCG (and its CG bootstrap) runs
 // on the projected operator P·A, composing the §VII coarse-space
@@ -17,5 +15,5 @@ func SolvePPCG(p Problem, o Options) (Result, error) {
 	if err := o.validate(p); err != nil {
 		return Result{}, err
 	}
-	return solvePPCGCore(newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS))
+	return solvePPCGCore(newEngine(p, o))
 }

@@ -65,26 +65,19 @@ func ParseKind(s string) (Kind, error) {
 // distributed solve every rank must reach them together (each performs
 // exactly one reduction round through the solve's communicator).
 type Deflator interface {
-	CoarseCorrect(r, u *grid.Field2D)
-	ProjectW(w *grid.Field2D)
-}
-
-// Deflator3D is the 3D outer deflation projector Options.Deflation3D
-// carries, satisfied by *deflate.Deflation3D — the Field3D twin of
-// Deflator, with the same collective contract.
-type Deflator3D interface {
-	CoarseCorrect(r, u *grid.Field3D)
-	ProjectW(w *grid.Field3D)
+	CoarseCorrect(r, u *grid.Field)
+	ProjectW(w *grid.Field)
 }
 
 // Problem is one linear solve A·u = rhs on a rank-local grid. U holds the
 // initial guess on entry and the solution on exit. The operator's
 // coefficient fields must be valid over the padded region (see
-// stencil.BuildOperator2D), and RHS over the interior.
+// stencil.BuildOperator), and RHS over the interior. The same code runs
+// single-rank (comm.Serial) and distributed, on a flat grid or a 3D one.
 type Problem struct {
-	Op  *stencil.Operator2D
-	U   *grid.Field2D
-	RHS *grid.Field2D
+	Op  *stencil.Operator
+	U   *grid.Field
+	RHS *grid.Field
 }
 
 // Options configures a solve. The zero value picks TeaLeaf-like defaults;
@@ -102,13 +95,8 @@ type Options struct {
 	// this is the preconditioner applied inside the Chebyshev smoothing
 	// steps, as in TeaLeaf.
 	Precond precond.Preconditioner
-	// Precond3D is the preconditioner the 3D solve paths use (default
-	// identity). The unified registry (precond.Specs) serves both
-	// dimensionalities; every registered name — none, jac_diag, jac_block —
-	// now builds in 3D too.
-	Precond3D precond.Preconditioner3D
 	// Deflation composes subdomain deflation (the §VII future-work
-	// direction) as an outer projector around the 2D CG or PPCG solve:
+	// direction) as an outer projector around the CG or PPCG solve:
 	// the Krylov iteration runs on P·A with the low-energy subdomain
 	// modes projected out, and coarse corrections before/after the loop
 	// recover them exactly. Build one with deflate.New over the solve
@@ -117,10 +105,6 @@ type Options struct {
 	// each projection costs one extra reduction round per iteration,
 	// on the fused and classic engines alike.
 	Deflation Deflator
-	// Deflation3D is the projector the 3D solve paths compose (built with
-	// deflate.New3D; *deflate.Deflation3D satisfies Deflator3D). Same
-	// composition rules as Deflation: CG and PPCG, any rank count.
-	Deflation3D Deflator3D
 	// EigenCGIters is the number of bootstrap CG iterations used to
 	// estimate the extremal eigenvalues before Chebyshev/PPCG take over
 	// (default 20; §III-D). The Chebyshev solver re-bootstraps with twice
@@ -137,7 +121,7 @@ type Options struct {
 	// vectors per d iterations, sweeps on extended bounds), including
 	// deflated solves — iterates are unchanged from depth 1 to within
 	// round-off. It is incompatible with preconditioners whose registry
-	// entry is not deep-halo compatible (jac_block in either dimension),
+	// entry is not deep-halo compatible (jac_block),
 	// and the classic (unfused) CG loop ignores it.
 	HaloDepth int
 	// Engine selects the CG engine (see Engine; the zero value is
@@ -193,9 +177,6 @@ func (o Options) withDefaults() Options {
 	if o.Precond == nil {
 		o.Precond = precond.NewNone()
 	}
-	if o.Precond3D == nil {
-		o.Precond3D = precond.NewNone3D()
-	}
 	if o.EigenCGIters <= 0 {
 		o.EigenCGIters = 20
 	}
@@ -214,7 +195,7 @@ func (o Options) withDefaults() Options {
 // validateCommon checks the dimension-independent option constraints:
 // halo depth against the grid, preconditioner capability against the
 // unified registry, and the deflation composition rules.
-func (o Options) validateCommon(gridHalo int, precondName string, dims int) error {
+func (o Options) validateCommon(gridHalo int, precondName string) error {
 	if o.Engine < EngineFused || o.Engine > EngineClassic {
 		return fmt.Errorf("solver: unknown engine %v", o.Engine)
 	}
@@ -239,12 +220,6 @@ func (o Options) validateCommon(gridHalo int, precondName string, dims int) erro
 	}
 	// Deflation is dimension-agnostic and distributed; the only remaining
 	// rule is that the projector's dimensionality must match the solve's.
-	if dims == 2 && o.Deflation3D != nil {
-		return errors.New("solver: a 3D deflation projector cannot drive a 2D solve (set Options.Deflation, built with deflate.New)")
-	}
-	if dims == 3 && o.Deflation != nil {
-		return errors.New("solver: a 2D deflation projector cannot drive a 3D solve (set Options.Deflation3D, built with deflate.New3D)")
-	}
 	return nil
 }
 
@@ -256,7 +231,7 @@ func (o Options) validate(p Problem) error {
 	if p.U.Grid != g || p.RHS.Grid != g {
 		return errors.New("solver: all problem fields must share the operator's grid")
 	}
-	return o.validateCommon(g.Halo, o.Precond.Name(), 2)
+	return o.validateCommon(g.Halo, o.Precond.Name())
 }
 
 // ErrBreakdown reports that a Krylov solver observed a non-positive (or
@@ -332,7 +307,7 @@ func Solve(kind Kind, p Problem, o Options) (Result, error) {
 // single- or multi-rank); Jacobi and the stand-alone Chebyshev iteration
 // do not.
 func (o Options) requireNoDeflation(kind Kind) error {
-	if o.Deflation != nil || o.Deflation3D != nil {
+	if o.Deflation != nil {
 		return fmt.Errorf("solver: deflation composes with the cg and ppcg solvers only (got %s); drop tl_use_deflation or switch to tl_use_cg / tl_use_ppcg", kind)
 	}
 	return nil

@@ -18,8 +18,8 @@ import (
 const benchIters = 48
 
 func benchProblem(nx, ny int, seed int64) Problem {
-	g := grid.UnitGrid2D(nx, ny, 2)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(nx, ny, 1, 2)
+	den := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
@@ -27,11 +27,11 @@ func benchProblem(nx, ny int, seed int64) Problem {
 		}
 	}
 	den.ReflectHalos(g.Halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		panic(err)
 	}
-	rhs := grid.NewField2D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
 			v := 0.1

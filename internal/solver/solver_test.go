@@ -16,8 +16,8 @@ import (
 // u0 = energy·density with a hot square, A from backward Euler.
 func buildProblem(t *testing.T, nx, ny, haloDepth int, seed int64) Problem {
 	t.Helper()
-	g := grid.UnitGrid2D(nx, ny, haloDepth)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(nx, ny, 1, haloDepth)
+	den := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
@@ -25,11 +25,11 @@ func buildProblem(t *testing.T, nx, ny, haloDepth int, seed int64) Problem {
 		}
 	}
 	den.ReflectHalos(g.Halo)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
+	rhs := grid.NewField(g)
 	for k := 0; k < ny; k++ {
 		for j := 0; j < nx; j++ {
 			v := 0.1
@@ -48,7 +48,7 @@ func buildProblem(t *testing.T, nx, ny, haloDepth int, seed int64) Problem {
 func trueRelResidual(t *testing.T, p Problem) float64 {
 	t.Helper()
 	g := p.Op.Grid
-	r := grid.NewField2D(g)
+	r := grid.NewField(g)
 	u := p.U.Clone()
 	u.ReflectHalos(1)
 	p.Op.Residual(par.Serial, g.Interior(), u, p.RHS, r)
@@ -439,8 +439,8 @@ func TestPPCGReducesReductionsPerMatvec(t *testing.T) {
 
 func TestSolverWithLargeConditionNumber(t *testing.T) {
 	// Crooked-pipe-like density contrast of 1000:1; CG must still converge.
-	g := grid.UnitGrid2D(32, 32, 2)
-	den := grid.NewField2D(g)
+	g := grid.UnitGrid(32, 32, 1, 2)
+	den := grid.NewField(g)
 	for k := 0; k < 32; k++ {
 		for j := 0; j < 32; j++ {
 			if k > 12 && k < 20 {
@@ -451,13 +451,13 @@ func TestSolverWithLargeConditionNumber(t *testing.T) {
 		}
 	}
 	den.ReflectHalos(2)
-	op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.RecipConductivity, stencil.AllPhysical)
+	op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := grid.NewField2D(g)
-	rhs.FillBounds(grid.Bounds{X0: 0, X1: 4, Y0: 14, Y1: 18}, 100)
-	rhs.FillBounds(grid.Bounds{X0: 4, X1: 32, Y0: 0, Y1: 32}, 0.01)
+	rhs := grid.NewField(g)
+	rhs.FillBounds(grid.Bounds{X0: 0, X1: 4, Y0: 14, Y1: 18, Z0: 0, Z1: 1}, 100)
+	rhs.FillBounds(grid.Bounds{X0: 4, X1: 32, Y0: 0, Y1: 32, Z0: 0, Z1: 1}, 0.01)
 	p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 	res, err := SolveCG(p, Options{Tol: 1e-10, MaxIters: 5000})
 	if err != nil || !res.Converged {

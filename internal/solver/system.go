@@ -2,164 +2,141 @@ package solver
 
 import (
 	"tealeaf/internal/comm"
+	"tealeaf/internal/grid"
+	"tealeaf/internal/halo"
+	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
+	"tealeaf/internal/precond"
 	"tealeaf/internal/stats"
+	"tealeaf/internal/stencil"
 )
 
-// This file defines the dimension-agnostic solver core. The CG, Chebyshev
-// and PPCG single-reduction loops in loops.go are written exactly once,
-// against the system interface below; sys2d.go and sys3d.go back it with
-// the existing 2D and 3D kernels, operators and exchange paths. The
-// per-dimension Solve* entry points are thin constructors: they build a
-// system and an engine and hand control to the shared loops, so a solver
-// bugfix or a new iteration variant lands in one place and serves both
-// dimensionalities (the Chebyshev tail-check fix in PR 2 had to be made
-// twice; its successors will not).
+// This file defines the solver core's execution backend. The CG,
+// Chebyshev and PPCG single-reduction loops in loops.go are written once
+// against the system below, which binds the rank-local grid's operator,
+// preconditioner, communicator and kernels; a flat grid and a 3D grid run
+// the same loops, the operator choosing its 5- or 7-point row kernels.
 
-// system abstracts one dimensionality's execution backend: vector
-// allocation, the stencil operator (plain, fused-dot and folded-
-// preconditioner forms), the BLAS1 and fused update kernels, the
-// configured preconditioner, halo exchange, and the matrix-powers
-// schedule. F is the field type (*grid.Field2D or *grid.Field3D) and B
-// the bounds type (grid.Bounds or grid.Bounds3D).
-//
-// All kernel methods are rank-local and trace-free: the engine wraps them
-// with stats.Trace accounting and global reductions, so the loops never
-// touch a dimension-specific type.
-type system[F comparable, B any] interface {
-	// NewVec allocates a zeroed field on the operator's grid.
-	NewVec() F
-	// Interior returns the rank-local interior bounds.
-	Interior() B
-	// GridHalo returns the allocated halo depth of the grid.
-	GridHalo() int
-	// Cells counts the cells of a bounds value.
-	Cells(b B) int
-
-	// Exchange refreshes halos to the given depth through the communicator.
-	Exchange(depth int, fields ...F) error
-	// NewPowers builds the matrix-powers exchange schedule for the given
-	// depth, with adjacency taken from the communicator's physical sides.
-	NewPowers(depth int) (powersSched[B], error)
-	// Extend returns the interior expanded by n cells on every side with a
-	// rank neighbour (physical sides never extend: their halos are
-	// zero-flux mirrors, not data) — the matrix-powers extended bounds the
-	// deep-halo CG cycles sweep. n <= 0 returns the interior.
-	Extend(n int) B
-	// Rings decomposes outer ∖ interior into disjoint rectangular bounds
-	// (at most 4 in 2D, 6 in 3D; empty when outer equals the interior),
-	// for ring-only vector updates on the extended region.
-	Rings(outer B) []B
-
-	// Residual computes r = rhs − A·u over b.
-	Residual(b B, u, rhs, r F)
-	// Apply computes w = A·p over b.
-	Apply(b B, p, w F)
-	// ApplyDot fuses w = A·p with the local p·w dot.
-	ApplyDot(b B, p, w F) float64
-	// ApplyPreDot computes w = A·(minv⊙r) with the local (minv⊙r)·w dot
-	// (zero minv = identity).
-	ApplyPreDot(b B, minv, r, w F) float64
-	// ApplyPreDotInit is the fused-CG startup sweep: w = A·(minv⊙r) with
-	// the local γ = r·(minv⊙r), δ = (minv⊙r)·w and ‖r‖² scalars.
-	ApplyPreDotInit(b B, minv, r, w F) (gamma, delta, rr float64)
-
-	// Dot computes the local x·y over b.
-	Dot(b B, x, y F) float64
-	// Dot2 computes the local (x·y, y·z) pair in one sweep.
-	Dot2(b B, x, y, z F) (xy, yz float64)
-	// Axpy computes y += alpha·x over b.
-	Axpy(b B, alpha float64, x, y F)
-	// Xpay computes y = x + beta·y over b.
-	Xpay(b B, x F, beta float64, y F)
-	// Copy copies src to dst over b.
-	Copy(b B, dst, src F)
-	// CopyAll copies the whole field including halos.
-	CopyAll(dst, src F)
-	// ScaleTo computes dst = alpha·src over b.
-	ScaleTo(b B, alpha float64, src, dst F)
-	// AxpyAxpy fuses y1 += a1·x1 and y2 += a2·x2 into one sweep.
-	AxpyAxpy(b B, a1 float64, x1, y1 F, a2 float64, x2, y2 F)
-	// AxpbyPre computes y = a·y + beta·(minv⊙r) (zero minv = identity).
-	AxpbyPre(b B, a float64, y F, beta float64, minv, r F)
-	// FusedCGDirections is fused-CG sweep one: p = (minv⊙r) + β·p and
-	// s = w + β·s.
-	FusedCGDirections(b B, minv, r, w F, beta float64, p, s F)
-	// FusedCGUpdate is fused-CG sweep two: x += α·p, r −= α·s, returning
-	// the local γ' = r·(minv⊙r) and ‖r‖².
-	FusedCGUpdate(b B, alpha float64, p, s, x, r, minv F) (gamma, rr float64)
-	// FusedPPCGInner is the fused PPCG inner step: everything after the
-	// matvec (residual update, preconditioner, direction, accumulate) in
-	// one sweep over b, accumulating into z over in.
-	FusedPPCGInner(b, in B, alpha, beta float64, w, rtemp, minv, sd, z F)
-	// PipelinedCGStep is the whole vector phase of a pipelined-CG
-	// iteration in one sweep: the direction recurrences p = (minv⊙r) + β·p,
-	// s = w + β·s, z = n + β·z with the updates they feed, x += α·p,
-	// r −= α·s, w −= α·z, returning the local γ = r·(minv⊙r),
-	// δ = (minv⊙r)·w and ‖r‖² of the updated vectors.
-	PipelinedCGStep(b B, minv, r, w, n F, beta, alpha float64, p, s, z, x F) (gamma, delta, rr float64)
-
-	// ChainBands cuts the interior into temporal-blocking bands of whole
-	// tile rows along the outermost axis (Y in 2D, Z in 3D) of roughly
-	// bandCells cells each; nil when the pool is untiled (chained
-	// reductions need the fixed tile-order fold). See par.Pool.ChainBands.
-	ChainBands(bandCells int) []par.ChainBand
-	// NewChainAccum allocates a k-wide per-tile partial table over the
-	// interior box; its Fold reproduces ForTilesReduceN's bits when every
-	// interior tile's body ran exactly once per cycle.
-	NewChainAccum(k int) *par.ChainAccum
-	// ChainClip clips b to the chain-axis cell range [lo,hi), reporting
-	// whether the intersection is non-empty — how ring and extended bounds
-	// are assigned to chain bands.
-	ChainClip(b B, lo, hi int) (B, bool)
-	// FusedCGUpdateChain is FusedCGUpdate restricted to the interior tile
-	// range [t0,t1), accumulating the per-tile (γ', ‖r‖²) partials into acc
-	// (same tile body as the unchained sweep).
-	FusedCGUpdateChain(acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv F)
-	// ApplyPreDotChain is ApplyPreDot restricted to the interior tile range
-	// [t0,t1), with the dot partial per tile in acc slot 0. acc must be at
-	// least 2 wide: the 3D identity path shares ApplyDot2's two-lane body.
-	ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w F)
-	// PipelinedCGStepChain is PipelinedCGStep restricted to the interior
-	// tile range [t0,t1), accumulating per-tile (γ, δ, ‖r‖²) partials into
-	// acc. With a zero minv the caller maps the folded γ to ‖r‖², exactly
-	// as the unchained kernel's return does.
-	PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w, n F, beta, alpha float64, p, s, z, x F)
-
-	// PrecondApply applies the configured preconditioner z = M⁻¹r over b.
-	PrecondApply(b B, r, z F)
-	// PrecondIsIdentity reports whether the configured preconditioner is
-	// the identity (its applications are free and untraced).
-	PrecondIsIdentity() bool
-	// PrecondName returns the configured preconditioner's deck name, for
-	// registry capability lookups.
-	PrecondName() string
-	// FoldableDiag returns the inverse-diagonal field to fold into fused
-	// sweeps and whether folding is possible (zero field = identity).
-	FoldableDiag() (F, bool)
-
-	// Deflation returns the configured outer deflation projector, or nil.
-	Deflation() deflator[F]
+// system is one solve's execution backend: vector allocation, the
+// stencil operator (plain, fused-dot and folded-preconditioner forms),
+// the BLAS1 and fused update kernels, the configured preconditioner, halo
+// exchange, and the matrix-powers schedule. All kernel methods are
+// rank-local and trace-free: the engine wraps them with stats.Trace
+// accounting and global reductions.
+type system struct {
+	p    *par.Pool
+	op   *stencil.Operator
+	m    precond.Preconditioner
+	c    comm.Communicator
+	defl Deflator
 }
 
-// powersSched is the matrix-powers exchange schedule (halo.Schedule and
-// halo.Schedule3D both satisfy it for their bounds type).
-type powersSched[B any] interface {
-	Depth() int
-	Next() (B, bool)
-	Refill()
+func newSystem(p Problem, o Options) *system {
+	return &system{p: o.Pool, op: p.Op, m: o.Precond, c: o.Comm, defl: o.Deflation}
 }
 
-// deflator is the outer deflation projector the CG and PPCG loops compose
-// with (§VII future work): CoarseCorrect zeroes the deflation-space
-// component of the residual, ProjectW applies w ← P·w = w − A·W·E⁻¹·Wᵀ·w.
-// Both are collective (one reduction round each). Its method set matches
-// the user-facing Deflator/Deflator3D exactly, so Options.Deflation and
-// Options.Deflation3D satisfy deflator[F] for their field type directly.
-type deflator[F any] interface {
-	CoarseCorrect(r, u F)
-	ProjectW(w F)
+// NewVec allocates a zeroed field on the operator's grid.
+func (s *system) NewVec() *grid.Field { return grid.NewField(s.op.Grid) }
+
+// Interior returns the rank-local interior bounds.
+func (s *system) Interior() grid.Bounds { return s.op.Grid.Interior() }
+
+// GridHalo returns the allocated halo depth of the grid.
+func (s *system) GridHalo() int { return s.op.Grid.Halo }
+
+// Exchange refreshes halos to the given depth through the communicator.
+func (s *system) Exchange(depth int, fields ...*grid.Field) error {
+	return s.c.Exchange(depth, fields...)
 }
+
+// NewPowers builds the matrix-powers exchange schedule for the given
+// depth, with adjacency taken from the communicator's physical sides.
+func (s *system) NewPowers(depth int) (*halo.Schedule, error) {
+	return halo.NewSchedule(s.op.Grid, depth, s.c.Physical().Not())
+}
+
+// Extend returns the interior expanded by n cells on every side with a
+// rank neighbour (physical sides never extend: their halos are zero-flux
+// mirrors, not data) — the matrix-powers extended bounds the deep-halo CG
+// cycles sweep. n <= 0 returns the interior.
+func (s *system) Extend(n int) grid.Bounds {
+	in := s.op.Grid.Interior()
+	if n <= 0 {
+		return in
+	}
+	phys := s.c.Physical()
+	ext := func(physical bool) int {
+		if physical {
+			return 0
+		}
+		return n
+	}
+	return in.ExpandSides(ext(phys.Left), ext(phys.Right), ext(phys.Down), ext(phys.Up),
+		ext(phys.Back), ext(phys.Front), s.op.Grid)
+}
+
+// Rings decomposes outer ∖ interior into at most six disjoint boxes, for
+// ring-only vector updates on the extended region: full-outer-XY back and
+// front z-slabs, then full-outer-X south and north y-slabs at interior
+// depth, then west and east strips at interior height and depth (a flat
+// grid has no z-slabs).
+func (s *system) Rings(outer grid.Bounds) []grid.Bounds {
+	in := s.op.Grid.Interior()
+	var rs []grid.Bounds
+	add := func(b grid.Bounds) {
+		if !b.Empty() {
+			rs = append(rs, b)
+		}
+	}
+	add(grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: outer.Y1, Z0: outer.Z0, Z1: in.Z0})
+	add(grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: outer.Y1, Z0: in.Z1, Z1: outer.Z1})
+	add(grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: in.Y0, Z0: in.Z0, Z1: in.Z1})
+	add(grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: in.Y1, Y1: outer.Y1, Z0: in.Z0, Z1: in.Z1})
+	add(grid.Bounds{X0: outer.X0, X1: in.X0, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
+	add(grid.Bounds{X0: in.X1, X1: outer.X1, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
+	return rs
+}
+
+// interiorBox is the interior as a par iteration box — the box every
+// chained accumulator and band schedule is built over, so chain folds
+// replicate the unchained interior reductions' tile decomposition.
+func (s *system) interiorBox() par.Box {
+	return s.op.Grid.Box(s.op.Grid.Interior())
+}
+
+// ChainBands cuts the interior into temporal-blocking bands of whole tile
+// rows along the outermost axis (y on a flat grid, z in 3D) of roughly
+// bandCells cells each; nil when the pool is untiled (chained reductions
+// need the fixed tile-order fold). See par.Pool.ChainBands.
+func (s *system) ChainBands(bandCells int) []par.ChainBand {
+	return s.p.ChainBands(s.interiorBox(), bandCells)
+}
+
+// NewChainAccum allocates a k-wide per-tile partial table over the
+// interior box; its Fold reproduces ForTilesReduceN's bits when every
+// interior tile's body ran exactly once per cycle.
+func (s *system) NewChainAccum(k int) *par.ChainAccum {
+	return s.p.NewChainAccum(k, s.interiorBox())
+}
+
+// ChainClip clips b to the chain-axis cell range [lo,hi), reporting
+// whether the intersection is non-empty — how ring and extended bounds
+// are assigned to chain bands.
+func (s *system) ChainClip(b grid.Bounds, lo, hi int) (grid.Bounds, bool) {
+	if s.op.Grid.Flat() {
+		b.Y0, b.Y1 = max(b.Y0, lo), min(b.Y1, hi)
+	} else {
+		b.Z0, b.Z1 = max(b.Z0, lo), min(b.Z1, hi)
+	}
+	return b, !b.Empty()
+}
+
+// PrecondApply applies the configured preconditioner z = M⁻¹r over b.
+func (s *system) PrecondApply(b grid.Bounds, r, z *grid.Field) { s.m.Apply(s.p, b, r, z) }
+
+// PrecondIsIdentity reports whether the configured preconditioner is the
+// identity (its applications are free and untraced).
+func (s *system) PrecondIsIdentity() bool { return isNone(s.m) }
 
 // deepDeflator is the optional deflator extension the deep-halo CG
 // engines need: ProjectWBounds applies the projection with the fine-grid
@@ -169,8 +146,8 @@ type deflator[F any] interface {
 // the interior (extended cells are another rank's interior — counting
 // them would double-weight the restriction) and remains collective.
 // Deflators that don't implement it cap the halo cycle at depth 1.
-type deepDeflator[F any, B any] interface {
-	ProjectWBounds(b B, w F)
+type deepDeflator interface {
+	ProjectWBounds(b grid.Bounds, w *grid.Field)
 }
 
 // splitDeflator is the optional deflator extension the temporal-blocked
@@ -183,80 +160,73 @@ type deepDeflator[F any, B any] interface {
 // abandon the projection (convergence detected by the scalar round) the
 // handle is still Finished and its result discarded, which all ranks do
 // symmetrically. Deflators without it fall back to the unchained cycle.
-type splitDeflator[F any, B any] interface {
-	ProjectWBoundsStart(w F) comm.ReduceHandle
-	ProjectWBoundsFinish(h comm.ReduceHandle, b B, w F)
-}
-
-// isZeroF reports whether f is the zero value of its type (a nil field
-// pointer: the identity preconditioner in folded form).
-func isZeroF[F comparable](f F) bool {
-	var zero F
-	return f == zero
+type splitDeflator interface {
+	ProjectWBoundsStart(w *grid.Field) comm.ReduceHandle
+	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field)
 }
 
 // engine bundles a system with the per-solve execution context — the
 // communicator, its trace, and the solve options — and provides the
 // traced, globally-reduced operations the loops are written against.
-// It is the dimension-agnostic successor of the old env/env3 pair.
-type engine[F comparable, B any] struct {
-	sys   system[F, B]
+type engine struct {
+	sys   *system
 	o     Options
 	c     comm.Communicator
 	tr    *stats.Trace
-	in    B
+	in    grid.Bounds
 	cells int
 	// u holds the initial guess on entry and the solution on exit; rhs is
 	// the right-hand side. Both live on the system's grid.
-	u, rhs F
+	u, rhs *grid.Field
 	// plan is the engine choice resolved once for the solve; every loop
-	// reads it. minv is the folded inverse diagonal (zero = identity) and
+	// reads it. minv is the folded inverse diagonal (nil = identity) and
 	// bands the temporal-blocking bands (non-nil exactly when chained).
 	plan  Plan
-	minv  F
+	minv  *grid.Field
 	bands []par.ChainBand
 }
 
-func newEngine[F comparable, B any](sys system[F, B], o Options, u, rhs F) *engine[F, B] {
+func newEngine(p Problem, o Options) *engine {
+	sys := newSystem(p, o)
 	in := sys.Interior()
-	e := &engine[F, B]{
+	e := &engine{
 		sys: sys, o: o, c: o.Comm, tr: o.Comm.Trace(),
-		in: in, cells: sys.Cells(in), u: u, rhs: rhs,
+		in: in, cells: in.Cells(), u: p.U, rhs: p.RHS,
 	}
 	e.plan, e.minv, e.bands = resolvePlan(sys, o, o.Comm.Size())
 	return e
 }
 
 // exchange refreshes halos through the communicator.
-func (e *engine[F, B]) exchange(depth int, fields ...F) error {
+func (e *engine) exchange(depth int, fields ...*grid.Field) error {
 	return e.sys.Exchange(depth, fields...)
 }
 
 // dot computes a globally reduced dot product over the interior.
-func (e *engine[F, B]) dot(x, y F) float64 {
+func (e *engine) dot(x, y *grid.Field) float64 {
 	e.tr.AddDot(e.cells)
-	return e.c.AllReduceSum(e.sys.Dot(e.in, x, y))
+	return e.c.AllReduceSum(kernels.Dot(e.sys.p, e.in, x, y))
 }
 
 // dotPair computes (r·z, r·r) in a single grid sweep and a single
 // reduction round, the fused form of the ρ/‖r‖ pair every PCG iteration
 // needs.
-func (e *engine[F, B]) dotPair(z, r F) (rz, rr float64) {
+func (e *engine) dotPair(z, r *grid.Field) (rz, rr float64) {
 	e.tr.AddDot(e.cells)
-	return e.c.AllReduceSum2(e.sys.Dot2(e.in, z, r, r))
+	return e.c.AllReduceSum2(kernels.Dot2(e.sys.p, e.in, z, r, r))
 }
 
 // reduce performs one globally reduced scalar sum. The round itself is
 // counted by the communicator's trace; funneling it through the engine
 // keeps the iteration loops off the raw Communicator (the tracerounds
 // analyzer enforces this).
-func (e *engine[F, B]) reduce(x float64) float64 {
+func (e *engine) reduce(x float64) float64 {
 	return e.c.AllReduceSum(x)
 }
 
 // reduceN sums a small vector of scalars in one reduction round — the
 // single-reduction fusion the paper's CG variants are built on.
-func (e *engine[F, B]) reduceN(vals []float64) []float64 {
+func (e *engine) reduceN(vals []float64) []float64 {
 	return e.c.AllReduceSumN(vals)
 }
 
@@ -264,32 +234,32 @@ func (e *engine[F, B]) reduceN(vals []float64) []float64 {
 // the pipelined loop overlaps the round with the next matvec. Every
 // control-flow path must Finish the handle before the next collective —
 // error paths included — which the splitreduce analyzer enforces.
-func (e *engine[F, B]) reduceNStart(vals []float64) comm.ReduceHandle {
+func (e *engine) reduceNStart(vals []float64) comm.ReduceHandle {
 	return e.c.AllReduceSumNStart(vals)
 }
 
 // matvec applies w = A·p over b and traces it.
-func (e *engine[F, B]) matvec(b B, p, w F) {
-	e.sys.Apply(b, p, w)
-	e.tr.AddMatvec(e.sys.Cells(b))
+func (e *engine) matvec(b grid.Bounds, p, w *grid.Field) {
+	e.sys.op.Apply(e.sys.p, b, p, w)
+	e.tr.AddMatvec(b.Cells())
 }
 
 // matvecDot fuses w = A·p with the global pw reduction (Listing 1).
-func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
-	local := e.sys.ApplyDot(b, p, w)
-	e.tr.AddMatvec(e.sys.Cells(b))
-	e.tr.AddDot(e.sys.Cells(b))
+func (e *engine) matvecDot(b grid.Bounds, p, w *grid.Field) float64 {
+	local := e.sys.op.ApplyDot(e.sys.p, b, p, w)
+	e.tr.AddMatvec(b.Cells())
+	e.tr.AddDot(b.Cells())
 	return e.c.AllReduceSum(local)
 }
 
 // applyPreDotX refreshes r's depth-1 halo and computes w = A·(minv⊙r)
 // over the interior, returning the local (minv⊙r)·w dot. It is the
 // matvec step of the fused and pipelined CG engines.
-func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
+func (e *engine) applyPreDotX(minv, r, w *grid.Field) (float64, error) {
 	if err := e.exchange(1, r); err != nil {
 		return 0, err
 	}
-	d := e.sys.ApplyPreDot(e.in, minv, r, w)
+	d := e.sys.op.ApplyPreDot(e.sys.p, e.in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	return d, nil
 }
@@ -301,36 +271,36 @@ func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
 // contribution belongs to (and is summed by) that neighbour. The sweep
 // is split interior-first then ring-by-ring so the traced cost and the
 // dot stay separable.
-func (e *engine[F, B]) applyPreDotDeep(mb B, minv, r, w F) float64 {
-	d := e.sys.ApplyPreDot(e.in, minv, r, w)
+func (e *engine) applyPreDotDeep(mb grid.Bounds, minv, r, w *grid.Field) float64 {
+	d := e.sys.op.ApplyPreDot(e.sys.p, e.in, minv, r, w)
 	for _, rb := range e.sys.Rings(mb) {
-		e.sys.ApplyPreDot(rb, minv, r, w)
+		e.sys.op.ApplyPreDot(e.sys.p, rb, minv, r, w)
 	}
-	e.tr.AddMatvec(e.sys.Cells(mb))
+	e.tr.AddMatvec(mb.Cells())
 	return d
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and
 // returns the globally reduced ‖r‖².
-func (e *engine[F, B]) initialResidual(u, rhs, r F) (float64, error) {
+func (e *engine) initialResidual(u, rhs, r *grid.Field) (float64, error) {
 	if err := e.exchange(1, u); err != nil {
 		return 0, err
 	}
-	e.sys.Residual(e.in, u, rhs, r)
+	e.sys.op.Residual(e.sys.p, e.in, u, rhs, r)
 	e.tr.AddMatvec(e.cells)
 	return e.dot(r, r), nil
 }
 
 // applyPrecond applies z = M⁻¹r over b with tracing (identity
 // applications with r == z are free and untraced).
-func (e *engine[F, B]) applyPrecond(b B, r, z F) {
+func (e *engine) applyPrecond(b grid.Bounds, r, z *grid.Field) {
 	e.sys.PrecondApply(b, r, z)
 	if !e.sys.PrecondIsIdentity() {
-		e.tr.AddPrecond(e.sys.Cells(b))
+		e.tr.AddPrecond(b.Cells())
 	}
 }
 
 // vectorPass traces one BLAS1-style sweep over b.
-func (e *engine[F, B]) vectorPass(b B) {
-	e.tr.AddVectorPass(e.sys.Cells(b))
+func (e *engine) vectorPass(b grid.Bounds) {
+	e.tr.AddVectorPass(b.Cells())
 }

@@ -22,10 +22,10 @@ import (
 // (Hub or TCP) and returns per-rank iteration counts plus the gathered
 // solution.
 func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.Partition,
-	runner func(fn func(c comm.Communicator) error) error) ([]int, *grid.Field2D) {
+	runner func(fn func(c comm.Communicator) error) error) ([]int, *grid.Field) {
 	t.Helper()
-	gg := grid.UnitGrid2D(nx, ny, halo)
-	gathered := grid.NewField2D(gg)
+	gg := grid.UnitGrid(nx, ny, 1, halo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	err := runner(func(c comm.Communicator) error {
 		ext := part.ExtentOf(c.Rank())
@@ -33,8 +33,8 @@ func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.P
 		if err != nil {
 			return err
 		}
-		den := grid.NewField2D(sub)
-		rhs := grid.NewField2D(sub)
+		den := grid.NewField(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -45,8 +45,8 @@ func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.P
 			return err
 		}
 		phys := c.Physical()
-		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,7 @@ func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.P
 			return fmt.Errorf("rank %d: not converged: %+v", c.Rank(), res)
 		}
 		iters[c.Rank()] = res.Iterations
-		var dst *grid.Field2D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
@@ -75,41 +75,41 @@ func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.P
 }
 
 // solveRanks3D is solveRanks2D for a 3D box decomposition.
-func solveRanks3D(t *testing.T, kind Kind, n, halo, depth int, part *grid.Partition3D,
-	runner func(fn func(c comm.Communicator) error) error) ([]int, *grid.Field3D) {
+func solveRanks3D(t *testing.T, kind Kind, n, halo, depth int, part *grid.Partition,
+	runner func(fn func(c comm.Communicator) error) error) ([]int, *grid.Field) {
 	t.Helper()
-	gg := grid.UnitGrid3D(n, n, n, halo)
-	gathered := grid.NewField3D(gg)
+	gg := grid.UnitGrid(n, n, n, halo)
+	gathered := grid.NewField(gg)
 	iters := make([]int, part.Ranks())
 	err := runner(func(c comm.Communicator) error {
 		ext := part.ExtentOf(c.Rank())
-		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+		sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 		if err != nil {
 			return err
 		}
-		den := grid.NewField3D(sub)
-		rhs := grid.NewField3D(sub)
+		den := grid.NewField(sub)
+		rhs := grid.NewField(sub)
 		for k := 0; k < sub.NZ; k++ {
 			for j := 0; j < sub.NY; j++ {
 				for i := 0; i < sub.NX; i++ {
-					den.Set(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					rhs.Set(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					den.SetCell(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					rhs.SetCell(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
 				}
 			}
 		}
-		if err := c.Exchange3D(sub.Halo, den); err != nil {
+		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
-		phys := c.Physical3D()
-		op, err := stencil.BuildOperator3D(par.Serial, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
+		phys := c.Physical()
+		op, err := stencil.BuildOperator(par.Serial, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down,
 				Up: phys.Up, Back: phys.Back, Front: phys.Front})
 		if err != nil {
 			return err
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve3D(kind, p, Options{
-			Tol: 1e-12, Comm: c, Precond3D: precond.NewJacobi3D(par.Serial, op),
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		res, err := Solve(kind, p, Options{
+			Tol: 1e-12, Comm: c, Precond: precond.NewJacobi(par.Serial, op),
 			EigenCGIters: 10, InnerSteps: 4, HaloDepth: depth,
 		})
 		if err != nil {
@@ -119,11 +119,11 @@ func solveRanks3D(t *testing.T, kind Kind, n, halo, depth int, part *grid.Partit
 			return fmt.Errorf("rank %d: not converged: %+v", c.Rank(), res)
 		}
 		iters[c.Rank()] = res.Iterations
-		var dst *grid.Field3D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
-		return c.GatherInterior3D(p.U, dst)
+		return c.GatherInterior(p.U, dst)
 	})
 	if err != nil {
 		t.Fatalf("3D %s depth=%d ranks=%d: %v", kind, depth, part.Ranks(), err)
@@ -141,7 +141,7 @@ func TestTCPGoldenVsHub2D(t *testing.T) {
 				halo = 2
 			}
 			for _, pxpy := range layouts {
-				part := grid.MustPartition(nx, ny, pxpy[0], pxpy[1])
+				part := grid.MustPartition(nx, ny, 1, pxpy[0], pxpy[1], 1)
 				hubIters, hubU := solveRanks2D(t, kind, nx, ny, halo, depth, part,
 					func(fn func(c comm.Communicator) error) error {
 						return comm.Run(part, func(c *comm.RankComm) error { return fn(c) })
@@ -174,14 +174,14 @@ func TestTCPGoldenVsHub3D(t *testing.T) {
 				halo = 2
 			}
 			for _, p := range layouts {
-				part := grid.MustPartition3D(n, n, n, p[0], p[1], p[2])
+				part := grid.MustPartition(n, n, n, p[0], p[1], p[2])
 				hubIters, hubU := solveRanks3D(t, kind, n, halo, depth, part,
 					func(fn func(c comm.Communicator) error) error {
-						return comm.Run3D(part, func(c *comm.RankComm) error { return fn(c) })
+						return comm.Run(part, func(c *comm.RankComm) error { return fn(c) })
 					})
 				tcpIters, tcpU := solveRanks3D(t, kind, n, halo, depth, part,
 					func(fn func(c comm.Communicator) error) error {
-						return comm.RunTCP3D(part, fn)
+						return comm.RunTCP(part, fn)
 					})
 				for r := range hubIters {
 					if d := tcpIters[r] - hubIters[r]; d < -1 || d > 1 {

@@ -2,6 +2,8 @@ package solver
 
 import (
 	"tealeaf/internal/comm"
+	"tealeaf/internal/grid"
+	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 )
 
@@ -45,7 +47,7 @@ import (
 // chainState carries a temporal-blocked solve's band schedule, the
 // per-tile partial tables of its chained reductions, and the in-flight
 // state of the current pipelined pass.
-type chainState[F comparable, B any] struct {
+type chainState struct {
 	bands []par.ChainBand
 	accU  *par.ChainAccum // fused update (γ', ‖r‖²) partials
 	accM  *par.ChainAccum // matvec dot partials (δ on the fused path; discarded on the pipelined path)
@@ -53,8 +55,8 @@ type chainState[F comparable, B any] struct {
 
 	// Per-pass matvec state (one pass in flight at a time): the chained
 	// deep matvec computes dst = A·(minv⊙src) on bounds mb.
-	mb             B
-	minv, src, dst F
+	mb             grid.Bounds
+	minv, src, dst *grid.Field
 	next           int
 	h1             comm.ReduceHandle // posted split-phase coarse round, nil once consumed
 }
@@ -66,11 +68,11 @@ type chainState[F comparable, B any] struct {
 // a deflated pipelined solve a projector that posts its coarse round
 // split-phase (splitDeflator). The plan reports each fallback; the deck
 // layer refuses tl_temporal on untiled pools outright.
-func newChainState[F comparable, B any](e *engine[F, B]) *chainState[F, B] {
+func newChainState(e *engine) *chainState {
 	if !e.plan.Chained {
 		return nil
 	}
-	cs := &chainState[F, B]{bands: e.bands}
+	cs := &chainState{bands: e.bands}
 	// Width 2 everywhere the matvec dot lands: the 3D identity path
 	// shares ApplyDot2's two-lane tile body, and a two-wide fold's slot 0
 	// is bit-identical to the one-wide fold of the same partials.
@@ -88,13 +90,13 @@ func newChainState[F comparable, B any](e *engine[F, B]) *chainState[F, B] {
 // clip of every extension ring, whose dot contribution is discarded
 // exactly as the unchained applyPreDotDeep discards it — ring cells
 // replicate a neighbour's interior and their dot belongs to that rank.
-func (cs *chainState[F, B]) matvecBand(e *engine[F, B], k int) {
+func (cs *chainState) matvecBand(e *engine, k int) {
 	sys := e.sys
 	bd := cs.bands[k]
-	sys.ApplyPreDotChain(cs.accM, bd.T0, bd.T1, cs.minv, cs.src, cs.dst)
+	sys.op.ApplyPreDotChain(sys.p, cs.accM, bd.T0, bd.T1, cs.minv, cs.src, cs.dst)
 	for _, rb := range sys.Rings(cs.mb) {
 		if cb, ok := sys.ChainClip(rb, bd.Lo, bd.Hi); ok {
-			sys.ApplyPreDot(cb, cs.minv, cs.src, cs.dst)
+			sys.op.ApplyPreDot(sys.p, cb, cs.minv, cs.src, cs.dst)
 		}
 	}
 }
@@ -107,19 +109,19 @@ func (cs *chainState[F, B]) matvecBand(e *engine[F, B], k int) {
 // the folded scalars; traces exactly what the unchained iteration
 // records. On the deflated path the caller re-projects w and discards
 // the returned δ, as the unchained cycle does.
-func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pvec, svec F, alpha, beta float64) (gammaNew, rrNew, deltaNew float64) {
+func (cs *chainState) fusedIter(e *engine, ab, mb grid.Bounds, minv, r, w, pvec, svec *grid.Field, alpha, beta float64) (gammaNew, rrNew, deltaNew float64) {
 	sys := e.sys
 	cs.mb, cs.minv, cs.src, cs.dst = mb, minv, r, w // matvec: w = A·(minv⊙r)
 	cs.accU.Reset()
 	cs.accM.Reset()
 	for k, bd := range cs.bands {
 		if db, ok := sys.ChainClip(ab, bd.Lo, bd.Hi); ok {
-			sys.FusedCGDirections(db, minv, r, w, beta, pvec, svec)
+			kernels.FusedCGDirections(sys.p, db, minv, r, w, beta, pvec, svec)
 		}
-		sys.FusedCGUpdateChain(cs.accU, bd.T0, bd.T1, alpha, pvec, svec, e.u, r, minv)
+		kernels.FusedCGUpdateChain(sys.p, cs.accU, bd.T0, bd.T1, alpha, pvec, svec, e.u, r, minv)
 		for _, rb := range sys.Rings(ab) {
 			if cb, ok := sys.ChainClip(rb, bd.Lo, bd.Hi); ok {
-				sys.Axpy(cb, -alpha, svec, r)
+				kernels.Axpy(sys.p, cb, -alpha, svec, r)
 			}
 		}
 		if k > 0 {
@@ -129,7 +131,7 @@ func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pve
 	cs.matvecBand(e, len(cs.bands)-1)
 	e.vectorPass(ab)
 	e.vectorPass(ab)
-	e.tr.AddMatvec(sys.Cells(mb))
+	e.tr.AddMatvec(mb.Cells())
 	u := cs.accU.Fold()
 	gammaNew, rrNew = u[0], u[1]
 	deltaNew = cs.accM.Fold()[0]
@@ -145,7 +147,7 @@ func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pve
 // the scalar round lands. Either way the full matvec is accounted here,
 // where the unchained engine accounts its full sweep — every exit path
 // completes the deferred bands (pipelinedDrain).
-func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F, sd splitDeflator[F, B]) {
+func (cs *chainState) pipelinedMatvec(e *engine, mb grid.Bounds, minv, w, n *grid.Field, sd splitDeflator) {
 	cs.mb, cs.minv, cs.src, cs.dst = mb, minv, w, n // matvec: n = A·(minv⊙w)
 	cs.accM.Reset()
 	cs.next = 0
@@ -154,13 +156,13 @@ func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F,
 			cs.matvecBand(e, k)
 		}
 		cs.next = len(cs.bands)
-		e.tr.AddMatvec(e.sys.Cells(mb))
+		e.tr.AddMatvec(mb.Cells())
 		cs.h1 = sd.ProjectWBoundsStart(n)
 		return
 	}
 	cs.matvecBand(e, 0)
 	cs.next = 1
-	e.tr.AddMatvec(e.sys.Cells(mb))
+	e.tr.AddMatvec(mb.Cells())
 }
 
 // pipelinedDrain completes the pass's deferred work before any exit
@@ -170,7 +172,7 @@ func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F,
 // whose result every rank discards symmetrically. That drained round is
 // the one extra reduction per solve the temporal-blocked deflated
 // pipelined path costs over the unchained cycle. Idempotent.
-func (cs *chainState[F, B]) pipelinedDrain(e *engine[F, B]) {
+func (cs *chainState) pipelinedDrain(e *engine) {
 	for cs.next < len(cs.bands) {
 		cs.matvecBand(e, cs.next)
 		cs.next++
@@ -183,7 +185,7 @@ func (cs *chainState[F, B]) pipelinedDrain(e *engine[F, B]) {
 
 // pipelinedProject consumes the posted coarse round into the deflation
 // projection n = P·A·(minv⊙w) over the pass's matvec bounds.
-func (cs *chainState[F, B]) pipelinedProject(sd splitDeflator[F, B]) {
+func (cs *chainState) pipelinedProject(sd splitDeflator) {
 	sd.ProjectWBoundsFinish(cs.h1, cs.mb, cs.dst)
 	cs.h1 = nil
 }
@@ -193,18 +195,18 @@ func (cs *chainState[F, B]) pipelinedProject(sd splitDeflator[F, B]) {
 // chained (γ, δ, ‖r‖²) partials and the ring recurrence extensions in
 // the unchained engine's op order. Returns the folded scalars with the
 // identity-preconditioner γ = ‖r‖² mapping the unchained kernel applies.
-func (cs *chainState[F, B]) pipelinedStep(e *engine[F, B], minv, r, w, n F, beta, alpha float64, pvec, svec, zvec, x F) (gamma, delta, rr float64) {
+func (cs *chainState) pipelinedStep(e *engine, minv, r, w, n *grid.Field, beta, alpha float64, pvec, svec, zvec, x *grid.Field) (gamma, delta, rr float64) {
 	sys := e.sys
 	cs.accS.Reset()
 	step := func(bd par.ChainBand) {
-		sys.PipelinedCGStepChain(cs.accS, bd.T0, bd.T1, minv, r, w, n, beta, alpha, pvec, svec, zvec, x)
+		kernels.PipelinedCGStepChain(sys.p, cs.accS, bd.T0, bd.T1, minv, r, w, n, beta, alpha, pvec, svec, zvec, x)
 		for _, rb := range sys.Rings(cs.mb) {
 			if cb, ok := sys.ChainClip(rb, bd.Lo, bd.Hi); ok {
-				sys.AxpbyPre(cb, beta, pvec, 1, minv, r) // p = u' + β·p
-				sys.Xpay(cb, w, beta, svec)              // s = w + β·s
-				sys.Xpay(cb, n, beta, zvec)              // z = n + β·z
-				sys.Axpy(cb, -alpha, svec, r)            // r −= α·s
-				sys.Axpy(cb, -alpha, zvec, w)            // w −= α·z
+				kernels.AxpbyPre(sys.p, cb, beta, pvec, 1, minv, r) // p = u' + β·p
+				kernels.Xpay(sys.p, cb, w, beta, svec)              // s = w + β·s
+				kernels.Xpay(sys.p, cb, n, beta, zvec)              // z = n + β·z
+				kernels.Axpy(sys.p, cb, -alpha, svec, r)            // r −= α·s
+				kernels.Axpy(sys.p, cb, -alpha, zvec, w)            // w −= α·z
 			}
 		}
 	}
@@ -220,7 +222,7 @@ func (cs *chainState[F, B]) pipelinedStep(e *engine[F, B], minv, r, w, n F, beta
 	step(cs.bands[len(cs.bands)-1])
 	out := cs.accS.Fold()
 	gamma, delta, rr = out[0], out[1], out[2]
-	if isZeroF(minv) {
+	if minv == nil {
 		gamma = rr
 	}
 	return

@@ -55,7 +55,7 @@ func temporalOpts(v temporalVariant, pool *par.Pool, c comm.Communicator, depth 
 // temporalRun2D solves the deterministic denAt2D/rhsAt2D problem with
 // the given engine variant and returns the iteration count, the
 // gathered solution and rank 0's solver-only trace.
-func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, temporal bool) (int, *grid.Field2D, stats.Trace) {
+func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, temporal bool) (int, *grid.Field, stats.Trace) {
 	t.Helper()
 	const n = 24
 	halo := depth
@@ -67,9 +67,9 @@ func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 	if !ok {
 		t.Fatalf("no 2D layout for %d ranks", ranks)
 	}
-	part := grid.MustPartition(n, n, pxpy[0], pxpy[1])
-	gg := grid.UnitGrid2D(n, n, halo)
-	gathered := grid.NewField2D(gg)
+	part := grid.MustPartition(n, n, 1, pxpy[0], pxpy[1], 1)
+	gg := grid.UnitGrid(n, n, 1, halo)
+	gathered := grid.NewField(gg)
 	var iters int
 	var tr stats.Trace
 	err := comm.Run(part, func(c *comm.RankComm) error {
@@ -78,7 +78,7 @@ func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 		if err != nil {
 			return err
 		}
-		den, rhs := grid.NewField2D(sub), grid.NewField2D(sub)
+		den, rhs := grid.NewField(sub), grid.NewField(sub)
 		for k := 0; k < sub.NY; k++ {
 			for j := 0; j < sub.NX; j++ {
 				den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
@@ -90,8 +90,8 @@ func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 		}
 		pool := temporalPool(workers, 2)
 		phys := c.Physical()
-		op, err := stencil.BuildOperator2D(pool, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+		op, err := stencil.BuildOperator(pool, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 			iters = res.Iterations
 			tr = *c.Trace()
 		}
-		var dst *grid.Field2D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
@@ -133,7 +133,7 @@ func temporalRun2D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 }
 
 // temporalRun3D is the 3D twin on the denAt3D/rhsAt3D problem.
-func temporalRun3D(t *testing.T, v temporalVariant, ranks, workers, depth int, temporal bool) (int, *grid.Field3D, stats.Trace) {
+func temporalRun3D(t *testing.T, v temporalVariant, ranks, workers, depth int, temporal bool) (int, *grid.Field, stats.Trace) {
 	t.Helper()
 	const n = 12
 	halo := depth
@@ -145,52 +145,52 @@ func temporalRun3D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 	if !ok {
 		t.Fatalf("no 3D layout for %d ranks", ranks)
 	}
-	part := grid.MustPartition3D(n, n, n, pl[0], pl[1], pl[2])
-	gg := grid.UnitGrid3D(n, n, n, halo)
-	gathered := grid.NewField3D(gg)
+	part := grid.MustPartition(n, n, n, pl[0], pl[1], pl[2])
+	gg := grid.UnitGrid(n, n, n, halo)
+	gathered := grid.NewField(gg)
 	var iters int
 	var tr stats.Trace
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
-		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+		sub, err := gg.SubExtent(grid.Extent{X0: ext.X0, X1: ext.X1, Y0: ext.Y0, Y1: ext.Y1, Z0: ext.Z0, Z1: ext.Z1})
 		if err != nil {
 			return err
 		}
-		den, rhs := grid.NewField3D(sub), grid.NewField3D(sub)
+		den, rhs := grid.NewField(sub), grid.NewField(sub)
 		for k := 0; k < sub.NZ; k++ {
 			for j := 0; j < sub.NY; j++ {
 				for i := 0; i < sub.NX; i++ {
-					den.Set(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					rhs.Set(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					den.SetCell(i, j, k, denAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
+					rhs.SetCell(i, j, k, rhsAt3D(ext.X0+i, ext.Y0+j, ext.Z0+k))
 				}
 			}
 		}
-		if err := c.Exchange3D(sub.Halo, den); err != nil {
+		if err := c.Exchange(sub.Halo, den); err != nil {
 			return err
 		}
 		pool := temporalPool(workers, 3)
-		phys := c.Physical3D()
-		op, err := stencil.BuildOperator3D(pool, den, 0.04, stencil.Conductivity,
-			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
+		phys := c.Physical()
+		op, err := stencil.BuildOperator(pool, den, 0.04, stencil.Conductivity,
+			grid.Sides{Left: phys.Left, Right: phys.Right, Down: phys.Down,
 				Up: phys.Up, Back: phys.Back, Front: phys.Front})
 		if err != nil {
 			return err
 		}
 		opts := temporalOpts(v, pool, c, depth, temporal)
-		opts.Precond3D = precond.NewJacobi3D(pool, op)
+		opts.Precond = precond.NewJacobi(pool, op)
 		if v.deflated {
-			defl, err := deflate.New3D(par.Serial, c, op,
-				deflate.Geometry3D{GlobalNX: n, GlobalNY: n, GlobalNZ: n,
+			defl, err := deflate.New(par.Serial, c, op,
+				deflate.Geometry{GlobalNX: n, GlobalNY: n, GlobalNZ: n,
 					OffsetX: ext.X0, OffsetY: ext.Y0, OffsetZ: ext.Z0},
 				deflate.Config{BX: 3, BY: 3, BZ: 3, Levels: 1})
 			if err != nil {
 				return err
 			}
-			opts.Deflation3D = defl
+			opts.Deflation = defl
 		}
-		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 		c.Trace().Reset()
-		res, err := SolveCG3D(p, opts)
+		res, err := SolveCG(p, opts)
 		if err != nil {
 			return err
 		}
@@ -202,11 +202,11 @@ func temporalRun3D(t *testing.T, v temporalVariant, ranks, workers, depth int, t
 			iters = res.Iterations
 			tr = *c.Trace()
 		}
-		var dst *grid.Field3D
+		var dst *grid.Field
 		if c.Rank() == 0 {
 			dst = gathered
 		}
-		return c.GatherInterior3D(p.U, dst)
+		return c.GatherInterior(p.U, dst)
 	})
 	if err != nil {
 		t.Fatalf("3D %s ranks=%d workers=%d temporal=%v: %v", v.name, ranks, workers, temporal, err)
@@ -311,14 +311,14 @@ func TestTemporalWorkerInvariance(t *testing.T) {
 // deck layer rejects it instead), and a depth-1 solve must ignore the
 // flag entirely; both report the fallback in the plan.
 func TestTemporalFallbacks(t *testing.T) {
-	build := func(pool *par.Pool, temporal bool, depth int) (Result, *grid.Field2D) {
+	build := func(pool *par.Pool, temporal bool, depth int) (Result, *grid.Field) {
 		const n = 24
 		halo := depth
 		if halo < 2 {
 			halo = 2
 		}
-		g := grid.UnitGrid2D(n, n, halo)
-		den, rhs := grid.NewField2D(g), grid.NewField2D(g)
+		g := grid.UnitGrid(n, n, 1, halo)
+		den, rhs := grid.NewField(g), grid.NewField(g)
 		for k := 0; k < n; k++ {
 			for j := 0; j < n; j++ {
 				den.Set(j, k, denAt2D(j, k))
@@ -326,7 +326,7 @@ func TestTemporalFallbacks(t *testing.T) {
 			}
 		}
 		den.ReflectHalos(halo)
-		op, err := stencil.BuildOperator2D(pool, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+		op, err := stencil.BuildOperator(pool, den, 0.04, stencil.Conductivity, grid.AllSides)
 		if err != nil {
 			t.Fatal(err)
 		}

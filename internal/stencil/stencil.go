@@ -5,10 +5,11 @@
 //
 //	A u = u⁰,   A = I + Δt·L,
 //
-// where L is the 5-point (2D) or 7-point (3D) finite-difference diffusion
-// operator. A is never assembled: only the face conduction coefficient
-// arrays Kx, Ky (and Kz) are stored, and w = A·p is computed directly from
-// the mesh exactly as in Listing 1 of the paper:
+// where L is the 5-point (flat grid) or 7-point (3D grid) finite-difference
+// diffusion operator. A is never assembled: only the face conduction
+// coefficient arrays Kx, Ky (and Kz, which a flat grid does not have) are
+// stored, and w = A·p is computed directly from the mesh exactly as in
+// Listing 1 of the paper:
 //
 //	w(j,k) = (1 + (Ky(j,k+1)+Ky(j,k)) + (Kx(j+1,k)+Kx(j,k)))·p(j,k)
 //	       − (Ky(j,k+1)·p(j,k+1) + Ky(j,k)·p(j,k−1))
@@ -16,6 +17,12 @@
 //
 // The diagonal is one plus the sum of the off-diagonal coefficients on the
 // row, making A strictly diagonally dominant and hence SPD.
+//
+// There is one Operator. Its 5-point and 7-point variants differ only in
+// the row kernels the sweeps run: the 5-point ones in this file, the
+// 7-point ones in stencil7.go. Each kernel keeps its own accumulation
+// order, so a flat solve reproduces the 2D stencil bit for bit and a 3D
+// solve the 7-point one.
 package stencil
 
 import (
@@ -49,27 +56,19 @@ func (c Coefficient) String() string {
 	return fmt.Sprintf("coefficient(%d)", int(c))
 }
 
-// PhysicalSides records which sides of a (sub-)grid lie on the physical
-// domain boundary, where the zero-flux condition zeroes the face
-// coefficients. A rank interior to the process grid has none.
-type PhysicalSides struct {
-	Left, Right, Down, Up bool
+// Operator is the matrix-free operator: face coefficient fields on the
+// same padded layout as the solution fields. Kx(i,j,k) couples cells
+// (i−1,j,k)↔(i,j,k), Ky(i,j,k) couples (i,j−1,k)↔(i,j,k) and Kz(i,j,k)
+// couples (i,j,k−1)↔(i,j,k). A flat grid has no Kz.
+type Operator struct {
+	Grid       *grid.Grid
+	Kx, Ky, Kz *grid.Field
+	// Rx, Ry, Rz are the Δt/Δx², Δt/Δy², Δt/Δz² scalings baked into the
+	// coefficients (Rz is unused on a flat grid).
+	Rx, Ry, Rz float64
 }
 
-// AllPhysical is the single-rank / global-grid case.
-var AllPhysical = PhysicalSides{Left: true, Right: true, Down: true, Up: true}
-
-// Operator2D is the matrix-free 2D operator: face coefficient fields on
-// the same padded layout as the solution fields. Kx(j,k) couples cells
-// (j−1,k)↔(j,k); Ky(j,k) couples (j,k−1)↔(j,k).
-type Operator2D struct {
-	Grid   *grid.Grid2D
-	Kx, Ky *grid.Field2D
-	// Rx, Ry are the Δt/Δx², Δt/Δy² scalings baked into Kx, Ky.
-	Rx, Ry float64
-}
-
-// BuildOperator2D derives the face coefficients from the cell-centred
+// BuildOperator derives the face coefficients from the cell-centred
 // density. The density field must have valid halo values wherever the
 // operator will be applied (reflected on physical sides, exchanged across
 // rank boundaries): coefficients are computed over the whole padded
@@ -77,11 +76,13 @@ type Operator2D struct {
 //
 // The face coefficient is the harmonic-mean construction TeaLeaf uses:
 //
-//	Kx(j,k) = rx · (w(j−1,k)+w(j,k)) / (2·w(j−1,k)·w(j,k))
+//	Kx(i,j,k) = rx · (w(i−1,j,k)+w(i,j,k)) / (2·w(i−1,j,k)·w(i,j,k))
 //
 // with w the per-cell conduction coefficient, then faces on the physical
-// boundary are zeroed (zero-flux boundary condition).
-func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coefficient, phys PhysicalSides) (*Operator2D, error) {
+// boundary sides phys are zeroed (zero-flux boundary condition); faces on
+// rank boundaries keep their neighbour-coupled coefficients so the
+// distributed operator equals the global one.
+func BuildOperator(pool *par.Pool, density *grid.Field, dt float64, coef Coefficient, phys grid.Sides) (*Operator, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return nil, fmt.Errorf("stencil: dt = %v must be positive and finite", dt)
 	}
@@ -89,32 +90,36 @@ func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coe
 		return nil, fmt.Errorf("stencil: unknown coefficient mode %d", int(coef))
 	}
 	g := density.Grid
-	op := &Operator2D{
+	op := &Operator{
 		Grid: g,
-		Kx:   grid.NewField2D(g),
-		Ky:   grid.NewField2D(g),
+		Kx:   grid.NewField(g),
+		Ky:   grid.NewField(g),
 		Rx:   dt / (g.DX * g.DX),
 		Ry:   dt / (g.DY * g.DY),
+		Rz:   dt / (g.DZ * g.DZ),
 	}
+	flat := g.Flat()
+	if !flat {
+		op.Kz = grid.NewField(g)
+	}
+	h, zh := g.Halo, g.ZHalo()
+	padded := grid.Bounds{X0: -h, X1: g.NX + h, Y0: -h, Y1: g.NY + h, Z0: -zh, Z1: g.NZ + zh}
 
 	// Per-cell conduction coefficient over the full padded region.
-	w := grid.NewField2D(g)
-	h := g.Halo
-	pool.For(-h, g.NY+h, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			for j := -h; j < g.NX+h; j++ {
-				rho := density.At(j, k)
-				if rho <= 0 || math.IsNaN(rho) {
-					// Density must be physical; poison the coefficient so
-					// the validation pass below reports it.
-					w.Set(j, k, math.NaN())
-					continue
-				}
-				if coef == RecipConductivity {
-					w.Set(j, k, 1/rho)
-				} else {
-					w.Set(j, k, rho)
-				}
+	w := grid.NewField(g)
+	wd, dd := w.Data, density.Data
+	eachRow(pool, g, padded, func(o, n int) {
+		for i := o; i < o+n; i++ {
+			rho := dd[i]
+			switch {
+			case rho <= 0 || math.IsNaN(rho):
+				// Density must be physical; poison the coefficient so the
+				// validation pass below reports it.
+				wd[i] = math.NaN()
+			case coef == RecipConductivity:
+				wd[i] = 1 / rho
+			default:
+				wd[i] = rho
 			}
 		}
 	})
@@ -124,91 +129,282 @@ func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coe
 		}
 	}
 
-	// Face coefficients wherever both adjacent cells are addressable.
-	pool.For(-h+1, g.NY+h, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			for j := -h + 1; j < g.NX+h; j++ {
-				wl, wc := w.At(j-1, k), w.At(j, k)
-				op.Kx.Set(j, k, op.Rx*(wl+wc)/(2*wl*wc))
-				wd := w.At(j, k-1)
-				op.Ky.Set(j, k, op.Ry*(wd+wc)/(2*wd*wc))
+	// Face coefficients wherever both adjacent cells are addressable. The
+	// 5-point and 7-point constructions associate the scaling differently;
+	// each keeps its own so both reproduce their historical bits.
+	sy, sz := g.Stride(), g.PlaneStride()
+	inner := padded
+	inner.X0, inner.Y0 = -h+1, -h+1
+	if !flat {
+		inner.Z0 = -zh + 1
+	}
+	kx, ky := op.Kx.Data, op.Ky.Data
+	eachRow(pool, g, inner, func(o, n int) {
+		if flat {
+			for i := o; i < o+n; i++ {
+				wl, wd0, wc := wd[i-1], wd[i-sy], wd[i]
+				kx[i] = op.Rx * (wl + wc) / (2 * wl * wc)
+				ky[i] = op.Ry * (wd0 + wc) / (2 * wd0 * wc)
 			}
+			return
+		}
+		kz := op.Kz.Data
+		for i := o; i < o+n; i++ {
+			wc := wd[i]
+			kx[i] = op.Rx * face(wd[i-1], wc)
+			ky[i] = op.Ry * face(wd[i-sy], wc)
+			kz[i] = op.Rz * face(wd[i-sz], wc)
 		}
 	})
 
 	// Zero-flux physical boundaries: no conduction through outer faces.
-	if phys.Left {
-		for k := -h; k < g.NY+h; k++ {
-			for j := -h; j <= 0; j++ {
-				op.Kx.Set(j, k, 0)
-			}
+	zero := func(f *grid.Field, b grid.Bounds) {
+		if f != nil {
+			f.FillBounds(b.ClampPadded(g), 0)
 		}
+	}
+	if phys.Left {
+		zero(op.Kx, grid.Bounds{X0: -h, X1: 1, Y0: -h, Y1: g.NY + h, Z0: -zh, Z1: g.NZ + zh})
 	}
 	if phys.Right {
-		for k := -h; k < g.NY+h; k++ {
-			for j := g.NX; j < g.NX+h; j++ {
-				op.Kx.Set(j, k, 0)
-			}
-		}
+		zero(op.Kx, grid.Bounds{X0: g.NX, X1: g.NX + h, Y0: -h, Y1: g.NY + h, Z0: -zh, Z1: g.NZ + zh})
 	}
 	if phys.Down {
-		for j := -h; j < g.NX+h; j++ {
-			for k := -h; k <= 0; k++ {
-				op.Ky.Set(j, k, 0)
-			}
-		}
+		zero(op.Ky, grid.Bounds{X0: -h, X1: g.NX + h, Y0: -h, Y1: 1, Z0: -zh, Z1: g.NZ + zh})
 	}
 	if phys.Up {
-		for j := -h; j < g.NX+h; j++ {
-			for k := g.NY; k < g.NY+h; k++ {
-				op.Ky.Set(j, k, 0)
-			}
-		}
+		zero(op.Ky, grid.Bounds{X0: -h, X1: g.NX + h, Y0: g.NY, Y1: g.NY + h, Z0: -zh, Z1: g.NZ + zh})
+	}
+	if phys.Back {
+		zero(op.Kz, grid.Bounds{X0: -h, X1: g.NX + h, Y0: -h, Y1: g.NY + h, Z0: -zh, Z1: 1})
+	}
+	if phys.Front {
+		zero(op.Kz, grid.Bounds{X0: -h, X1: g.NX + h, Y0: -h, Y1: g.NY + h, Z0: g.NZ, Z1: g.NZ + zh})
 	}
 	return op, nil
 }
 
-// stencilRows bundles the re-sliced rows the 5-point kernels read for one
-// grid row k over columns [b.X0, b.X1): face coefficients, and the centre
-// row of p extended one cell each side (ps[j] = p(X0+j−1), ps[j+1] =
-// centre, ps[j+2] = east) plus the north/south rows. The three-index
-// re-slices let the compiler hoist every bounds check out of the j loop.
-type stencilRows struct {
-	kxs      []float64 // kxs[j] = Kx(X0+j), kxs[j+1] = Kx(X0+j+1)
-	kyn, kys []float64 // north/south face Ky rows
-	pn, pso  []float64 // north/south p rows
-	pc       []float64 // centre p row, extended [X0-1, X1+1)
+// face is the 7-point harmonic-mean face factor of adjacent coefficients.
+func face(a, b float64) float64 { return (a + b) / (2 * a * b) }
+
+// eachRow runs fn on every row of b — o the storage index of its first
+// cell, n its length — split across the pool along the outermost axis.
+func eachRow(pool *par.Pool, g *grid.Grid, b grid.Bounds, fn func(o, n int)) {
+	if b.Empty() {
+		return
+	}
+	pool.ForTiles(g.Box(b), func(t par.Tile) {
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				fn(g.Index(t.X0, j, k), t.X1-t.X0)
+			}
+		}
+	})
 }
 
-func sliceStencilRows(g *grid.Grid2D, b grid.Bounds, kx, ky, p []float64, k int) stencilRows {
-	s := g.Stride()
-	o := g.Index(b.X0, k)
-	n := b.X1 - b.X0
-	return stencilRows{
-		kxs: kx[o : o+n+1],
-		kyn: ky[o+s : o+s+n],
-		kys: ky[o : o+n],
-		pn:  p[o+s : o+s+n],
-		pso: p[o-s : o-s+n],
-		pc:  p[o-1 : o+n+1],
-	}
-}
+// flat reports whether op runs the 5-point row kernels.
+func (op *Operator) flat() bool { return op.Kz == nil }
 
 // Apply computes w = A·p over the cells of b. p must have valid values one
 // cell beyond b on every side (halo-exchanged, reflected, or inside the
 // padded region covered by a deeper exchange).
-func (op *Operator2D) Apply(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) {
+func (op *Operator) Apply(pool *par.Pool, b grid.Bounds, p, w *grid.Field) {
 	if b.Empty() {
 		return
 	}
+	body := op.apply5(p.Data, w.Data)
+	if !op.flat() {
+		body = op.apply7(p.Data, w.Data)
+	}
+	pool.ForTiles(op.Grid.Box(b), body)
+}
+
+// ApplyDot is Listing 1 exactly: w = A·p fused with the dot product
+// pw = p·w in a single pass over b. The inner loop is the hottest in the
+// whole solver, so it is written with local re-sliced rows (bounds checks
+// hoisted) and unrolled.
+func (op *Operator) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field) float64 {
+	if b.Empty() {
+		return 0
+	}
+	body := op.applyDot5(p.Data, w.Data)
+	if !op.flat() {
+		body = op.applyDot7(p.Data, w.Data)
+	}
+	return pool.ForTilesReduceN(1, op.Grid.Box(b), body)[0]
+}
+
+// ApplyDot2 computes w = A·p fused with the two dot products p·w and w·w
+// in one sweep — the §VII "one reduction" building block for pipelined
+// Krylov variants, and a free divergence sentinel (w·w blowing up flags a
+// breakdown one iteration earlier than p·w alone).
+func (op *Operator) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field) (pw, ww float64) {
+	if b.Empty() {
+		return 0, 0
+	}
+	body := op.applyDot25(p.Data, w.Data)
+	if !op.flat() {
+		body = op.applyDot27(p.Data, w.Data)
+	}
+	acc := pool.ForTilesReduceN(2, op.Grid.Box(b), body)
+	return acc[0], acc[1]
+}
+
+// ApplyPreDot is the matvec pass of the fused single-reduction CG: with
+// u = minv ⊙ r the (folded diagonal-)preconditioned residual, it computes
+// w = A·u and returns uw = Σ u·w in one sweep, never materialising u.
+// r (and minv) must be valid one cell beyond b on every side. nil minv
+// selects the identity (u = r): ApplyDot's sweep on a flat grid,
+// ApplyDot2's on a 3D one.
+func (op *Operator) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field) float64 {
+	if minv == nil && op.flat() {
+		return op.ApplyDot(pool, b, r, w)
+	}
+	if minv == nil {
+		pw, _ := op.ApplyDot2(pool, b, r, w)
+		return pw
+	}
+	if b.Empty() {
+		return 0
+	}
+	return pool.ForTilesReduceN(1, op.Grid.Box(b), op.applyPreDotBody(minv, r, w))[0]
+}
+
+// ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
+// range [t0,t1) of the accumulator's box: same tile body, with the u·w
+// partial landing in slot 0 of the per-tile accumulator instead of being
+// folded immediately, so a temporal-blocked cycle can run the matvec
+// band-by-band and fold once at the end of the sweep with
+// ForTilesReduceN's exact bits. acc must be at least 2 wide: the 3D
+// identity path chunks ApplyDot2's two-lane body.
+func (op *Operator) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field) {
+	pool.ForTilesChunk(acc, t0, t1, op.applyPreDotBody(minv, r, w))
+}
+
+// applyPreDotBody is the tile body shared by ApplyPreDot and
+// ApplyPreDotChain — one closure per variant, so the chained and
+// unchained sweeps cannot drift bit-wise.
+func (op *Operator) applyPreDotBody(minv, r, w *grid.Field) func(t par.Tile, acc []float64) {
+	switch {
+	case minv == nil && op.flat():
+		return op.applyDot5(r.Data, w.Data)
+	case minv == nil:
+		return op.applyDot27(r.Data, w.Data)
+	case op.flat():
+		return op.applyPreDot5(minv.Data, r.Data, w.Data)
+	}
+	return op.applyPreDot7(minv.Data, r.Data, w.Data)
+}
+
+// ApplyPreDotInit is ApplyPreDot extended with the two extra dot products
+// the fused CG loop needs to start up: it returns (γ, δ, rr) =
+// (Σ r·u, Σ u·w, Σ r·r) for u = minv ⊙ r, w = A·u, in one sweep. nil minv
+// selects the identity. It runs once per solve, so it trades a little
+// per-element work for not needing separate Dot passes before the first
+// iteration.
+func (op *Operator) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field) (gamma, delta, rr float64) {
+	if b.Empty() {
+		return 0, 0, 0
+	}
+	var md []float64
+	if minv != nil {
+		md = minv.Data
+	}
+	body := op.applyPreDotInit5(md, r.Data, w.Data)
+	if !op.flat() {
+		body = op.applyPreDotInit7(md, r.Data, w.Data)
+	}
+	out := pool.ForTilesReduceN(3, op.Grid.Box(b), body)
+	return out[0], out[1], out[2]
+}
+
+// Residual computes r = rhs − A·u over b.
+func (op *Operator) Residual(pool *par.Pool, b grid.Bounds, u, rhs, r *grid.Field) {
+	row := op.residual5
+	if !op.flat() {
+		row = op.residual7
+	}
+	ud, bd, rd := u.Data, rhs.Data, r.Data
+	eachRow(pool, op.Grid, b, func(o, n int) { row(o, n, ud, bd, rd) })
+}
+
+// Diagonal writes the matrix diagonal 1 + ΣK over b into d; the
+// point-Jacobi preconditioner is its reciprocal. The stencil needs the
+// face coefficients one cell beyond each cell, so b must stay one cell
+// inside the padded region.
+func (op *Operator) Diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field) {
+	row := op.diagonal5
+	if !op.flat() {
+		row = op.diagonal7
+	}
+	dd := d.Data
+	eachRow(pool, op.Grid, b, func(o, n int) { row(o, n, dd) })
+}
+
+// JacobiSweep is one point-Jacobi update over b,
+//
+//	u⁺ = (rhs + Σ K·un(neighbours)) / diag,
+//
+// reading the previous iterate un, and returns the local L1 norm of the
+// update Σ|u⁺−un|, accumulated band by band along the outermost axis.
+func (op *Operator) JacobiSweep(pool *par.Pool, b grid.Bounds, un, rhs, u *grid.Field) float64 {
+	g := op.Grid
+	row := op.jacobi5
+	lo, hi := b.Y0, b.Y1
+	if !op.flat() {
+		row = op.jacobi7
+		lo, hi = b.Z0, b.Z1
+	}
+	ud, nd, bd := u.Data, un.Data, rhs.Data
+	return pool.ForReduce(lo, hi, func(l0, l1 int) float64 {
+		band := b
+		if op.flat() {
+			band.Y0, band.Y1 = l0, l1
+		} else {
+			band.Z0, band.Z1 = l0, l1
+		}
+		var sum float64
+		for k := band.Z0; k < band.Z1; k++ {
+			for j := band.Y0; j < band.Y1; j++ {
+				sum = row(g.Index(b.X0, j, k), b.X1-b.X0, ud, nd, bd, sum)
+			}
+		}
+		return sum
+	})
+}
+
+// RowSumCheck returns the maximum |row sum − 1| over b when every face
+// coefficient interior to b's one-cell neighbourhood pairs up: for the
+// global operator the off-diagonal entries cancel the diagonal excess, so
+// row sums are exactly 1 (A·1 = 1). Used by tests and sanity checks.
+func (op *Operator) RowSumCheck(pool *par.Pool, b grid.Bounds) float64 {
+	g := op.Grid
+	ones := grid.NewField(g)
+	ones.Fill(1)
+	w := grid.NewField(g)
+	op.Apply(pool, b, ones, w)
+	var worst float64
+	for k := b.Z0; k < b.Z1; k++ {
+		for j := b.Y0; j < b.Y1; j++ {
+			for _, v := range w.Row(j, k, b.X0, b.X1) {
+				worst = max(worst, math.Abs(v-1))
+			}
+		}
+	}
+	return worst
+}
+
+// The 5-point row kernels: the Operator's sweeps on a flat grid, where
+// every row lies in the plane k = 0.
+
+func (op *Operator) apply5(pd, wd []float64) func(t par.Tile) {
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	pd, wd := p.Data, w.Data
-	pool.ForTiles(par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile) {
+	return func(t par.Tile) {
 		n := t.X1 - t.X0
 		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+			o := g.Index(t.X0, k, 0)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -238,33 +434,18 @@ func (op *Operator2D) Apply(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) {
 					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
 			}
 		}
-	})
+	}
 }
 
-// ApplyDot is Listing 1 exactly: w = A·p fused with the dot product
-// pw = p·w in a single pass over b. The inner loop is the hottest in the
-// whole solver, so it is written with local re-sliced rows (bounds checks
-// hoisted) and 4-way unrolling.
-func (op *Operator2D) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) float64 {
-	if b.Empty() {
-		return 0
-	}
+func (op *Operator) applyDot5(pd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	pd, wd := p.Data, w.Data
-	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyDotBody(g, s, kx, ky, pd, wd))[0]
-}
-
-// applyDotBody is the tile body shared by ApplyDot and the identity-
-// preconditioner path of ApplyPreDotChain — one closure, so the chained
-// and unchained sweeps cannot drift bit-wise.
-func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
 		var pw0, pw1, pw2, pw3 float64
 		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+			o := g.Index(t.X0, k, 0)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -306,28 +487,16 @@ func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Ti
 	}
 }
 
-// ApplyDot2 computes w = A·p fused with the two dot products p·w and w·w
-// in one sweep — the §VII "one reduction" building block for pipelined
-// Krylov variants, and a free divergence sentinel (w·w blowing up flags a
-// breakdown one iteration earlier than p·w alone). The body mirrors
-// ApplyDot — rows hoisted into local slices, 4-way unroll — rather than
-// going through the sliceStencilRows struct: the struct-member indirection
-// defeated the compiler's bounds-check hoisting and cost this kernel 40%
-// of its bandwidth (10.5 vs 17.5 GB/s in BENCH_kernels.json).
-func (op *Operator2D) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) (pw, ww float64) {
-	if b.Empty() {
-		return 0, 0
-	}
+func (op *Operator) applyDot25(pd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	pd, wd := p.Data, w.Data
-	acc := pool.ForTilesReduceN(2, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile, acc []float64) {
+	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
 		var pw0, pw1, pw2, pw3 float64
 		var ww0, ww1, ww2, ww3 float64
 		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+			o := g.Index(t.X0, k, 0)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -372,57 +541,19 @@ func (op *Operator2D) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field2
 		}
 		acc[0] += (pw0 + pw1) + (pw2 + pw3)
 		acc[1] += (ww0 + ww1) + (ww2 + ww3)
-	})
-	return acc[0], acc[1]
+	}
 }
 
-// ApplyPreDot is the matvec pass of the fused single-reduction CG: with
-// u = minv ⊙ r the (folded diagonal-)preconditioned residual, it computes
-// w = A·u and returns uw = Σ u·w in one sweep, never materialising u.
-// r (and minv) must be valid one cell beyond b on every side. nil minv
-// selects the identity (u = r), reducing to ApplyDot.
-func (op *Operator2D) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	if minv == nil {
-		return op.ApplyDot(pool, b, r, w)
-	}
-	if b.Empty() {
-		return 0
-	}
+// applyPreDot5 keeps a rolling three-row window of u = minv ⊙ r
+// (extended one cell left/right) per tile, so every product is computed
+// once and m, r stream through exactly one read each — the buffer rows
+// stay L1-resident across the stencil evaluation. Edge cells recomputed
+// by the adjacent tile are the same pointwise products, so tiling leaves
+// the sweep's output unchanged.
+func (op *Operator) applyPreDot5(md, rd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	md, rd, wd := minv.Data, r.Data, w.Data
-	// Each worker keeps a rolling three-row window of u = minv ⊙ r
-	// (extended one cell left/right), so every product is computed once
-	// and m, r stream through exactly one read each — the buffer rows
-	// stay L1-resident across the stencil evaluation. Under tiling the
-	// window is tile-wide; edge cells recomputed by the adjacent tile are
-	// the same pointwise products, so the sweep's output is unchanged.
-	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyPreDotBody(g, s, kx, ky, md, rd, wd))[0]
-}
-
-// ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
-// range [t0,t1) of the accumulator's box: same tile body, with the u·w
-// partial landing in the per-tile accumulator (width 1) instead of being
-// folded immediately, so a temporal-blocked cycle can run the matvec
-// band-by-band and fold once at the end of the sweep with
-// ForTilesReduceN's exact bits. nil minv selects the identity (u = r),
-// chunking ApplyDot's body instead.
-func (op *Operator2D) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	if minv == nil {
-		pool.ForTilesChunk(acc, t0, t1, applyDotBody(g, s, kx, ky, r.Data, w.Data))
-		return
-	}
-	pool.ForTilesChunk(acc, t0, t1, applyPreDotBody(g, s, kx, ky, minv.Data, r.Data, w.Data))
-}
-
-// applyPreDotBody is the tile body shared by ApplyPreDot and
-// ApplyPreDotChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
-func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
 		width := n + 2
@@ -431,7 +562,7 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 		uc := buf[1*width : 2*width : 2*width] // row k
 		un := buf[2*width : 3*width : 3*width] // row k+1
 		fill := func(dst []float64, k int) {
-			o := g.Index(t.X0-1, k)
+			o := g.Index(t.X0-1, k, 0)
 			ms := md[o : o+width : o+width]
 			rs := rd[o:][:width:width]
 			j := 0
@@ -450,7 +581,7 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 		var uw0, uw1 float64
 		for k := t.Y0; k < t.Y1; k++ {
 			fill(un, k+1)
-			o := g.Index(t.X0, k)
+			o := g.Index(t.X0, k, 0)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -484,30 +615,16 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 	}
 }
 
-// ApplyPreDotInit is ApplyPreDot extended with the two extra dot products
-// the fused CG loop needs to start up: it returns (γ, δ, rr) =
-// (Σ r·u, Σ u·w, Σ r·r) for u = minv ⊙ r, w = A·u, in one sweep. It runs
-// once per solve, so it trades a little per-element work for not needing
-// separate Dot passes before the first iteration.
-func (op *Operator2D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) (gamma, delta, rr float64) {
-	if b.Empty() {
-		return 0, 0, 0
-	}
+func (op *Operator) applyPreDotInit5(md, rd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	rd, wd := r.Data, w.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	out := pool.ForTilesReduceN(3, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile, acc []float64) {
-		tb := grid.Bounds{X0: t.X0, X1: t.X1, Y0: t.Y0, Y1: t.Y1}
-		n := tb.X1 - tb.X0
+	return func(t par.Tile, acc []float64) {
+		n := t.X1 - t.X0
 		var ga, de, rs float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			rrw := sliceStencilRows(g, tb, kx, ky, rd, k)
-			o := g.Index(tb.X0, k)
+		for k := t.Y0; k < t.Y1; k++ {
+			rrw := sliceStencilRows(g, t, kx, ky, rd, k)
+			o := g.Index(t.X0, k, 0)
 			ws := wd[o : o+n : o+n]
 			if md == nil {
 				for j := 0; j < n; j++ {
@@ -540,71 +657,64 @@ func (op *Operator2D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w 
 		acc[0] += ga
 		acc[1] += de
 		acc[2] += rs
-	})
-	return out[0], out[1], out[2]
+	}
 }
 
-// Residual computes r = rhs − A·u over b.
-func (op *Operator2D) Residual(pool *par.Pool, b grid.Bounds, u, rhs, r *grid.Field2D) {
-	if b.Empty() {
-		return
-	}
-	g := op.Grid
+// stencilRows bundles the re-sliced rows the 5-point kernels read for one
+// grid row k over columns [b.X0, b.X1): face coefficients, and the centre
+// row of p extended one cell each side (ps[j] = p(X0+j−1), ps[j+1] =
+// centre, ps[j+2] = east) plus the north/south rows. The three-index
+// re-slices let the compiler hoist every bounds check out of the j loop.
+type stencilRows struct {
+	kxs      []float64 // kxs[j] = Kx(X0+j), kxs[j+1] = Kx(X0+j+1)
+	kyn, kys []float64 // north/south face Ky rows
+	pn, pso  []float64 // north/south p rows
+	pc       []float64 // centre p row, extended [X0-1, X1+1)
+}
+
+func sliceStencilRows(g *grid.Grid, b par.Tile, kx, ky, p []float64, k int) stencilRows {
 	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	ud, bd, rd := u.Data, rhs.Data, r.Data
-	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				i := base + j
-				au := (1+(ky[i+s]+ky[i])+(kx[i+1]+kx[i]))*ud[i] -
-					(ky[i+s]*ud[i+s] + ky[i]*ud[i-s]) -
-					(kx[i+1]*ud[i+1] + kx[i]*ud[i-1])
-				rd[i] = bd[i] - au
-			}
-		}
-	})
+	o := g.Index(b.X0, k, 0)
+	n := b.X1 - b.X0
+	return stencilRows{
+		kxs: kx[o : o+n+1],
+		kyn: ky[o+s : o+s+n],
+		kys: ky[o : o+n],
+		pn:  p[o+s : o+s+n],
+		pso: p[o-s : o-s+n],
+		pc:  p[o-1 : o+n+1],
+	}
 }
 
-// Diagonal writes the matrix diagonal 1 + ΣK over b into d; the
-// point-Jacobi preconditioner is its reciprocal.
-func (op *Operator2D) Diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field2D) {
-	if b.Empty() {
-		return
-	}
-	g := op.Grid
-	s := g.Stride()
+func (op *Operator) residual5(o, n int, u, b, r []float64) {
+	s := op.Grid.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	dd := d.Data
-	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				i := base + j
-				dd[i] = 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
-			}
-		}
-	})
+	for i := o; i < o+n; i++ {
+		au := (1+(ky[i+s]+ky[i])+(kx[i+1]+kx[i]))*u[i] -
+			(ky[i+s]*u[i+s] + ky[i]*u[i-s]) -
+			(kx[i+1]*u[i+1] + kx[i]*u[i-1])
+		r[i] = b[i] - au
+	}
 }
 
-// RowSumCheck returns the maximum |row sum − 1| over b when every face
-// coefficient interior to b's one-cell neighbourhood pairs up: for the
-// global operator the off-diagonal entries cancel the diagonal excess, so
-// row sums are exactly 1 (A·1 = 1). Used by tests and sanity checks.
-func (op *Operator2D) RowSumCheck(pool *par.Pool, b grid.Bounds) float64 {
-	g := op.Grid
-	ones := grid.NewField2D(g)
-	ones.Fill(1)
-	w := grid.NewField2D(g)
-	op.Apply(pool, b, ones, w)
-	var worst float64
-	for k := b.Y0; k < b.Y1; k++ {
-		for j := b.X0; j < b.X1; j++ {
-			if d := math.Abs(w.At(j, k) - 1); d > worst {
-				worst = d
-			}
-		}
+func (op *Operator) jacobi5(o, n int, u, un, rhs []float64, sum float64) float64 {
+	s := op.Grid.Stride()
+	kx, ky := op.Kx.Data, op.Ky.Data
+	for i := o; i < o+n; i++ {
+		diag := 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
+		v := (rhs[i] +
+			ky[i+s]*un[i+s] + ky[i]*un[i-s] +
+			kx[i+1]*un[i+1] + kx[i]*un[i-1]) / diag
+		u[i] = v
+		sum += math.Abs(v - un[i])
 	}
-	return worst
+	return sum
+}
+
+func (op *Operator) diagonal5(o, n int, d []float64) {
+	s := op.Grid.Stride()
+	kx, ky := op.Kx.Data, op.Ky.Data
+	for i := o; i < o+n; i++ {
+		d[i] = 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
+	}
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // uniformDensity builds a density field of constant rho with reflected halos.
-func uniformDensity(g *grid.Grid2D, rho float64) *grid.Field2D {
-	d := grid.NewField2D(g)
+func uniformDensity(g *grid.Grid, rho float64) *grid.Field {
+	d := grid.NewField(g)
 	d.Fill(rho)
 	return d
 }
 
-func randomDensity(g *grid.Grid2D, seed int64) *grid.Field2D {
-	d := grid.NewField2D(g)
+func randomDensity(g *grid.Grid, seed int64) *grid.Field {
+	d := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -30,8 +30,8 @@ func randomDensity(g *grid.Grid2D, seed int64) *grid.Field2D {
 	return d
 }
 
-func randomField(g *grid.Grid2D, seed int64) *grid.Field2D {
-	f := grid.NewField2D(g)
+func randomField(g *grid.Grid, seed int64) *grid.Field {
+	f := grid.NewField(g)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()*2 - 1
@@ -40,20 +40,20 @@ func randomField(g *grid.Grid2D, seed int64) *grid.Field2D {
 }
 
 func TestBuildValidation(t *testing.T) {
-	g := grid.UnitGrid2D(4, 4, 2)
+	g := grid.UnitGrid(4, 4, 1, 2)
 	d := uniformDensity(g, 1)
-	if _, err := BuildOperator2D(par.Serial, d, 0, Conductivity, AllPhysical); err == nil {
+	if _, err := BuildOperator(par.Serial, d, 0, Conductivity, grid.AllSides); err == nil {
 		t.Error("zero dt must error")
 	}
-	if _, err := BuildOperator2D(par.Serial, d, math.NaN(), Conductivity, AllPhysical); err == nil {
+	if _, err := BuildOperator(par.Serial, d, math.NaN(), Conductivity, grid.AllSides); err == nil {
 		t.Error("NaN dt must error")
 	}
-	if _, err := BuildOperator2D(par.Serial, d, 0.1, Coefficient(9), AllPhysical); err == nil {
+	if _, err := BuildOperator(par.Serial, d, 0.1, Coefficient(9), grid.AllSides); err == nil {
 		t.Error("bad coefficient mode must error")
 	}
 	dBad := uniformDensity(g, 1)
 	dBad.Set(1, 1, -2)
-	if _, err := BuildOperator2D(par.Serial, dBad, 0.1, Conductivity, AllPhysical); err == nil {
+	if _, err := BuildOperator(par.Serial, dBad, 0.1, Conductivity, grid.AllSides); err == nil {
 		t.Error("negative density must error")
 	}
 }
@@ -61,10 +61,10 @@ func TestBuildValidation(t *testing.T) {
 func TestCoefficientValuesUniform(t *testing.T) {
 	// For uniform density rho, interior faces carry
 	// Kx = rx·(2rho)/(2rho²) = rx/rho (Conductivity mode).
-	g := grid.MustGrid2D(8, 8, 2, 0, 8, 0, 8) // dx = dy = 1
+	g := grid.MustGrid(8, 8, 1, 2, 0, 8, 0, 8, 0, 1) // dx = dy = 1
 	d := uniformDensity(g, 2.0)
 	dt := 0.5
-	op, err := BuildOperator2D(par.Serial, d, dt, Conductivity, AllPhysical)
+	op, err := BuildOperator(par.Serial, d, dt, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCoefficientValuesUniform(t *testing.T) {
 	}
 	// RecipConductivity: w = 1/rho = 0.5 → Kx = rx·(1)/(2·0.25) = 2·rx/… :
 	// rx·(w+w)/(2w²) = rx/w = rx·rho.
-	op2, err := BuildOperator2D(par.Serial, d, dt, RecipConductivity, AllPhysical)
+	op2, err := BuildOperator(par.Serial, d, dt, RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestCoefficientValuesUniform(t *testing.T) {
 }
 
 func TestPhysicalBoundaryFacesZeroed(t *testing.T) {
-	g := grid.UnitGrid2D(6, 6, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 1), 0.01, Conductivity, AllPhysical)
+	g := grid.UnitGrid(6, 6, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 1), 0.01, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,9 @@ func TestPhysicalBoundaryFacesZeroed(t *testing.T) {
 func TestNoPhysicalSidesKeepsHaloFaces(t *testing.T) {
 	// A rank in the middle of the process grid keeps nonzero coefficients
 	// across its halo: the matrix-powers kernel computes there.
-	g := grid.UnitGrid2D(6, 6, 3)
+	g := grid.UnitGrid(6, 6, 1, 3)
 	d := randomDensity(g, 2)
-	op, err := BuildOperator2D(par.Serial, d, 0.01, Conductivity, PhysicalSides{})
+	op, err := BuildOperator(par.Serial, d, 0.01, Conductivity, grid.Sides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func TestNoPhysicalSidesKeepsHaloFaces(t *testing.T) {
 func TestRowSumsAreOne(t *testing.T) {
 	// A·1 = 1 for the global operator: off-diagonals cancel the diagonal
 	// excess, row sums are exactly the identity part.
-	g := grid.UnitGrid2D(10, 7, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 3), 0.05, RecipConductivity, AllPhysical)
+	g := grid.UnitGrid(10, 7, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 3), 0.05, RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestRowSumsAreOne(t *testing.T) {
 
 func TestOperatorSymmetric(t *testing.T) {
 	// <Ap, q> == <p, Aq> on the interior for the global operator.
-	g := grid.UnitGrid2D(12, 9, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 4), 0.02, Conductivity, AllPhysical)
+	g := grid.UnitGrid(12, 9, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 4), 0.02, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestOperatorSymmetric(t *testing.T) {
 	// but zeroing makes the test exact).
 	zeroHalos(p)
 	zeroHalos(q)
-	ap := grid.NewField2D(g)
-	aq := grid.NewField2D(g)
+	ap := grid.NewField(g)
+	aq := grid.NewField(g)
 	op.Apply(par.Serial, b, p, ap)
 	op.Apply(par.Serial, b, q, aq)
 	lhs := kernels.Dot(par.Serial, b, ap, q)
@@ -167,11 +167,11 @@ func TestOperatorSymmetric(t *testing.T) {
 	}
 }
 
-func zeroHalos(f *grid.Field2D) {
+func zeroHalos(f *grid.Field) {
 	g := f.Grid
 	for k := -g.Halo; k < g.NY+g.Halo; k++ {
 		for j := -g.Halo; j < g.NX+g.Halo; j++ {
-			if !g.InInterior(j, k) {
+			if !g.InInterior(j, k, 0) {
 				f.Set(j, k, 0)
 			}
 		}
@@ -180,8 +180,8 @@ func zeroHalos(f *grid.Field2D) {
 
 func TestOperatorPositiveDefinite(t *testing.T) {
 	// <p, Ap> > 0 for p ≠ 0: A = I + dt·L with L PSD.
-	g := grid.UnitGrid2D(8, 8, 1)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 7), 0.1, Conductivity, AllPhysical)
+	g := grid.UnitGrid(8, 8, 1, 1)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 7), 0.1, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOperatorPositiveDefinite(t *testing.T) {
 	f := func(seed int64) bool {
 		p := randomField(g, seed)
 		zeroHalos(p)
-		w := grid.NewField2D(g)
+		w := grid.NewField(g)
 		op.Apply(par.Serial, b, p, w)
 		pap := kernels.Dot(par.Serial, b, p, w)
 		pp := kernels.Dot(par.Serial, b, p, p)
@@ -202,15 +202,15 @@ func TestOperatorPositiveDefinite(t *testing.T) {
 }
 
 func TestApplyDotMatchesApply(t *testing.T) {
-	g := grid.UnitGrid2D(14, 11, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 8), 0.03, RecipConductivity, AllPhysical)
+	g := grid.UnitGrid(14, 11, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 8), 0.03, RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := g.Interior()
 	p := randomField(g, 9)
-	w1 := grid.NewField2D(g)
-	w2 := grid.NewField2D(g)
+	w1 := grid.NewField(g)
+	w2 := grid.NewField(g)
 	op.Apply(par.Serial, b, p, w1)
 	want := kernels.Dot(par.Serial, b, p, w1)
 	for name, pool := range map[string]*par.Pool{"serial": par.Serial, "par": par.NewPool(4).WithGrain(1)} {
@@ -225,18 +225,18 @@ func TestApplyDotMatchesApply(t *testing.T) {
 }
 
 func TestResidual(t *testing.T) {
-	g := grid.UnitGrid2D(9, 9, 1)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 10), 0.02, Conductivity, AllPhysical)
+	g := grid.UnitGrid(9, 9, 1, 1)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 10), 0.02, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := g.Interior()
 	u := randomField(g, 11)
 	rhs := randomField(g, 12)
-	r := grid.NewField2D(g)
+	r := grid.NewField(g)
 	op.Residual(par.Serial, b, u, rhs, r)
 	// r + A·u must equal rhs.
-	au := grid.NewField2D(g)
+	au := grid.NewField(g)
 	op.Apply(par.Serial, b, u, au)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -248,12 +248,12 @@ func TestResidual(t *testing.T) {
 }
 
 func TestDiagonalDominance(t *testing.T) {
-	g := grid.UnitGrid2D(10, 10, 1)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 13), 0.08, Conductivity, AllPhysical)
+	g := grid.UnitGrid(10, 10, 1, 1)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 13), 0.08, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := grid.NewField2D(g)
+	d := grid.NewField(g)
 	op.Diagonal(par.Serial, g.Interior(), d)
 	for k := 0; k < g.NY; k++ {
 		for j := 0; j < g.NX; j++ {
@@ -272,15 +272,15 @@ func TestApplyOnExpandedBounds(t *testing.T) {
 	// Matrix powers: applying A on bounds expanded by d must give the same
 	// interior values as applying on the interior (coefficients and p are
 	// valid in the halo).
-	g := grid.UnitGrid2D(8, 8, 4)
+	g := grid.UnitGrid(8, 8, 1, 4)
 	d := randomDensity(g, 14)
-	op, err := BuildOperator2D(par.Serial, d, 0.05, Conductivity, PhysicalSides{})
+	op, err := BuildOperator(par.Serial, d, 0.05, Conductivity, grid.Sides{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomField(g, 15)
-	w1 := grid.NewField2D(g)
-	w2 := grid.NewField2D(g)
+	w1 := grid.NewField(g)
+	w2 := grid.NewField(g)
 	op.Apply(par.Serial, g.Interior(), p, w1)
 	op.Apply(par.Serial, g.Interior().Expand(3, g), p, w2)
 	b := g.Interior()
@@ -300,14 +300,14 @@ func TestCoefficientString(t *testing.T) {
 }
 
 func TestApplyDot2MatchesApply(t *testing.T) {
-	g := grid.UnitGrid2D(17, 13, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 21), 0.03, RecipConductivity, AllPhysical)
+	g := grid.UnitGrid(17, 13, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 21), 0.03, RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomField(g, 22)
-	w1 := grid.NewField2D(g)
-	for _, b := range []grid.Bounds{g.Interior(), {X0: 1, X1: 16, Y0: 3, Y1: 8}} {
+	w1 := grid.NewField(g)
+	for _, b := range []grid.Bounds{g.Interior(), {X0: 1, X1: 16, Y0: 3, Y1: 8, Z0: 0, Z1: 1}} {
 		op.Apply(par.Serial, b, p, w1)
 		wantPW := kernels.Dot(par.Serial, b, p, w1)
 		wantWW := kernels.Dot(par.Serial, b, w1, w1)
@@ -315,7 +315,7 @@ func TestApplyDot2MatchesApply(t *testing.T) {
 			"w1": par.NewPool(1), "w2": par.NewPool(2).WithGrain(1),
 			"w4": par.NewPool(4).WithGrain(1), "w7": par.NewPool(7).WithGrain(1),
 		} {
-			w2 := grid.NewField2D(g)
+			w2 := grid.NewField(g)
 			pw, ww := op.ApplyDot2(pool, b, p, w2)
 			if math.Abs(pw-wantPW) > 1e-12*math.Max(1, math.Abs(wantPW)) ||
 				math.Abs(ww-wantWW) > 1e-12*math.Max(1, math.Abs(wantWW)) {
@@ -333,14 +333,14 @@ func TestApplyDot2MatchesApply(t *testing.T) {
 }
 
 func TestApplyPreDotMatchesComposed(t *testing.T) {
-	g := grid.UnitGrid2D(15, 11, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 31), 0.04, Conductivity, AllPhysical)
+	g := grid.UnitGrid(15, 11, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 31), 0.04, Conductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A positive diagonal-scaling field valid over the padded-1 region,
 	// like precond.Jacobi's inverse diagonal.
-	minv := grid.NewField2D(g)
+	minv := grid.NewField(g)
 	rng := rand.New(rand.NewSource(32))
 	for k := -g.Halo + 1; k < g.NY+g.Halo-1; k++ {
 		for j := -g.Halo + 1; j < g.NX+g.Halo-1; j++ {
@@ -352,10 +352,10 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 
 	// Reference: u = minv⊙r over the one-cell-extended interior, then
 	// w = A·u and the dots over the interior.
-	u := grid.NewField2D(g)
+	u := grid.NewField(g)
 	ext := in.Expand(1, g)
 	kernels.Mul(par.Serial, ext, minv, r, u)
-	wRef := grid.NewField2D(g)
+	wRef := grid.NewField(g)
 	op.Apply(par.Serial, in, u, wRef)
 	wantUW := kernels.Dot(par.Serial, in, u, wRef)
 	wantGamma := kernels.Dot(par.Serial, in, r, u)
@@ -365,7 +365,7 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 		"w1": par.NewPool(1), "w2": par.NewPool(2).WithGrain(1),
 		"w4": par.NewPool(4).WithGrain(1), "w7": par.NewPool(7).WithGrain(1),
 	} {
-		w := grid.NewField2D(g)
+		w := grid.NewField(g)
 		uw := op.ApplyPreDot(pool, in, minv, r, w)
 		if math.Abs(uw-wantUW) > 1e-12*math.Max(1, math.Abs(wantUW)) {
 			t.Errorf("%s: ApplyPreDot = %v, want %v", name, uw, wantUW)
@@ -378,7 +378,7 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 			}
 		}
 
-		w2 := grid.NewField2D(g)
+		w2 := grid.NewField(g)
 		gamma, delta, rr := op.ApplyPreDotInit(pool, in, minv, r, w2)
 		if math.Abs(gamma-wantGamma) > 1e-12*math.Max(1, math.Abs(wantGamma)) ||
 			math.Abs(delta-wantUW) > 1e-12*math.Max(1, math.Abs(wantUW)) ||
@@ -389,9 +389,9 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 	}
 
 	// nil minv: identity reduces to ApplyDot / (r·r, r·Ar, r·r).
-	w := grid.NewField2D(g)
+	w := grid.NewField(g)
 	wantID := op.ApplyDot(par.Serial, in, r, w)
-	w2 := grid.NewField2D(g)
+	w2 := grid.NewField(g)
 	if got := op.ApplyPreDot(par.Serial, in, nil, r, w2); math.Abs(got-wantID) > 1e-12*math.Abs(wantID) {
 		t.Errorf("identity ApplyPreDot = %v, want %v", got, wantID)
 	}
@@ -404,16 +404,16 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 // TestApplyDot2MatchesApplyDot pins the rewritten 4-way-unrolled
 // ApplyDot2 to ApplyDot on the same inputs.
 func TestApplyDot2MatchesApplyDot(t *testing.T) {
-	g := grid.UnitGrid2D(23, 11, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 7), 0.05, RecipConductivity, AllPhysical)
+	g := grid.UnitGrid(23, 11, 1, 2)
+	op, err := BuildOperator(par.Serial, randomDensity(g, 7), 0.05, RecipConductivity, grid.AllSides)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomField(g, 8)
 	b := g.Interior()
-	w1 := grid.NewField2D(g)
+	w1 := grid.NewField(g)
 	pwWant := op.ApplyDot(par.Serial, b, p, w1)
-	w2 := grid.NewField2D(g)
+	w2 := grid.NewField(g)
 	pw, ww := op.ApplyDot2(par.Serial, b, p, w2)
 	if math.Abs(pw-pwWant) > 1e-10*(1+math.Abs(pwWant)) {
 		t.Errorf("pw %g != %g", pw, pwWant)
@@ -432,15 +432,15 @@ func TestApplyDot2MatchesApplyDot(t *testing.T) {
 	}
 }
 
-func benchOp2D(b *testing.B, n int) (*Operator2D, *grid.Field2D, *grid.Field2D) {
-	g := grid.UnitGrid2D(n, n, 2)
-	den := grid.NewField2D(g)
+func benchOp2D(b *testing.B, n int) (*Operator, *grid.Field, *grid.Field) {
+	g := grid.UnitGrid(n, n, 1, 2)
+	den := grid.NewField(g)
 	den.Fill(1.7)
-	op, err := BuildOperator2D(par.Serial, den, 0.04, Conductivity, AllPhysical)
+	op, err := BuildOperator(par.Serial, den, 0.04, Conductivity, grid.AllSides)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return op, randomField(g, 1), grid.NewField2D(g)
+	return op, randomField(g, 1), grid.NewField(g)
 }
 
 func BenchmarkApplyDotFull2048(b *testing.B) {
