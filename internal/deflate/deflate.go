@@ -379,9 +379,11 @@ func (d *Deflation) applyCorrection(b grid.Bounds, w *grid.Field) {
 	fill := b.Expand(1, g)
 	for k := fill.Z0; k < fill.Z1; k++ {
 		for j := fill.Y0; j < fill.Y1; j++ {
+			cl := d.cl[d.blockOf(0, j, k)-d.xblk[d.hp]:]
+			xb := d.xblk[fill.X0+d.hp:]
 			r := d.wv.Row(j, k, fill.X0, fill.X1)
 			for i := range r {
-				r[i] = d.cl[d.blockOf(fill.X0+i, j, k)]
+				r[i] = cl[xb[i]]
 			}
 		}
 	}

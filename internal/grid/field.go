@@ -105,11 +105,13 @@ func (f *Field) eachRow(b Bounds, fn func(r []float64)) {
 // SumBounds returns the sum of the field over b, accumulated x fastest.
 func (f *Field) SumBounds(b Bounds) float64 {
 	var s float64
-	f.eachRow(b, func(r []float64) {
-		for _, v := range r {
-			s += v
+	for k := b.Z0; k < b.Z1; k++ {
+		for j := b.Y0; j < b.Y1; j++ {
+			for _, v := range f.Row(j, k, b.X0, b.X1) {
+				s += v
+			}
 		}
-	})
+	}
 	return s
 }
 

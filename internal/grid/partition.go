@@ -47,11 +47,6 @@ type Sides struct {
 // physical-boundary flags.
 var AllSides = Sides{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true}
 
-// Has reports the flag for side s.
-func (ss Sides) Has(s Side) bool {
-	return [...]bool{ss.Left, ss.Right, ss.Down, ss.Up, ss.Back, ss.Front}[s]
-}
-
 // Not returns the complementary flags (neighbour sides from physical ones).
 func (ss Sides) Not() Sides {
 	return Sides{!ss.Left, !ss.Right, !ss.Down, !ss.Up, !ss.Back, !ss.Front}

@@ -2,13 +2,17 @@ package propcheck
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
 
+	"tealeaf/internal/comm"
 	"tealeaf/internal/core"
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
 	"tealeaf/internal/solver"
+	"tealeaf/internal/stats"
 )
 
 // Checker tolerances. The exact-equality checkers (backend at 2 ranks,
@@ -52,14 +56,15 @@ func legTol(floor, mult float64, d *deck.Deck, base *runOut) float64 {
 	return t * maxAbs(base)
 }
 
-// runOut is one solve leg's observables: the final energy field (2D or
-// 3D), the internal energy before and after stepping, and the total
-// outer-iteration count.
+// runOut is one solve leg's observables: the final energy field, the
+// internal energy before and after stepping, the total outer-iteration
+// count, and (on the legs that record it) every rank's communication
+// trace.
 type runOut struct {
-	e2       *grid.Field
-	e3       *grid.Field
+	e        *grid.Field
 	ie0, ie1 float64
 	iters    int
+	traces   []stats.Trace
 }
 
 // harness runs one deck's checker legs, caching the runs that several
@@ -87,24 +92,6 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 		pool = par.NewPool(workers)
 		defer pool.Close()
 	}
-	if d.Dims == 3 {
-		inst, err := core.NewSerial(d, pool)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", leg, err)
-		}
-		out := &runOut{ie0: inst.Summarise().InternalEnergy}
-		if mutate != nil {
-			mutate(inst.Options())
-		}
-		sum, err := inst.Run(d.Steps())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", leg, err)
-		}
-		out.e3 = inst.Energy
-		out.ie1 = sum.InternalEnergy
-		out.iters = sum.TotalIterations
-		return out, nil
-	}
 	inst, err := core.NewSerial(d, pool)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", leg, err)
@@ -124,30 +111,60 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 		// conservation checker, not just the field comparisons.
 		sum.InternalEnergy = inst.Summarise().InternalEnergy
 	}
-	out.e2 = inst.Energy
+	out.e = inst.Energy
 	out.ie1 = sum.InternalEnergy
 	out.iters = sum.TotalIterations
+	out.traces = []stats.Trace{copyTrace(inst.Comm.Trace())}
 	return out, nil
 }
 
-// runDist solves d on a px×py(×pz) rank decomposition over the given
-// backend with one worker per rank, returning the gathered global field.
+// runDist solves d on a px×py×pz rank decomposition over the given
+// backend with one worker per rank, returning the gathered global field
+// and every rank's trace.
 func (h *harness) runDist(d *deck.Deck, leg string, px, py, pz int, backend core.Backend) (*runOut, error) {
-	if d.Dims == 3 {
-		res, err := core.RunDistributed(d, px, py, pz, d.Steps(), 1, core.WithBackend(backend))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", leg, err)
-		}
-		return &runOut{e3: res.Energy, ie1: res.Summary.InternalEnergy, iters: res.Summary.TotalIterations}, nil
+	if d.Dims != 3 {
+		pz = 1
 	}
-	res, err := core.RunDistributed(d, px, py, 1, d.Steps(), 1, core.WithBackend(backend))
+	gg, err := core.GlobalGrid(d)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", leg, err)
+	}
+	part, err := grid.Decompose(gg.NX, gg.NY, gg.NZ, px, py, pz)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", leg, err)
+	}
+	out := &runOut{traces: make([]stats.Trace, part.Ranks())}
+	rank := func(c comm.Communicator) error {
+		res, err := core.RunRank(d, part, c, d.Steps(), 1)
+		if err != nil {
+			return err
+		}
+		out.traces[c.Rank()] = copyTrace(c.Trace())
+		if c.Rank() == 0 {
+			out.e, out.ie1, out.iters = res.Energy, res.Summary.InternalEnergy, res.Summary.TotalIterations
+		}
+		return nil
+	}
+	switch backend {
+	case core.BackendTCP:
+		err = comm.RunTCP(part, rank)
+	default:
+		err = comm.Run(part, func(c *comm.RankComm) error { return rank(c) })
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", leg, err)
 	}
 	if h.cfg.Tamper != nil {
-		h.cfg.Tamper(leg, res.Energy)
+		h.cfg.Tamper(leg, out.e)
 	}
-	return &runOut{e2: res.Energy, ie1: res.Summary.InternalEnergy, iters: res.Summary.TotalIterations}, nil
+	return out, nil
+}
+
+// copyTrace deep-copies a trace (its depth histogram is a map).
+func copyTrace(t *stats.Trace) stats.Trace {
+	c := *t
+	c.ExchangesByDepth = maps.Clone(t.ExchangesByDepth)
+	return c
 }
 
 // baseRun lazily computes and caches the plain serial solve of the deck
@@ -174,69 +191,39 @@ func (h *harness) hub2Run() (*runOut, error) {
 // turn roundoff into failures).
 func maxAbs(o *runOut) float64 {
 	m := 1.0
-	if o.e3 != nil {
-		g := o.e3.Grid
-		for k := 0; k < g.NZ; k++ {
-			for j := 0; j < g.NY; j++ {
-				for i := 0; i < g.NX; i++ {
-					if v := math.Abs(o.e3.Cell(i, j, k)); v > m {
-						m = v
-					}
-				}
-			}
-		}
-		return m
-	}
-	b := o.e2.Grid.Interior()
-	for k := b.Y0; k < b.Y1; k++ {
-		for j := b.X0; j < b.X1; j++ {
-			if v := math.Abs(o.e2.At(j, k)); v > m {
-				m = v
-			}
-		}
-	}
+	eachCell(o.e, func(v float64) { m = math.Max(m, math.Abs(v)) })
 	return m
 }
 
-func maxDiff(a, b *runOut) float64 {
-	if a.e3 != nil {
-		return a.e3.MaxDiff(b.e3)
+// eachCell calls fn on every interior value of f, x fastest.
+func eachCell(f *grid.Field, fn func(v float64)) {
+	g := f.Grid
+	for k := 0; k < g.NZ; k++ {
+		for j := 0; j < g.NY; j++ {
+			for _, v := range f.Row(j, k, 0, g.NX) {
+				fn(v)
+			}
+		}
 	}
-	return a.e2.MaxDiff(b.e2)
 }
+
+func maxDiff(a, b *runOut) float64 { return a.e.MaxDiff(b.e) }
 
 // bitDiff counts interior cells whose values differ in any bit, and
 // returns the largest absolute difference seen. NaNs compare unequal to
 // themselves but the finite checker runs first, so a NaN here is already
 // a reported failure.
 func bitDiff(a, b *runOut) (cells int, worst float64) {
-	if a.e3 != nil {
-		g := a.e3.Grid
-		for k := 0; k < g.NZ; k++ {
-			for j := 0; j < g.NY; j++ {
-				for i := 0; i < g.NX; i++ {
-					if va, vb := a.e3.Cell(i, j, k), b.e3.Cell(i, j, k); va != vb {
-						cells++
-						if d := math.Abs(va - vb); d > worst {
-							worst = d
-						}
-					}
-				}
-			}
+	var bv []float64
+	eachCell(b.e, func(v float64) { bv = append(bv, v) })
+	i := 0
+	eachCell(a.e, func(va float64) {
+		if vb := bv[i]; math.Float64bits(va) != math.Float64bits(vb) {
+			cells++
+			worst = math.Max(worst, math.Abs(va-vb))
 		}
-		return cells, worst
-	}
-	bd := a.e2.Grid.Interior()
-	for k := bd.Y0; k < bd.Y1; k++ {
-		for j := bd.X0; j < bd.X1; j++ {
-			if va, vb := a.e2.At(j, k), b.e2.At(j, k); va != vb {
-				cells++
-				if d := math.Abs(va - vb); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
+		i++
+	})
 	return cells, worst
 }
 
@@ -269,6 +256,9 @@ var checkers = []checkerDef{
 	{name: "temporal-chain",
 		applies: func(d *deck.Deck) bool { return d.Solver == "cg" && d.Precond != "jac_block" },
 		run:     checkTemporalChain},
+	{name: "flat-embedding",
+		applies: func(d *deck.Deck) bool { return d.Dims != 3 },
+		run:     checkFlatEmbedding},
 }
 
 // checkFinite: every interior cell of the final energy field is finite.
@@ -278,28 +268,11 @@ func checkFinite(h *harness) error {
 		return err
 	}
 	bad := 0
-	scan := func(v float64) {
+	eachCell(base.e, func(v float64) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			bad++
 		}
-	}
-	if base.e3 != nil {
-		g := base.e3.Grid
-		for k := 0; k < g.NZ; k++ {
-			for j := 0; j < g.NY; j++ {
-				for i := 0; i < g.NX; i++ {
-					scan(base.e3.Cell(i, j, k))
-				}
-			}
-		}
-	} else {
-		b := base.e2.Grid.Interior()
-		for k := b.Y0; k < b.Y1; k++ {
-			for j := b.X0; j < b.X1; j++ {
-				scan(base.e2.At(j, k))
-			}
-		}
-	}
+	})
 	if bad > 0 {
 		return fmt.Errorf("final energy field has %d non-finite cells", bad)
 	}
@@ -536,4 +509,58 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// FlatEmbedding returns the dims = 3 deck with one z-cell that embeds the
+// 2D deck d: the same mesh as the flat case of the 3D stack, with circle
+// and point centres on the single plane and rectangles given an empty
+// z-range (so they extrude through it).
+func FlatEmbedding(d *deck.Deck) *deck.Deck {
+	e := Clone(d)
+	e.Dims, e.ZCells, e.ZMin, e.ZMax = 3, 1, 0, 1
+	for i := range e.States {
+		s := &e.States[i]
+		s.CZ = 0.5
+		s.ZMin, s.ZMax = 0, 0
+	}
+	return e
+}
+
+// checkFlatEmbedding: a 2D deck and its dims = 3, z_cells = 1 embedding
+// are the same run — bit-identical energies, the same iteration counts
+// and the same trace counters on every rank — single-rank and on a
+// 2-rank Hub.
+func checkFlatEmbedding(h *harness) error {
+	emb := FlatEmbedding(h.d)
+	legs := []struct {
+		name string
+		run  func(d *deck.Deck, leg string) (*runOut, error)
+	}{
+		{"serial", func(d *deck.Deck, leg string) (*runOut, error) { return h.runSerial(d, leg, 1, nil) }},
+		{"hub2", func(d *deck.Deck, leg string) (*runOut, error) {
+			return h.runDist(d, leg, 2, 1, 1, core.BackendHub)
+		}},
+	}
+	for _, l := range legs {
+		flat, err := l.run(h.d, "flat-2d-"+l.name)
+		if err != nil {
+			return err
+		}
+		embedded, err := l.run(emb, "flat-3d-"+l.name)
+		if err != nil {
+			return err
+		}
+		if cells, worst := bitDiff(flat, embedded); cells > 0 {
+			return fmt.Errorf("%s: 2D deck vs its z_cells=1 embedding differ in %d cells (worst %.3e); expected bit-identical",
+				l.name, cells, worst)
+		}
+		if flat.iters != embedded.iters {
+			return fmt.Errorf("%s: 2D deck took %d iterations, its z_cells=1 embedding %d", l.name, flat.iters, embedded.iters)
+		}
+		if !reflect.DeepEqual(flat.traces, embedded.traces) {
+			return fmt.Errorf("%s: 2D deck and its z_cells=1 embedding leave different trace counters:\n%+v\n%+v",
+				l.name, flat.traces, embedded.traces)
+		}
+	}
+	return nil
 }

@@ -215,3 +215,23 @@ func TestShrinkReachesFloors(t *testing.T) {
 		t.Error("Shrink mutated its input deck")
 	}
 }
+
+// TestFlatEmbeddingBitIdentical runs the flat-embedding invariant on a
+// fixed deck with every state geometry: the 2D deck and its dims=3,
+// z_cells=1 embedding must agree bit for bit, iteration for iteration
+// and counter for counter, single-rank and on a 2-rank Hub.
+func TestFlatEmbeddingBitIdentical(t *testing.T) {
+	d := tamperDeck(t)
+	d.States = append(d.States,
+		deck.State{Index: 3, Density: 2, Energy: 9, Geometry: deck.GeomCircle, CX: 7, CY: 5, Radius: 2},
+		deck.State{Index: 4, Density: 3, Energy: 7, Geometry: deck.GeomPoint, CX: 3.3, CY: 8.8})
+	for _, solver := range []string{"cg", "ppcg"} {
+		d.Solver = solver
+		if err := checkFlatEmbedding(newHarness(d, Config{})); err != nil {
+			t.Errorf("%s: %v", solver, err)
+		}
+	}
+	if e := FlatEmbedding(d); e.Validate() != nil || e.Dims != 3 || e.ZCells != 1 {
+		t.Errorf("embedding %+v is not a valid flat dims=3 deck", e)
+	}
+}

@@ -90,7 +90,7 @@ func goldenOpts(c comm.Communicator, m precond.Preconditioner, fused bool) Optio
 	}
 	return Options{
 		Tol: goldenTol, Comm: c,
-		Precond: m,
+		Precond:      m,
 		EigenCGIters: 10, InnerSteps: 4, HaloDepth: 1,
 		Engine: engine,
 	}

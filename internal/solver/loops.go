@@ -12,9 +12,8 @@ import (
 )
 
 // This file holds the one and only implementation of each solver
-// iteration body. Every loop is generic over the system abstraction
-// (system.go), so the 2D and 3D entry points share it verbatim — there
-// are no per-dimension copies of the CG, Chebyshev or PPCG loops.
+// iteration body, written against the system (system.go): flat and 3D
+// grids run the same CG, Chebyshev and PPCG loops.
 
 // cgState is the live state runCGCore leaves behind so Chebyshev/PPCG can
 // continue from the bootstrap phase without recomputing the residual.

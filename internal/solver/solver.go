@@ -11,9 +11,10 @@
 // analyses is explicit in the code and recorded in the run's stats.Trace.
 //
 // The iteration bodies are dimension-agnostic: loops.go holds the single
-// implementation of each solver loop, written against the system
-// abstraction in system.go, and the 2D/3D entry points (SolveCG /
-// SolveCG3D, ...) are thin constructors over the sys2d/sys3d backends.
+// implementation of each solver loop, written against the system in
+// system.go, and the entry points (SolveCG, SolvePPCG, ...) are thin
+// constructors. A 2D problem is the flat case of a 3D one: the same
+// loops run both, the operator choosing its 5- or 7-point row kernels.
 package solver
 
 import (
@@ -303,7 +304,7 @@ func Solve(kind Kind, p Problem, o Options) (Result, error) {
 }
 
 // requireNoDeflation rejects deflation for the solver kinds it does not
-// compose with: CG and PPCG run on the projected operator (in 2D and 3D,
+// compose with: CG and PPCG run on the projected operator (flat or 3D,
 // single- or multi-rank); Jacobi and the stand-alone Chebyshev iteration
 // do not.
 func (o Options) requireNoDeflation(kind Kind) error {

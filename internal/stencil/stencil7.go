@@ -8,11 +8,12 @@ import (
 
 // The 7-point row kernels: the Operator's sweeps on a 3D grid. See the
 // package comment for why they are kept apart from the 5-point ones.
+
 // rows3 bundles the re-sliced rows the 7-point kernels read for one grid
 // row (j,k) over columns [b.X0, b.X1): the six face-coefficient rows, the
 // four lateral p rows and the centre row extended one cell each side. The
 // three-index re-slices let the compiler hoist bounds checks out of the
-// inner loop, as in the 2D sliceStencilRows.
+// inner loop, as sliceStencilRows does for the 5-point kernels.
 type rows3 struct {
 	kxs                []float64 // kxs[i] = Kx(X0+i), kxs[i+1] = east face
 	kyn, kys, kzf, kzb []float64
