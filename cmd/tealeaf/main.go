@@ -167,21 +167,26 @@ func run() error {
 		return fmt.Errorf("unknown -net backend %q (have: hub, tcp, launch)", *netMode)
 	}
 
+	pzRun := 1
 	if d.Dims == 3 {
-		return run3D(d, nSteps, *px, *py, *pz, *workers, *quiet)
+		pzRun = *pz
 	}
+	fmt.Println(banner(d, nSteps))
+	// Field output writes the plane of a flat mesh; a 3D run reports its
+	// summary and trace only.
+	flat := d.Dims != 3 || d.ZCells == 1
 
-	fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-		d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-
-	if *px**py > 1 {
-		fmt.Printf("decomposition: %dx%d ranks, %d workers/rank\n", *px, *py, *workers)
-		res, err := core.RunDistributed(d, *px, *py, 1, nSteps, *workers)
+	if *px**py*pzRun > 1 {
+		fmt.Printf("decomposition: %s ranks, %d workers/rank\n", layout(d, *px, *py, pzRun), *workers)
+		res, err := core.RunDistributed(d, *px, *py, pzRun, nSteps, *workers)
 		if err != nil {
 			return err
 		}
 		printPlan(res.Summary.Plan, *quiet)
 		printSummary(res.Summary)
+		if !flat {
+			return nil
+		}
 		if *ascii {
 			fmt.Print(output.ASCIIHeatmap(res.Energy, 72, 36))
 		}
@@ -226,6 +231,9 @@ func run() error {
 	printSummary(sum)
 	tr := inst.Comm.Trace()
 	fmt.Printf("comm trace: %s\n", tr)
+	if !flat {
+		return nil
+	}
 
 	if *ascii {
 		fmt.Print(output.ASCIIHeatmap(inst.Energy, 72, 36))
@@ -248,49 +256,22 @@ func run() error {
 	return nil
 }
 
-// run3D drives a dims=3 deck end-to-end: the 7-point operator, the 3D
-// fused solvers, and (with -px/-py/-pz > 1) the distributed 3D rank layer.
-func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
-	fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-		d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
+// banner is the run's opening line: mesh, solver and step count.
+func banner(d *deck.Deck, nSteps int) string {
+	cells := fmt.Sprintf("%dx%d cells", d.XCells, d.YCells)
+	if d.Dims == 3 {
+		cells = fmt.Sprintf("%dx%dx%d cells (3D)", d.XCells, d.YCells, d.ZCells)
+	}
+	return fmt.Sprintf("TeaLeaf (Go): %s, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps",
+		cells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
+}
 
-	if px*py*pz > 1 {
-		fmt.Printf("decomposition: %dx%dx%d ranks, %d workers/rank\n", px, py, pz, workers)
-		res, err := core.RunDistributed(d, px, py, pz, nSteps, workers)
-		if err != nil {
-			return err
-		}
-		printPlan(res.Summary.Plan, quiet)
-		printSummary(res.Summary)
-		return nil
+// layout renders a rank decomposition, px×py for a 2D deck.
+func layout(d *deck.Deck, px, py, pz int) string {
+	if d.Dims == 3 {
+		return fmt.Sprintf("%dx%dx%d", px, py, pz)
 	}
-
-	inst, err := core.NewSerial(d, par.NewPool(workers))
-	if err != nil {
-		return err
-	}
-	var totalIters, totalInner int
-	for s := 0; s < nSteps; s++ {
-		res, err := inst.Step()
-		if err != nil {
-			return err
-		}
-		totalIters += res.Iterations
-		totalInner += res.TotalInner
-		if s == 0 {
-			printPlan(res.Plan, quiet)
-		}
-		if !quiet {
-			fmt.Printf("step %4d  time %8.4f  iters %5d  inner %6d  residual %.3e\n",
-				s+1, inst.Time(), res.Iterations, res.TotalInner, res.FinalResidual)
-		}
-	}
-	sum := inst.Summarise()
-	sum.TotalIterations = totalIters
-	sum.TotalInner = totalInner
-	printSummary(sum)
-	fmt.Printf("comm trace: %s\n", inst.Comm.Trace())
-	return nil
+	return fmt.Sprintf("%dx%d", px, py)
 }
 
 // printPlan reports, unless quiet, the solver plan a run resolved: the

@@ -64,15 +64,8 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 	defer c.Close()
 
 	if rank == 0 && !quiet {
-		if d.Dims == 3 {
-			fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-				d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%dx%d ranks over tcp, %d workers/rank\n", px, py, pz, workers)
-		} else {
-			fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-				d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%d ranks over tcp, %d workers/rank\n", px, py, workers)
-		}
+		fmt.Println(banner(d, nSteps))
+		fmt.Printf("decomposition: %s ranks over tcp, %d workers/rank\n", layout(d, px, py, pz), workers)
 	}
 
 	// Protect converts a transport failure inside a reduction (which the
@@ -82,14 +75,12 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 		if err != nil {
 			return err
 		}
-		if rank == 0 && d.Dims == 3 {
-			printPlan(res.Summary.Plan, quiet)
-			printSummary(res.Summary)
+		if rank != 0 {
 			return nil
 		}
-		if rank == 0 {
-			printPlan(res.Summary.Plan, quiet)
-			printSummary(res.Summary)
+		printPlan(res.Summary.Plan, quiet)
+		printSummary(res.Summary)
+		if gg.Flat() {
 			if ascii {
 				fmt.Print(output.ASCIIHeatmap(res.Energy, 72, 36))
 			}
