@@ -209,6 +209,23 @@ func (g *Grid) Box(b Bounds) par.Box {
 	return par.Box3D(b.X0, b.X1, b.Y0, b.Y1, b.Z0, b.Z1)
 }
 
+// ForRows runs fn on every row of b — o the storage index of the row's
+// first cell, n its length — with the rows split across the pool's
+// workers along the outermost axis. It serves the elementwise sweeps,
+// whose result does not depend on the schedule.
+func (g *Grid) ForRows(p *par.Pool, b Bounds, fn func(o, n int)) {
+	if b.Empty() {
+		return
+	}
+	p.ForTiles(g.Box(b), func(t par.Tile) {
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				fn(g.Index(t.X0, j, k), t.X1-t.X0)
+			}
+		}
+	})
+}
+
 // Bounds is a half-open index box [X0,X1) × [Y0,Y1) × [Z0,Z1) over cell
 // coordinates. It is the unit of iteration for all kernels: the interior
 // is Bounds{0, NX, 0, NY, 0, NZ}, and the matrix-powers kernel runs

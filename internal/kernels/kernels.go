@@ -1,11 +1,12 @@
 // Package kernels implements the memory-bandwidth-bound vector kernels the
 // TeaLeaf solvers are built from: dot products, AXPY-family triads, copies
-// and scales, each over an arbitrary Bounds rectangle of a halo-padded
-// field. These are the "two loads and one store per (one or two) floating
-// point operations" local operations of §III-A of the paper.
+// and scales, each over an arbitrary Bounds box of a halo-padded field on
+// a flat or 3D grid. These are the "two loads and one store per (one or
+// two) floating point operations" local operations of §III-A of the paper.
 //
-// All kernels take a *par.Pool and parallelise over grid rows with a
-// static block schedule. All fields passed to one call must live on the
+// All kernels take a *par.Pool and walk rows x fastest, then y, then z,
+// split across the workers along the grid's outermost axis (y when flat,
+// z in 3D; see grid.Grid.Box) with a static block schedule. All fields passed to one call must live on the
 // same grid (they do, throughout the solvers: every solver vector is
 // allocated on the rank-local grid).
 //
@@ -36,23 +37,6 @@ import (
 func row(g *grid.Grid, t par.Tile, d []float64, y, z int) []float64 {
 	o := g.Index(t.X0, y, z)
 	return d[o : o+t.X1-t.X0 : o+t.X1-t.X0]
-}
-
-// forRows runs fn on every row of b — o the storage index of the row's
-// first cell, n its length — with the rows split across the pool's
-// workers. It serves the elementwise kernels, whose result does not
-// depend on the schedule.
-func forRows(p *par.Pool, g *grid.Grid, b grid.Bounds, fn func(o, n int)) {
-	if b.Empty() {
-		return
-	}
-	p.ForTiles(g.Box(b), func(t par.Tile) {
-		for kz := t.Z0; kz < t.Z1; kz++ {
-			for ky := t.Y0; ky < t.Y1; ky++ {
-				fn(g.Index(t.X0, ky, kz), t.X1-t.X0)
-			}
-		}
-	})
 }
 
 // Dot returns Σ x·y over the cells of b.
@@ -102,7 +86,7 @@ func Axpy(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field) {
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		ys := yd[o : o+n : o+n]
 		j := 0
@@ -126,7 +110,7 @@ func Xpay(p *par.Pool, b grid.Bounds, x *grid.Field, beta float64, y *grid.Field
 	}
 	g := x.Grid
 	xd, yd := x.Data, y.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		ys := yd[o : o+n : o+n]
 		j := 0
@@ -149,7 +133,7 @@ func Axpby(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field, beta float6
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		ys := yd[o : o+n : o+n]
 		zs := zd[o : o+n : o+n]
@@ -173,7 +157,7 @@ func Copy(p *par.Pool, b grid.Bounds, dst, src *grid.Field) {
 	}
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		copy(dd[o:o+n], sd[o:o+n])
 	})
 }
@@ -185,7 +169,7 @@ func Scale(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field) {
 	}
 	g := x.Grid
 	xd := x.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		j := 0
 		for ; j+3 < n; j += 4 {
@@ -207,7 +191,7 @@ func ScaleTo(p *par.Pool, b grid.Bounds, alpha float64, src, dst *grid.Field) {
 	}
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		ss := sd[o : o+n : o+n]
 		ds := dd[o : o+n : o+n]
 		j := 0
@@ -230,7 +214,7 @@ func Fill(p *par.Pool, b grid.Bounds, v float64, x *grid.Field) {
 	}
 	g := x.Grid
 	xd := x.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		for j := 0; j < n; j++ {
 			xs[j] = v
@@ -245,7 +229,7 @@ func Sub(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		ys := yd[o : o+n : o+n]
 		zs := zd[o : o+n : o+n]
@@ -270,7 +254,7 @@ func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	}
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		xs := xd[o : o+n : o+n]
 		ys := yd[o : o+n : o+n]
 		zs := zd[o : o+n : o+n]
@@ -412,7 +396,7 @@ func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field, a2 flo
 	}
 	g := x1.Grid
 	x1d, y1d, x2d, y2d := x1.Data, y1.Data, x2.Data, y2.Data
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		x1s := x1d[o : o+n : o+n]
 		y1s := y1d[o : o+n : o+n]
 		x2s := x2d[o : o+n : o+n]
@@ -445,7 +429,7 @@ func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field, beta float64
 	if minv != nil {
 		md = minv.Data
 	}
-	forRows(p, g, b, func(o, n int) {
+	g.ForRows(p, b, func(o, n int) {
 		ys := yd[o : o+n : o+n]
 		rs := rd[o : o+n : o+n]
 		if md == nil {

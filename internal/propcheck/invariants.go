@@ -511,11 +511,11 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// FlatEmbedding returns the dims = 3 deck with one z-cell that embeds the
+// flatEmbedding returns the dims = 3 deck with one z-cell that embeds the
 // 2D deck d: the same mesh as the flat case of the 3D stack, with circle
 // and point centres on the single plane and rectangles given an empty
 // z-range (so they extrude through it).
-func FlatEmbedding(d *deck.Deck) *deck.Deck {
+func flatEmbedding(d *deck.Deck) *deck.Deck {
 	e := Clone(d)
 	e.Dims, e.ZCells, e.ZMin, e.ZMax = 3, 1, 0, 1
 	for i := range e.States {
@@ -531,7 +531,7 @@ func FlatEmbedding(d *deck.Deck) *deck.Deck {
 // and the same trace counters on every rank — single-rank and on a
 // 2-rank Hub.
 func checkFlatEmbedding(h *harness) error {
-	emb := FlatEmbedding(h.d)
+	emb := flatEmbedding(h.d)
 	legs := []struct {
 		name string
 		run  func(d *deck.Deck, leg string) (*runOut, error)

@@ -231,7 +231,7 @@ func TestFlatEmbeddingBitIdentical(t *testing.T) {
 			t.Errorf("%s: %v", solver, err)
 		}
 	}
-	if e := FlatEmbedding(d); e.Validate() != nil || e.Dims != 3 || e.ZCells != 1 {
+	if e := flatEmbedding(d); e.Validate() != nil || e.Dims != 3 || e.ZCells != 1 {
 		t.Errorf("embedding %+v is not a valid flat dims=3 deck", e)
 	}
 }

@@ -108,7 +108,7 @@ func BuildOperator(pool *par.Pool, density *grid.Field, dt float64, coef Coeffic
 	// Per-cell conduction coefficient over the full padded region.
 	w := grid.NewField(g)
 	wd, dd := w.Data, density.Data
-	eachRow(pool, g, padded, func(o, n int) {
+	g.ForRows(pool, padded, func(o, n int) {
 		for i := o; i < o+n; i++ {
 			rho := dd[i]
 			switch {
@@ -139,7 +139,7 @@ func BuildOperator(pool *par.Pool, density *grid.Field, dt float64, coef Coeffic
 		inner.Z0 = -zh + 1
 	}
 	kx, ky := op.Kx.Data, op.Ky.Data
-	eachRow(pool, g, inner, func(o, n int) {
+	g.ForRows(pool, inner, func(o, n int) {
 		if flat {
 			for i := o; i < o+n; i++ {
 				wl, wd0, wc := wd[i-1], wd[i-sy], wd[i]
@@ -186,21 +186,6 @@ func BuildOperator(pool *par.Pool, density *grid.Field, dt float64, coef Coeffic
 
 // face is the 7-point harmonic-mean face factor of adjacent coefficients.
 func face(a, b float64) float64 { return (a + b) / (2 * a * b) }
-
-// eachRow runs fn on every row of b — o the storage index of its first
-// cell, n its length — split across the pool along the outermost axis.
-func eachRow(pool *par.Pool, g *grid.Grid, b grid.Bounds, fn func(o, n int)) {
-	if b.Empty() {
-		return
-	}
-	pool.ForTiles(g.Box(b), func(t par.Tile) {
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				fn(g.Index(t.X0, j, k), t.X1-t.X0)
-			}
-		}
-	})
-}
 
 // flat reports whether op runs the 5-point row kernels.
 func (op *Operator) flat() bool { return op.Kz == nil }
@@ -325,7 +310,7 @@ func (op *Operator) Residual(pool *par.Pool, b grid.Bounds, u, rhs, r *grid.Fiel
 		row = op.residual7
 	}
 	ud, bd, rd := u.Data, rhs.Data, r.Data
-	eachRow(pool, op.Grid, b, func(o, n int) { row(o, n, ud, bd, rd) })
+	op.Grid.ForRows(pool, b, func(o, n int) { row(o, n, ud, bd, rd) })
 }
 
 // Diagonal writes the matrix diagonal 1 + ΣK over b into d; the
@@ -338,7 +323,7 @@ func (op *Operator) Diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field) {
 		row = op.diagonal7
 	}
 	dd := d.Data
-	eachRow(pool, op.Grid, b, func(o, n int) { row(o, n, dd) })
+	op.Grid.ForRows(pool, b, func(o, n int) { row(o, n, dd) })
 }
 
 // JacobiSweep is one point-Jacobi update over b,
