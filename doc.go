@@ -8,27 +8,28 @@
 // deep-halo kernel, a pluggable MPI substitute (a goroutine/channel Hub
 // for in-process ranks and a real-network TCP backend with a
 // length-prefixed wire protocol for one-process-per-rank runs across
-// machines; rectangular 2D partitions and box 3D partitions with a
-// three-phase six-face exchange), a geometric multigrid baseline
+// machines; box partitions with a phased corner-correct exchange), a
+// geometric multigrid baseline
 // standing in for PETSc CG + Hypre BoomerAMG, and an analytic
 // strong-scaling model of the paper's three evaluation machines (Titan,
 // Piz Daint, Spruce).
 //
-// The solver core is dimension-agnostic: each iteration body (the fused
-// single-reduction Chronopoulos–Gear CG, the guarded Chebyshev loop and
-// the PPCG outer/inner cycle) is implemented exactly once, generic over
-// a system abstraction backed by the 2D and 3D kernels, so solver.Solve
-// (2D) and solver.Solve3D run the same loop code with diagonal
-// preconditioner folding, matrix-powers deep halos and multi-rank
-// execution in both dimensionalities. Preconditioners live in a unified
-// registry with capability flags (none / jac_diag / jac_block, the
-// latter as tridiagonal y-strips in 2D and z-lines in 3D), and subdomain
-// deflation (§VII future work) composes as a distributed outer projector
-// around the CG and PPCG solves in both dimensionalities — rank-local
-// restriction over the global coarse partition, one allreduce per
-// projection, an optional nested multi-level hierarchy — reachable from
-// deck keys (tl_use_deflation, tl_deflation_blocks, tl_deflation_levels)
-// through solver.Options.Deflation and Options.Deflation.
+// There is one N-d stack: a 2D deck is the flat case of the 3D code (a
+// global mesh one z-cell deep, with no z halo), so every layer — grid,
+// exchange, kernels, the stencil operator (5- or 7-point row kernels),
+// preconditioners, deflation and the solver loops — exists once. Each
+// iteration body (the fused single-reduction Chronopoulos–Gear CG, the
+// guarded Chebyshev loop and the PPCG outer/inner cycle) is implemented
+// exactly once, with diagonal preconditioner folding, matrix-powers deep
+// halos and multi-rank execution on flat and 3D meshes alike.
+// Preconditioners live in one registry with capability flags (none /
+// jac_diag / jac_block, the latter as tridiagonal strips along y in 2D
+// and along z in 3D), and subdomain deflation (§VII future work)
+// composes as a distributed outer projector around the CG and PPCG
+// solves — rank-local restriction over the global coarse partition, one
+// allreduce per projection, an optional nested multi-level hierarchy —
+// reachable from deck keys (tl_use_deflation, tl_deflation_blocks,
+// tl_deflation_levels) through solver.Options.Deflation.
 //
 // Entry points:
 //

@@ -2,7 +2,7 @@
 // solved with PPCG, point-Jacobi preconditioning and depth-2 matrix-powers
 // halos over a 2×2×1 goroutine-rank box decomposition, verified against
 // the single-rank run. This is the smallest complete use of the 3D API
-// (deck → Instance3D → RunDistributed3D → summary).
+// (deck → Instance → RunDistributed → summary).
 package main
 
 import (

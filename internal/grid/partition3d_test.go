@@ -75,7 +75,7 @@ func TestPartition3DValidation(t *testing.T) {
 	}
 }
 
-func TestFactorRanks(t *testing.T) {
+func TestFactorNearCube(t *testing.T) {
 	px, py, pz := FactorRanks(8, 64, 64, 64)
 	if px*py*pz != 8 || px != 2 || py != 2 || pz != 2 {
 		t.Errorf("8 ranks on a cube: %dx%dx%d, want 2x2x2", px, py, pz)
