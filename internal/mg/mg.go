@@ -78,7 +78,7 @@ type Hierarchy struct {
 }
 
 // Build constructs the hierarchy from the fine-level density. Arguments
-// mirror stencil.BuildOperator2D; the fine density must have valid halos.
+// mirror stencil.BuildOperator; the fine density must have valid halos.
 func Build(pool *par.Pool, density *grid.Field, dt float64, coef stencil.Coefficient, o Options) (*Hierarchy, error) {
 	o = o.withDefaults()
 	if pool == nil {
