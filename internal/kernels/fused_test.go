@@ -327,7 +327,7 @@ func TestDot3DMatchesNaive(t *testing.T) {
 	}
 	for name, pool := range fusionPools() {
 		if got := Dot(pool, g3.Interior(), x, y); !close13(got, want) {
-			t.Errorf("%s: Dot3D = %v, want %v (halo leak?)", name, got, want)
+			t.Errorf("%s: Dot = %v, want %v (halo leak?)", name, got, want)
 		}
 	}
 }

@@ -262,8 +262,8 @@ func TestRankCountInvariance3D(t *testing.T) {
 	}
 }
 
-// The PR's acceptance scenario: a multi-rank 3D PPCG solve (comm.Run3D
-// over a Partition3D, point-Jacobi, HaloDepth ≥ 2) converges to the
+// A multi-rank 3D PPCG solve (comm.Run over a box partition,
+// point-Jacobi, HaloDepth ≥ 2) converges to the
 // single-rank solution within 1e-10, with trace counters confirming the
 // matrix-powers cadence — one depth-d exchange per d inner steps.
 func TestDistributed3DPPCGMatrixPowersAcceptance(t *testing.T) {
