@@ -140,7 +140,9 @@ func runKernelBenches(meshes []int) []kernelBench {
 				g1, g2 := kernels.FusedCGUpdate(par.Serial, in, 1e-9, c, e, b, a, d)
 				sink += g1 + g2
 			}},
-			{"fused_ppcg_inner", 8, func() { kernels.FusedPPCGInner(par.Serial, in, in, 0.9, 0.1, b, a, d, c, e) }},
+			// The whole inner PPCG step, matvec included: Kx, Ky, sd, minv,
+			// rtemp (read and write), the new sd, z (read and write).
+			{"fused_ppcg_inner", 9, func() { op.ApplyPPCGInner(par.Serial, in, in, 0.9, 0.1, d, c, b, a, e) }},
 		}
 		for _, cs := range cases {
 			dur := minTime(benchReps, cs.f)

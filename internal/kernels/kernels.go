@@ -10,13 +10,18 @@
 // same grid (they do, throughout the solvers: every solver vector is
 // allocated on the rank-local grid).
 //
-// Inner loops are bounds-check-hoisted by re-slicing each row to its
-// exact extent (xs := xd[o : o+n : o+n]) and 4-way unrolled with
-// independent accumulators, which the gc compiler turns into straight-line
-// code with no per-element bounds checks. Reductions keep a fixed
-// accumulator association (4 lanes folded pairwise), so results are
-// bit-reproducible for a fixed worker count — but differ in the last bits
-// from a naive serial sum, which is why tests compare against tolerances.
+// The inner loops carry no bounds checks. Every row is cut to exactly the
+// row length with the x[o:][:n] idiom, so all rows of one sweep share one
+// length value; a loop ranging over one row then indexes the others
+// check-free. The per-row slice expressions keep their checks, so an
+// out-of-range row still panics. Reductions keep a fixed accumulator
+// association: the unrolled ones cut each row into equal-length lane
+// slices (x[c:][:m], lane c of the unrolled step) so the compiler can
+// discharge every lane index, and fold the lanes pairwise. Results are
+// therefore bit-reproducible for a fixed worker count — but differ in the
+// last bits from a naive serial sum, which is why tests compare against
+// tolerances. TestHotLoopsBoundsCheckFree holds every inner loop here to
+// zero compiler-reported bounds checks.
 //
 // The Fused* kernels combine the multiple BLAS1 passes of one solver
 // iteration into single sweeps, the node-level half of §VII's proposal to
@@ -31,12 +36,37 @@ import (
 	"tealeaf/internal/par"
 )
 
-// row re-slices one padded row of d to the columns [t.X0, t.X1) of row
-// (y,z). The three-index form pins cap so the compiler can drop bounds
-// checks.
-func row(g *grid.Grid, t par.Tile, d []float64, y, z int) []float64 {
-	o := g.Index(t.X0, y, z)
-	return d[o : o+t.X1-t.X0 : o+t.X1-t.X0]
+// data returns f's values, nil for a nil field (the identity
+// preconditioner).
+func data(f *grid.Field) []float64 {
+	if f == nil {
+		return nil
+	}
+	return f.Data
+}
+
+// dot4 adds Σ x·y to the four lane sums of a 4-way unrolled dot product:
+// element j of the unrolled part (j < len(x)−3, in steps of four) lands in
+// lane j mod 4, the remaining tail in lane 0. y must be at least as long
+// as x.
+func dot4(s0, s1, s2, s3 float64, x, y []float64) (float64, float64, float64, float64) {
+	y = y[:len(x)]
+	if m := len(x) - 3; m > 0 {
+		x0, x1, x2, x3 := x[:m], x[1:][:m], x[2:][:m], x[3:][:m]
+		y0, y1, y2, y3 := y[:m], y[1:][:m], y[2:][:m], y[3:][:m]
+		for j := 0; j < m; j += 4 {
+			s0 += x0[j] * y0[j]
+			s1 += x1[j] * y1[j]
+			s2 += x2[j] * y2[j]
+			s3 += x3[j] * y3[j]
+		}
+	}
+	h := len(x) &^ 3
+	xt, yt := x[h:], y[h:]
+	for i := range xt {
+		s0 += xt[i] * yt[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // Dot returns Σ x·y over the cells of b.
@@ -51,18 +81,8 @@ func Dot(p *par.Pool, b grid.Bounds, x, y *grid.Field) float64 {
 		var s0, s1, s2, s3 float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				xs := row(g, t, xd, ky, kz)
-				ys := row(g, t, yd, ky, kz)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					s0 += xs[j] * ys[j]
-					s1 += xs[j+1] * ys[j+1]
-					s2 += xs[j+2] * ys[j+2]
-					s3 += xs[j+3] * ys[j+3]
-				}
-				for ; j < n; j++ {
-					s0 += xs[j] * ys[j]
-				}
+				o := g.Index(t.X0, ky, kz)
+				s0, s1, s2, s3 = dot4(s0, s1, s2, s3, xd[o:][:n], yd[o:][:n])
 			}
 		}
 		acc[0] += (s0 + s1) + (s2 + s3)
@@ -87,16 +107,8 @@ func Axpy(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field) {
 	g := x.Grid
 	xd, yd := x.Data, y.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		ys := yd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			ys[j] += alpha * xs[j]
-			ys[j+1] += alpha * xs[j+1]
-			ys[j+2] += alpha * xs[j+2]
-			ys[j+3] += alpha * xs[j+3]
-		}
-		for ; j < n; j++ {
+		xs, ys := xd[o:][:n], yd[o:][:n]
+		for j := range ys {
 			ys[j] += alpha * xs[j]
 		}
 	})
@@ -111,16 +123,8 @@ func Xpay(p *par.Pool, b grid.Bounds, x *grid.Field, beta float64, y *grid.Field
 	g := x.Grid
 	xd, yd := x.Data, y.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		ys := yd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			ys[j] = xs[j] + beta*ys[j]
-			ys[j+1] = xs[j+1] + beta*ys[j+1]
-			ys[j+2] = xs[j+2] + beta*ys[j+2]
-			ys[j+3] = xs[j+3] + beta*ys[j+3]
-		}
-		for ; j < n; j++ {
+		xs, ys := xd[o:][:n], yd[o:][:n]
+		for j := range ys {
 			ys[j] = xs[j] + beta*ys[j]
 		}
 	})
@@ -134,17 +138,8 @@ func Axpby(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field, beta float6
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		ys := yd[o : o+n : o+n]
-		zs := zd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			zs[j] = alpha*xs[j] + beta*ys[j]
-			zs[j+1] = alpha*xs[j+1] + beta*ys[j+1]
-			zs[j+2] = alpha*xs[j+2] + beta*ys[j+2]
-			zs[j+3] = alpha*xs[j+3] + beta*ys[j+3]
-		}
-		for ; j < n; j++ {
+		xs, ys, zs := xd[o:][:n], yd[o:][:n], zd[o:][:n]
+		for j := range zs {
 			zs[j] = alpha*xs[j] + beta*ys[j]
 		}
 	})
@@ -158,7 +153,7 @@ func Copy(p *par.Pool, b grid.Bounds, dst, src *grid.Field) {
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
 	g.ForRows(p, b, func(o, n int) {
-		copy(dd[o:o+n], sd[o:o+n])
+		copy(dd[o:][:n], sd[o:][:n])
 	})
 }
 
@@ -170,15 +165,8 @@ func Scale(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field) {
 	g := x.Grid
 	xd := x.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			xs[j] *= alpha
-			xs[j+1] *= alpha
-			xs[j+2] *= alpha
-			xs[j+3] *= alpha
-		}
-		for ; j < n; j++ {
+		xs := xd[o:][:n]
+		for j := range xs {
 			xs[j] *= alpha
 		}
 	})
@@ -192,16 +180,8 @@ func ScaleTo(p *par.Pool, b grid.Bounds, alpha float64, src, dst *grid.Field) {
 	g := src.Grid
 	sd, dd := src.Data, dst.Data
 	g.ForRows(p, b, func(o, n int) {
-		ss := sd[o : o+n : o+n]
-		ds := dd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			ds[j] = alpha * ss[j]
-			ds[j+1] = alpha * ss[j+1]
-			ds[j+2] = alpha * ss[j+2]
-			ds[j+3] = alpha * ss[j+3]
-		}
-		for ; j < n; j++ {
+		ss, ds := sd[o:][:n], dd[o:][:n]
+		for j := range ds {
 			ds[j] = alpha * ss[j]
 		}
 	})
@@ -215,8 +195,8 @@ func Fill(p *par.Pool, b grid.Bounds, v float64, x *grid.Field) {
 	g := x.Grid
 	xd := x.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		for j := 0; j < n; j++ {
+		xs := xd[o:][:n]
+		for j := range xs {
 			xs[j] = v
 		}
 	})
@@ -230,17 +210,8 @@ func Sub(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		ys := yd[o : o+n : o+n]
-		zs := zd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			zs[j] = xs[j] - ys[j]
-			zs[j+1] = xs[j+1] - ys[j+1]
-			zs[j+2] = xs[j+2] - ys[j+2]
-			zs[j+3] = xs[j+3] - ys[j+3]
-		}
-		for ; j < n; j++ {
+		xs, ys, zs := xd[o:][:n], yd[o:][:n], zd[o:][:n]
+		for j := range zs {
 			zs[j] = xs[j] - ys[j]
 		}
 	})
@@ -255,17 +226,8 @@ func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) {
 	g := x.Grid
 	xd, yd, zd := x.Data, y.Data, z.Data
 	g.ForRows(p, b, func(o, n int) {
-		xs := xd[o : o+n : o+n]
-		ys := yd[o : o+n : o+n]
-		zs := zd[o : o+n : o+n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			zs[j] = xs[j] * ys[j]
-			zs[j+1] = xs[j+1] * ys[j+1]
-			zs[j+2] = xs[j+2] * ys[j+2]
-			zs[j+3] = xs[j+3] * ys[j+3]
-		}
-		for ; j < n; j++ {
+		xs, ys, zs := xd[o:][:n], yd[o:][:n], zd[o:][:n]
+		for j := range zs {
 			zs[j] = xs[j] * ys[j]
 		}
 	})
@@ -285,20 +247,26 @@ func AxpyDot(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field) float6
 		var s0, s1 float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				xs := row(g, t, xd, ky, kz)
-				ys := row(g, t, yd, ky, kz)
-				j := 0
-				for ; j+1 < n; j += 2 {
-					v0 := ys[j] + alpha*xs[j]
-					ys[j] = v0
-					s0 += v0 * v0
-					v1 := ys[j+1] + alpha*xs[j+1]
-					ys[j+1] = v1
-					s1 += v1 * v1
+				o := g.Index(t.X0, ky, kz)
+				xs := xd[o:][:n]
+				ys := yd[o:][:n]
+				if m := len(ys) - 1; m > 0 {
+					x0, x1 := xs[:m], xs[1:][:m]
+					y0, y1 := ys[:m], ys[1:][:m]
+					for j := 0; j < m; j += 2 {
+						v0 := y0[j] + alpha*x0[j]
+						y0[j] = v0
+						s0 += v0 * v0
+						v1 := y1[j] + alpha*x1[j]
+						y1[j] = v1
+						s1 += v1 * v1
+					}
 				}
-				for ; j < n; j++ {
-					v := ys[j] + alpha*xs[j]
-					ys[j] = v
+				yt := ys[n&^1:]
+				xt := xs[n&^1:][:len(yt)]
+				for i := range yt {
+					v := yt[i] + alpha*xt[i]
+					yt[i] = v
 					s0 += v * v
 				}
 			}
@@ -321,19 +289,26 @@ func Dot2(p *par.Pool, b grid.Bounds, x, y, z *grid.Field) (xy, yz float64) {
 		var a0, a1, c0, c1 float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				xs := row(g, t, xd, ky, kz)
-				ys := row(g, t, yd, ky, kz)
-				zs := row(g, t, zd, ky, kz)
-				j := 0
-				for ; j+1 < n; j += 2 {
-					a0 += xs[j] * ys[j]
-					c0 += ys[j] * zs[j]
-					a1 += xs[j+1] * ys[j+1]
-					c1 += ys[j+1] * zs[j+1]
+				o := g.Index(t.X0, ky, kz)
+				xs := xd[o:][:n]
+				ys := yd[o:][:n]
+				zs := zd[o:][:n]
+				if m := len(ys) - 1; m > 0 {
+					x0, x1 := xs[:m], xs[1:][:m]
+					y0, y1 := ys[:m], ys[1:][:m]
+					z0, z1 := zs[:m], zs[1:][:m]
+					for j := 0; j < m; j += 2 {
+						a0 += x0[j] * y0[j]
+						c0 += y0[j] * z0[j]
+						a1 += x1[j] * y1[j]
+						c1 += y1[j] * z1[j]
+					}
 				}
-				for ; j < n; j++ {
-					a0 += xs[j] * ys[j]
-					c0 += ys[j] * zs[j]
+				yt := ys[n&^1:]
+				xt, zt := xs[n&^1:][:len(yt)], zs[n&^1:][:len(yt)]
+				for i := range yt {
+					a0 += xt[i] * yt[i]
+					c0 += yt[i] * zt[i]
 				}
 			}
 		}
@@ -364,22 +339,29 @@ func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field) float64 {
 		var s0, s1 float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				ms := row(g, t, md, ky, kz)
-				rs := row(g, t, rd, ky, kz)
-				zs := row(g, t, zd, ky, kz)
-				j := 0
-				for ; j+1 < n; j += 2 {
-					v0 := ms[j] * rs[j]
-					zs[j] = v0
-					s0 += rs[j] * v0
-					v1 := ms[j+1] * rs[j+1]
-					zs[j+1] = v1
-					s1 += rs[j+1] * v1
+				o := g.Index(t.X0, ky, kz)
+				ms := md[o:][:n]
+				rs := rd[o:][:n]
+				zs := zd[o:][:n]
+				if m := len(zs) - 1; m > 0 {
+					m0, m1 := ms[:m], ms[1:][:m]
+					r0, r1 := rs[:m], rs[1:][:m]
+					z0, z1 := zs[:m], zs[1:][:m]
+					for j := 0; j < m; j += 2 {
+						v0 := m0[j] * r0[j]
+						z0[j] = v0
+						s0 += r0[j] * v0
+						v1 := m1[j] * r1[j]
+						z1[j] = v1
+						s1 += r1[j] * v1
+					}
 				}
-				for ; j < n; j++ {
-					v := ms[j] * rs[j]
-					zs[j] = v
-					s0 += rs[j] * v
+				zt := zs[n&^1:]
+				mt, rt := ms[n&^1:][:len(zt)], rs[n&^1:][:len(zt)]
+				for i := range zt {
+					v := mt[i] * rt[i]
+					zt[i] = v
+					s0 += rt[i] * v
 				}
 			}
 		}
@@ -397,18 +379,9 @@ func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field, a2 flo
 	g := x1.Grid
 	x1d, y1d, x2d, y2d := x1.Data, y1.Data, x2.Data, y2.Data
 	g.ForRows(p, b, func(o, n int) {
-		x1s := x1d[o : o+n : o+n]
-		y1s := y1d[o : o+n : o+n]
-		x2s := x2d[o : o+n : o+n]
-		y2s := y2d[o : o+n : o+n]
-		j := 0
-		for ; j+1 < n; j += 2 {
-			y1s[j] += a1 * x1s[j]
-			y2s[j] += a2 * x2s[j]
-			y1s[j+1] += a1 * x1s[j+1]
-			y2s[j+1] += a2 * x2s[j+1]
-		}
-		for ; j < n; j++ {
+		x1s, y1s := x1d[o:][:n], y1d[o:][:n]
+		x2s, y2s := x2d[o:][:n], y2d[o:][:n]
+		for j := range y1s {
 			y1s[j] += a1 * x1s[j]
 			y2s[j] += a2 * x2s[j]
 		}
@@ -425,32 +398,59 @@ func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field, beta float64
 	}
 	g := y.Grid
 	yd, rd := y.Data, r.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	g.ForRows(p, b, func(o, n int) {
-		ys := yd[o : o+n : o+n]
-		rs := rd[o : o+n : o+n]
+		ys, rs := yd[o:][:n], rd[o:][:n]
 		if md == nil {
-			j := 0
-			for ; j+1 < n; j += 2 {
-				ys[j] = a*ys[j] + beta*rs[j]
-				ys[j+1] = a*ys[j+1] + beta*rs[j+1]
-			}
-			for ; j < n; j++ {
+			for j := range ys {
 				ys[j] = a*ys[j] + beta*rs[j]
 			}
 			return
 		}
-		ms := md[o : o+n : o+n]
-		j := 0
-		for ; j+1 < n; j += 2 {
+		ms := md[o:][:n]
+		for j := range ys {
 			ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
-			ys[j+1] = a*ys[j+1] + beta*(ms[j+1]*rs[j+1])
 		}
-		for ; j < n; j++ {
-			ys[j] = a*ys[j] + beta*(ms[j]*rs[j])
+	})
+}
+
+// PPCGInnerInit is the fused prologue of the PPCG inner Chebyshev solve:
+// it starts the inner residual, the direction and the accumulated
+// correction from the outer residual r,
+//
+//	rtemp = r;  sd = 0·sd + beta·(minv ⊙ r);  z = sd
+//
+// in one sweep over b (beta = 1/θ; nil minv selects the identity). The
+// 0·sd term keeps the bits, the sign of a zero included, of the
+// three-pass copy / AxpbyPre / copy sequence it replaces. Only b is
+// written: the inner loop's first exchange refreshes the rtemp and sd
+// halos it reads.
+func PPCGInnerInit(p *par.Pool, b grid.Bounds, beta float64, minv, r, rtemp, sd, z *grid.Field) {
+	if b.Empty() {
+		return
+	}
+	g := r.Grid
+	rd, td, sdd, zd := r.Data, rtemp.Data, sd.Data, z.Data
+	md := data(minv)
+	g.ForRows(p, b, func(o, n int) {
+		rs, ts, ss, zs := rd[o:][:n], td[o:][:n], sdd[o:][:n], zd[o:][:n]
+		if md == nil {
+			for j := range ss {
+				v := rs[j]
+				ts[j] = v
+				s := 0*ss[j] + beta*v
+				ss[j] = s
+				zs[j] = s
+			}
+			return
+		}
+		ms := md[o:][:n]
+		for j := range ss {
+			v := rs[j]
+			ts[j] = v
+			s := 0*ss[j] + beta*(ms[j]*v)
+			ss[j] = s
+			zs[j] = s
 		}
 	})
 }
@@ -469,10 +469,7 @@ func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field, beta
 	}
 	g := r.Grid
 	rd, wd, pd, sd := r.Data, w.Data, p.Data, s.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	// Each row runs as two narrow bursts (p-recurrence, then
 	// s-recurrence): a 16 KB row stays cache-resident between bursts, and
 	// two-stream bursts sustain measurably higher memory bandwidth than
@@ -481,42 +478,22 @@ func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field, beta
 		n := t.X1 - t.X0
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				rs := row(g, t, rd, ky, kz)
-				ps := row(g, t, pd, ky, kz)
+				o := g.Index(t.X0, ky, kz)
+				rs := rd[o:][:n]
+				ps := pd[o:][:n]
 				if md == nil {
-					j := 0
-					for ; j+3 < n; j += 4 {
-						ps[j] = rs[j] + beta*ps[j]
-						ps[j+1] = rs[j+1] + beta*ps[j+1]
-						ps[j+2] = rs[j+2] + beta*ps[j+2]
-						ps[j+3] = rs[j+3] + beta*ps[j+3]
-					}
-					for ; j < n; j++ {
+					for j := range ps {
 						ps[j] = rs[j] + beta*ps[j]
 					}
 				} else {
-					ms := row(g, t, md, ky, kz)
-					j := 0
-					for ; j+3 < n; j += 4 {
-						ps[j] = ms[j]*rs[j] + beta*ps[j]
-						ps[j+1] = ms[j+1]*rs[j+1] + beta*ps[j+1]
-						ps[j+2] = ms[j+2]*rs[j+2] + beta*ps[j+2]
-						ps[j+3] = ms[j+3]*rs[j+3] + beta*ps[j+3]
-					}
-					for ; j < n; j++ {
+					ms := md[o:][:n]
+					for j := range ps {
 						ps[j] = ms[j]*rs[j] + beta*ps[j]
 					}
 				}
-				ws := row(g, t, wd, ky, kz)
-				ss := row(g, t, sd, ky, kz)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					ss[j] = ws[j] + beta*ss[j]
-					ss[j+1] = ws[j+1] + beta*ss[j+1]
-					ss[j+2] = ws[j+2] + beta*ss[j+2]
-					ss[j+3] = ws[j+3] + beta*ss[j+3]
-				}
-				for ; j < n; j++ {
+				ws := wd[o:][:n]
+				ss := sd[o:][:n]
+				for j := range ss {
 					ss[j] = ws[j] + beta*ss[j]
 				}
 			}
@@ -537,10 +514,7 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 	}
 	g := r.Grid
 	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	// Row-fissioned like FusedCGDirections: the x-update burst, then the
 	// r-update burst carrying both dot products (the freshly written r row
 	// is still in cache for the γ accumulation).
@@ -557,10 +531,7 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field) {
 	g := r.Grid
 	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	pl.ForTilesChunk(acc, t0, t1, fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
 }
 
@@ -573,53 +544,58 @@ func fusedCGUpdateBody(g *grid.Grid, alpha float64, pd, sd, xd, rd, md []float64
 		var g0, g1, rr0, rr1 float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				ps := row(g, t, pd, ky, kz)
-				xs := row(g, t, xd, ky, kz)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					xs[j] += alpha * ps[j]
-					xs[j+1] += alpha * ps[j+1]
-					xs[j+2] += alpha * ps[j+2]
-					xs[j+3] += alpha * ps[j+3]
-				}
-				for ; j < n; j++ {
+				o := g.Index(t.X0, ky, kz)
+				ps := pd[o:][:n]
+				xs := xd[o:][:n]
+				for j := range xs {
 					xs[j] += alpha * ps[j]
 				}
-				ss := row(g, t, sd, ky, kz)
-				rs := row(g, t, rd, ky, kz)
+				ss := sd[o:][:n]
+				rs := rd[o:][:n]
 				if md == nil {
-					j = 0
-					for ; j+1 < n; j += 2 {
-						v0 := rs[j] - alpha*ss[j]
-						rs[j] = v0
-						rr0 += v0 * v0
-						v1 := rs[j+1] - alpha*ss[j+1]
-						rs[j+1] = v1
-						rr1 += v1 * v1
+					if m := len(rs) - 1; m > 0 {
+						s0, s1 := ss[:m], ss[1:][:m]
+						r0, r1 := rs[:m], rs[1:][:m]
+						for j := 0; j < m; j += 2 {
+							v0 := r0[j] - alpha*s0[j]
+							r0[j] = v0
+							rr0 += v0 * v0
+							v1 := r1[j] - alpha*s1[j]
+							r1[j] = v1
+							rr1 += v1 * v1
+						}
 					}
-					for ; j < n; j++ {
-						v := rs[j] - alpha*ss[j]
-						rs[j] = v
+					rt := rs[n&^1:]
+					st := ss[n&^1:][:len(rt)]
+					for i := range rt {
+						v := rt[i] - alpha*st[i]
+						rt[i] = v
 						rr0 += v * v
 					}
 					continue
 				}
-				ms := row(g, t, md, ky, kz)
-				j = 0
-				for ; j+1 < n; j += 2 {
-					v0 := rs[j] - alpha*ss[j]
-					rs[j] = v0
-					g0 += ms[j] * v0 * v0
-					rr0 += v0 * v0
-					v1 := rs[j+1] - alpha*ss[j+1]
-					rs[j+1] = v1
-					g1 += ms[j+1] * v1 * v1
-					rr1 += v1 * v1
+				ms := md[o:][:n]
+				if m := len(rs) - 1; m > 0 {
+					s0, s1 := ss[:m], ss[1:][:m]
+					r0, r1 := rs[:m], rs[1:][:m]
+					m0, m1 := ms[:m], ms[1:][:m]
+					for j := 0; j < m; j += 2 {
+						v0 := r0[j] - alpha*s0[j]
+						r0[j] = v0
+						g0 += m0[j] * v0 * v0
+						rr0 += v0 * v0
+						v1 := r1[j] - alpha*s1[j]
+						r1[j] = v1
+						g1 += m1[j] * v1 * v1
+						rr1 += v1 * v1
+					}
 				}
-				for ; j < n; j++ {
-					v := rs[j] - alpha*ss[j]
-					rs[j] = v
-					g0 += ms[j] * v * v
+				rt := rs[n&^1:]
+				st, mt := ss[n&^1:][:len(rt)], ms[n&^1:][:len(rt)]
+				for i := range rt {
+					v := rt[i] - alpha*st[i]
+					rt[i] = v
+					g0 += mt[i] * v * v
 					rr0 += v * v
 				}
 			}
@@ -632,70 +608,6 @@ func fusedCGUpdateBody(g *grid.Grid, alpha float64, pd, sd, xd, rd, md []float64
 			acc[1] += rr0 + rr1
 		}
 	}
-}
-
-// FusedPPCGInner is the fused Chebyshev inner step of PPCG: the residual
-// update, the (folded diagonal) preconditioner application, the
-// three-term direction recurrence and the correction accumulation in one
-// sweep instead of four,
-//
-//	rtemp −= w
-//	sd     = α·sd + β·(minv ⊙ rtemp)     over b (matrix-powers bounds)
-//	z     += sd                           over in (the interior) only
-//
-// b must contain in; rows outside in update rtemp/sd but not z, exactly
-// as the unfused schedule does on extended matrix-powers bounds. nil minv
-// selects the identity preconditioner.
-func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field) {
-	if b.Empty() {
-		return
-	}
-	g := rtemp.Grid
-	wd, rd, sdd, zd := w.Data, rtemp.Data, sd.Data, z.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.ForTiles(g.Box(b), func(t par.Tile) {
-		n := t.X1 - t.X0
-		// Column range of the interior within this tile's row slices (a
-		// tile may lie wholly outside the interior columns).
-		xlo, xhi := max(in.X0, t.X0), min(in.X1, t.X1)
-		zt := par.Tile{X0: xlo, X1: xhi}
-		for kz := t.Z0; kz < t.Z1; kz++ {
-			for ky := t.Y0; ky < t.Y1; ky++ {
-				ws := row(g, t, wd, ky, kz)
-				rs := row(g, t, rd, ky, kz)
-				ss := row(g, t, sdd, ky, kz)
-				if md == nil {
-					for j := 0; j < n; j++ {
-						v := rs[j] - ws[j]
-						rs[j] = v
-						ss[j] = alpha*ss[j] + beta*v
-					}
-				} else {
-					ms := row(g, t, md, ky, kz)
-					for j := 0; j < n; j++ {
-						v := rs[j] - ws[j]
-						rs[j] = v
-						ss[j] = alpha*ss[j] + beta*(ms[j]*v)
-					}
-				}
-				if in.Contains(xlo, ky, kz) && xhi > xlo {
-					zs := row(g, zt, zd, ky, kz)
-					sz := ss[xlo-t.X0 : xhi-t.X0]
-					j := 0
-					for ; j+1 < len(sz); j += 2 {
-						zs[j] += sz[j]
-						zs[j+1] += sz[j+1]
-					}
-					for ; j < len(sz); j++ {
-						zs[j] += sz[j]
-					}
-				}
-			}
-		}
-	})
 }
 
 // PipelinedCGStep is the whole vector phase of a pipelined
@@ -723,10 +635,7 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field, be
 	}
 	g := r.Grid
 	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	acc := pl.ForTilesReduceN(3, g.Box(b), pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
 	if md == nil {
 		return acc[2], acc[1], acc[2]
@@ -742,10 +651,7 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field, be
 func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field, beta, alpha float64, p, s, z, x *grid.Field) {
 	g := r.Grid
 	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
+	md := data(minv)
 	pl.ForTilesChunk(acc, t0, t1, pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
 }
 
@@ -758,134 +664,128 @@ func pipelinedCGStepBody(g *grid.Grid, beta, alpha float64, md, rd, wd, nd, pd, 
 		var ga, de, rra float64
 		for kz := t.Z0; kz < t.Z1; kz++ {
 			for ky := t.Y0; ky < t.Y1; ky++ {
-				rs := row(g, t, rd, ky, kz)
-				ps := row(g, t, pd, ky, kz)
-				xs := row(g, t, xd, ky, kz)
+				o := g.Index(t.X0, ky, kz)
+				rs := rd[o:][:n]
+				ps := pd[o:][:n]
+				xs := xd[o:][:n]
 				// Burst 1: the p recurrence (old r) and the x update it feeds.
 				if md == nil {
-					j := 0
-					for ; j+3 < n; j += 4 {
-						p0 := rs[j] + beta*ps[j]
-						ps[j] = p0
-						xs[j] += alpha * p0
-						p1 := rs[j+1] + beta*ps[j+1]
-						ps[j+1] = p1
-						xs[j+1] += alpha * p1
-						p2 := rs[j+2] + beta*ps[j+2]
-						ps[j+2] = p2
-						xs[j+2] += alpha * p2
-						p3 := rs[j+3] + beta*ps[j+3]
-						ps[j+3] = p3
-						xs[j+3] += alpha * p3
-					}
-					for ; j < n; j++ {
+					for j := range ps {
 						p0 := rs[j] + beta*ps[j]
 						ps[j] = p0
 						xs[j] += alpha * p0
 					}
 				} else {
-					ms := row(g, t, md, ky, kz)
-					j := 0
-					for ; j+3 < n; j += 4 {
-						p0 := ms[j]*rs[j] + beta*ps[j]
-						ps[j] = p0
-						xs[j] += alpha * p0
-						p1 := ms[j+1]*rs[j+1] + beta*ps[j+1]
-						ps[j+1] = p1
-						xs[j+1] += alpha * p1
-						p2 := ms[j+2]*rs[j+2] + beta*ps[j+2]
-						ps[j+2] = p2
-						xs[j+2] += alpha * p2
-						p3 := ms[j+3]*rs[j+3] + beta*ps[j+3]
-						ps[j+3] = p3
-						xs[j+3] += alpha * p3
-					}
-					for ; j < n; j++ {
+					ms := md[o:][:n]
+					for j := range ps {
 						p0 := ms[j]*rs[j] + beta*ps[j]
 						ps[j] = p0
 						xs[j] += alpha * p0
 					}
 				}
 				// Burst 2: the s recurrence (old w), the r update, and rr.
-				ws := row(g, t, wd, ky, kz)
-				ss := row(g, t, sd, ky, kz)
+				ws := wd[o:][:n]
+				ss := sd[o:][:n]
 				var rr0, rr1 float64
-				j := 0
-				for ; j+1 < n; j += 2 {
-					s0 := ws[j] + beta*ss[j]
-					ss[j] = s0
-					v0 := rs[j] - alpha*s0
-					rs[j] = v0
-					rr0 += v0 * v0
-					s1 := ws[j+1] + beta*ss[j+1]
-					ss[j+1] = s1
-					v1 := rs[j+1] - alpha*s1
-					rs[j+1] = v1
-					rr1 += v1 * v1
+				if m := len(rs) - 1; m > 0 {
+					w0, w1 := ws[:m], ws[1:][:m]
+					s0, s1 := ss[:m], ss[1:][:m]
+					r0, r1 := rs[:m], rs[1:][:m]
+					for j := 0; j < m; j += 2 {
+						sv0 := w0[j] + beta*s0[j]
+						s0[j] = sv0
+						v0 := r0[j] - alpha*sv0
+						r0[j] = v0
+						rr0 += v0 * v0
+						sv1 := w1[j] + beta*s1[j]
+						s1[j] = sv1
+						v1 := r1[j] - alpha*sv1
+						r1[j] = v1
+						rr1 += v1 * v1
+					}
 				}
-				for ; j < n; j++ {
-					s0 := ws[j] + beta*ss[j]
-					ss[j] = s0
-					v := rs[j] - alpha*s0
-					rs[j] = v
+				rt := rs[n&^1:]
+				wt, st := ws[n&^1:][:len(rt)], ss[n&^1:][:len(rt)]
+				for i := range rt {
+					sv := wt[i] + beta*st[i]
+					st[i] = sv
+					v := rt[i] - alpha*sv
+					rt[i] = v
 					rr0 += v * v
 				}
 				rra += rr0 + rr1
 				// Burst 3: the z recurrence, the w update, and γ, δ against the
 				// new r still in cache.
-				ns := row(g, t, nd, ky, kz)
-				zs := row(g, t, zd, ky, kz)
+				ns := nd[o:][:n]
+				zs := zd[o:][:n]
 				if md == nil {
 					var d0, d1 float64
-					j = 0
-					for ; j+1 < n; j += 2 {
-						z0 := ns[j] + beta*zs[j]
-						zs[j] = z0
-						v0 := ws[j] - alpha*z0
-						ws[j] = v0
-						d0 += rs[j] * v0
-						z1 := ns[j+1] + beta*zs[j+1]
-						zs[j+1] = z1
-						v1 := ws[j+1] - alpha*z1
-						ws[j+1] = v1
-						d1 += rs[j+1] * v1
+					if m := len(rs) - 1; m > 0 {
+						n0, n1 := ns[:m], ns[1:][:m]
+						z0, z1 := zs[:m], zs[1:][:m]
+						w0, w1 := ws[:m], ws[1:][:m]
+						r0, r1 := rs[:m], rs[1:][:m]
+						for j := 0; j < m; j += 2 {
+							zv0 := n0[j] + beta*z0[j]
+							z0[j] = zv0
+							v0 := w0[j] - alpha*zv0
+							w0[j] = v0
+							d0 += r0[j] * v0
+							zv1 := n1[j] + beta*z1[j]
+							z1[j] = zv1
+							v1 := w1[j] - alpha*zv1
+							w1[j] = v1
+							d1 += r1[j] * v1
+						}
 					}
-					for ; j < n; j++ {
-						z0 := ns[j] + beta*zs[j]
-						zs[j] = z0
-						v := ws[j] - alpha*z0
-						ws[j] = v
-						d0 += rs[j] * v
+					rt = rs[n&^1:]
+					nt, zt := ns[n&^1:][:len(rt)], zs[n&^1:][:len(rt)]
+					wt = ws[n&^1:][:len(rt)]
+					for i := range rt {
+						zv := nt[i] + beta*zt[i]
+						zt[i] = zv
+						v := wt[i] - alpha*zv
+						wt[i] = v
+						d0 += rt[i] * v
 					}
 					de += d0 + d1
 					continue
 				}
-				ms := row(g, t, md, ky, kz)
+				ms := md[o:][:n]
 				var g0, g1, d0, d1 float64
-				j = 0
-				for ; j+1 < n; j += 2 {
-					z0 := ns[j] + beta*zs[j]
-					zs[j] = z0
-					v0 := ws[j] - alpha*z0
-					ws[j] = v0
-					u0 := ms[j] * rs[j]
-					g0 += u0 * rs[j]
-					d0 += u0 * v0
-					z1 := ns[j+1] + beta*zs[j+1]
-					zs[j+1] = z1
-					v1 := ws[j+1] - alpha*z1
-					ws[j+1] = v1
-					u1 := ms[j+1] * rs[j+1]
-					g1 += u1 * rs[j+1]
-					d1 += u1 * v1
+				if m := len(rs) - 1; m > 0 {
+					n0, n1 := ns[:m], ns[1:][:m]
+					z0, z1 := zs[:m], zs[1:][:m]
+					w0, w1 := ws[:m], ws[1:][:m]
+					r0, r1 := rs[:m], rs[1:][:m]
+					m0, m1 := ms[:m], ms[1:][:m]
+					for j := 0; j < m; j += 2 {
+						zv0 := n0[j] + beta*z0[j]
+						z0[j] = zv0
+						v0 := w0[j] - alpha*zv0
+						w0[j] = v0
+						u0 := m0[j] * r0[j]
+						g0 += u0 * r0[j]
+						d0 += u0 * v0
+						zv1 := n1[j] + beta*z1[j]
+						z1[j] = zv1
+						v1 := w1[j] - alpha*zv1
+						w1[j] = v1
+						u1 := m1[j] * r1[j]
+						g1 += u1 * r1[j]
+						d1 += u1 * v1
+					}
 				}
-				for ; j < n; j++ {
-					z0 := ns[j] + beta*zs[j]
-					zs[j] = z0
-					v := ws[j] - alpha*z0
-					ws[j] = v
-					u := ms[j] * rs[j]
-					g0 += u * rs[j]
+				rt = rs[n&^1:]
+				nt, zt := ns[n&^1:][:len(rt)], zs[n&^1:][:len(rt)]
+				wt, mt := ws[n&^1:][:len(rt)], ms[n&^1:][:len(rt)]
+				for i := range rt {
+					zv := nt[i] + beta*zt[i]
+					zt[i] = zv
+					v := wt[i] - alpha*zv
+					wt[i] = v
+					u := mt[i] * rt[i]
+					g0 += u * rt[i]
 					d0 += u * v
 				}
 				ga += g0 + g1

@@ -170,17 +170,31 @@ func BenchmarkFusedCGUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkFusedPPCGInner times one whole inner PPCG step, matvec
+// included (Operator.ApplyPPCGInner), on a 2D and a 3D grid. The traffic
+// counts the face coefficient rows (two in 2D, three in 3D), sd, minv,
+// rtemp (read and write), the new sd and z (read and write).
 func BenchmarkFusedPPCGInner(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			g := benchGrid(n)
-			minv, w := benchField(g, 1), benchField(g, 2)
-			rtemp, sd, z := benchField(g, 3), benchField(g, 4), benchField(g, 5)
+	cases := []struct {
+		name    string
+		g       *grid.Grid
+		traffic int64
+	}{
+		{"2D/1024x1024", benchGrid(1024), 9},
+		{"3D/128x128x128", grid.UnitGrid(128, 128, 128, 1), 10},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g
+			op := benchOp(g)
+			minv := benchField(g, 1)
+			sd, sdNext := benchField(g, 2), grid.NewField(g)
+			rtemp, z := benchField(g, 3), benchField(g, 4)
 			in := g.Interior()
-			b.SetBytes(int64(n) * int64(n) * 8 * 8)
+			b.SetBytes(int64(in.Cells()) * 8 * c.traffic)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				FusedPPCGInner(par.Serial, in, in, 0.9, 0.1, w, rtemp, minv, sd, z)
+				op.ApplyPPCGInner(par.Serial, in, in, 0.9, 0.1, minv, sd, sdNext, rtemp, z)
 			}
 		})
 	}

@@ -1149,29 +1149,31 @@ func newInnerCore(e *engine, sched *cheby.Schedule, powers *halo.Schedule,
 //	    z     ← z + sd              (interior only)
 //
 // leaving the polynomial-preconditioned residual in s.z. With the
-// diagonal folded everything after the matvec is one sweep
-// (FusedPPCGInner).
+// diagonal folded the prologue is one interior sweep (PPCGInnerInit) and
+// each step one stencil sweep (Operator.ApplyPPCGInner) that writes the
+// new direction into s.w and swaps it with s.sd. The trace still counts
+// the unfused schedule's matvec and vector passes, so its counters do not
+// depend on how far the sweeps are fused.
 func (s *innerCore) apply(r *grid.Field) error {
 	e := s.e
 	sys := e.sys
 	in := e.in
 
-	// rtemp starts as a copy of the outer residual; the depth-d exchange
-	// below makes its halo consistent before any extended-bounds work.
-	s.rtemp.CopyFrom(r)
-	e.vectorPass(in)
-
+	// rtemp = r, sd = (M⁻¹rtemp)/θ, z = sd: three vector passes, one
+	// interior sweep when the diagonal is folded. The depth-d exchange
+	// below refreshes the rtemp and sd halos before any extended-bounds
+	// work.
 	if e.plan.Folded {
-		// sd = (M⁻¹rtemp)/θ with the preconditioner folded, then z = sd.
-		kernels.AxpbyPre(sys.p, in, 0, s.sd, 1/s.sched.Theta, e.minv, s.rtemp)
-		e.vectorPass(in)
+		kernels.PPCGInnerInit(sys.p, in, 1/s.sched.Theta, e.minv, r, s.rtemp, s.sd, s.z)
 	} else {
+		s.rtemp.CopyFrom(r)
 		e.applyPrecond(in, s.rtemp, s.zscr)
 		kernels.ScaleTo(sys.p, in, 1/s.sched.Theta, s.zscr, s.sd)
+		kernels.Copy(sys.p, in, s.z, s.sd)
+	}
+	for range 3 {
 		e.vectorPass(in)
 	}
-	kernels.Copy(sys.p, in, s.z, s.sd)
-	e.vectorPass(in)
 
 	// Force a fresh exchange at the start of every inner solve: rtemp and
 	// sd were rebuilt from the outer residual.
@@ -1201,14 +1203,16 @@ func (s *innerCore) apply(r *grid.Field) error {
 			step2 = s.sched.Steps() - 1
 		}
 
-		e.matvec(b, s.sd, s.w)
 		if e.plan.Folded {
-			kernels.FusedPPCGInner(sys.p, b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
-				s.w, s.rtemp, e.minv, s.sd, s.z)
+			sys.op.ApplyPPCGInner(sys.p, b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
+				e.minv, s.sd, s.w, s.rtemp, s.z)
+			e.tr.AddMatvec(b.Cells())
 			e.vectorPass(b)
+			s.sd, s.w = s.w, s.sd
 			continue
 		}
 
+		e.matvec(b, s.sd, s.w)
 		kernels.Axpy(sys.p, b, -1, s.w, s.rtemp) // rtemp -= A·sd
 		e.vectorPass(b)
 

@@ -194,27 +194,24 @@ func (op *Operator) flat() bool { return op.Kz == nil }
 // cell beyond b on every side (halo-exchanged, reflected, or inside the
 // padded region covered by a deeper exchange).
 func (op *Operator) Apply(pool *par.Pool, b grid.Bounds, p, w *grid.Field) {
-	if b.Empty() {
-		return
-	}
-	body := op.apply5(p.Data, w.Data)
+	row := op.apply5
 	if !op.flat() {
-		body = op.apply7(p.Data, w.Data)
+		row = op.apply7
 	}
-	pool.ForTiles(op.Grid.Box(b), body)
+	pd, wd := p.Data, w.Data
+	op.Grid.ForRows(pool, b, func(o, n int) { row(o, n, pd, wd) })
 }
 
 // ApplyDot is Listing 1 exactly: w = A·p fused with the dot product
 // pw = p·w in a single pass over b. The inner loop is the hottest in the
-// whole solver, so it is written with local re-sliced rows (bounds checks
-// hoisted) and unrolled.
+// whole solver; see the package comment for how its rows are cut.
 func (op *Operator) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field) float64 {
 	if b.Empty() {
 		return 0
 	}
-	body := op.applyDot5(p.Data, w.Data)
+	body := op.applyDot5Body(p.Data, w.Data)
 	if !op.flat() {
-		body = op.applyDot7(p.Data, w.Data)
+		body = op.applyDot7Body(p.Data, w.Data)
 	}
 	return pool.ForTilesReduceN(1, op.Grid.Box(b), body)[0]
 }
@@ -227,9 +224,9 @@ func (op *Operator) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field) (
 	if b.Empty() {
 		return 0, 0
 	}
-	body := op.applyDot25(p.Data, w.Data)
+	body := op.applyDot25Body(p.Data, w.Data)
 	if !op.flat() {
-		body = op.applyDot27(p.Data, w.Data)
+		body = op.applyDot27Body(p.Data, w.Data)
 	}
 	acc := pool.ForTilesReduceN(2, op.Grid.Box(b), body)
 	return acc[0], acc[1]
@@ -272,13 +269,18 @@ func (op *Operator) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1
 func (op *Operator) applyPreDotBody(minv, r, w *grid.Field) func(t par.Tile, acc []float64) {
 	switch {
 	case minv == nil && op.flat():
-		return op.applyDot5(r.Data, w.Data)
+		return op.applyDot5Body(r.Data, w.Data)
 	case minv == nil:
-		return op.applyDot27(r.Data, w.Data)
+		return op.applyDot27Body(r.Data, w.Data)
 	case op.flat():
-		return op.applyPreDot5(minv.Data, r.Data, w.Data)
+		return op.applyPreDot5Body(minv.Data, r.Data, w.Data)
 	}
-	return op.applyPreDot7(minv.Data, r.Data, w.Data)
+	md, rd, wd := minv.Data, r.Data, w.Data
+	return func(t par.Tile, acc []float64) {
+		var uw float64
+		op.eachRow(t, func(o, n int) { uw = op.applyPreDot7(o, n, md, rd, wd, uw) })
+		acc[0] += uw
+	}
 }
 
 // ApplyPreDotInit is ApplyPreDot extended with the two extra dot products
@@ -295,12 +297,65 @@ func (op *Operator) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w *g
 	if minv != nil {
 		md = minv.Data
 	}
-	body := op.applyPreDotInit5(md, r.Data, w.Data)
+	row := op.applyPreDotInit5
 	if !op.flat() {
-		body = op.applyPreDotInit7(md, r.Data, w.Data)
+		row = op.applyPreDotInit7
 	}
-	out := pool.ForTilesReduceN(3, op.Grid.Box(b), body)
+	rd, wd := r.Data, w.Data
+	out := pool.ForTilesReduceN(3, op.Grid.Box(b), func(t par.Tile, acc []float64) {
+		var ga, de, rs float64
+		op.eachRow(t, func(o, n int) { ga, de, rs = row(o, n, md, rd, wd, ga, de, rs) })
+		acc[0] += ga
+		acc[1] += de
+		acc[2] += rs
+	})
 	return out[0], out[1], out[2]
+}
+
+// ApplyPPCGInner is one inner Chebyshev step of PPCG in a single sweep:
+// per cell it computes w = A·sd in a register and applies
+//
+//	rtemp  −= w
+//	sdNext  = α·sd + β·(minv ⊙ rtemp)      over b (matrix-powers bounds)
+//	z      += sdNext                        over in (the interior) only
+//
+// so w never reaches memory. sdNext must not alias sd: the step reads the
+// old direction's neighbours while it writes the new one, so callers
+// ping-pong two buffers. b must contain in, and sd must be valid one cell
+// beyond b. nil minv selects the identity preconditioner. Every value is
+// the one Apply followed by the separate residual, direction and
+// correction updates computes, bit for bit.
+func (op *Operator) ApplyPPCGInner(pool *par.Pool, b, in grid.Bounds, alpha, beta float64, minv, sd, sdNext, rtemp, z *grid.Field) {
+	if b.Empty() {
+		return
+	}
+	var md []float64
+	if minv != nil {
+		md = minv.Data
+	}
+	row := op.ppcgInner5
+	if !op.flat() {
+		row = op.ppcgInner7
+	}
+	g := op.Grid
+	sdd, snd, rd, zd := sd.Data, sdNext.Data, rtemp.Data, z.Data
+	pool.ForTiles(g.Box(b), func(t par.Tile) {
+		// Column range of the interior within this tile's rows (a tile may
+		// lie wholly outside the interior columns).
+		xlo, xhi := max(in.X0, t.X0), min(in.X1, t.X1)
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				row(g.Index(t.X0, j, k), t.X1-t.X0, alpha, beta, md, sdd, snd, rd)
+				if in.Contains(xlo, j, k) && xhi > xlo {
+					o := g.Index(xlo, j, k)
+					zs, ss := zd[o:][:xhi-xlo], snd[o:][:xhi-xlo]
+					for i := range zs {
+						zs[i] += ss[i]
+					}
+				}
+			}
+		}
+	})
 }
 
 // Residual computes r = rhs − A·u over b.
@@ -379,166 +434,77 @@ func (op *Operator) RowSumCheck(pool *par.Pool, b grid.Bounds) float64 {
 	return worst
 }
 
-// The 5-point row kernels: the Operator's sweeps on a flat grid, where
-// every row lies in the plane k = 0.
-
-func (op *Operator) apply5(pd, wd []float64) func(t par.Tile) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	return func(t par.Tile) {
-		n := t.X1 - t.X0
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k, 0)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			pn := pd[o+s : o+s+n]
-			pso := pd[o-s : o-s+n]
-			pc := pd[o-1 : o+n+1]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc[j+1] -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*pc[j+2] -
-					(kyn[j+1]*pn[j+1] + kys[j+1]*pso[j+1]) -
-					(kxs[j+2]*pc[j+3] + kxs[j+1]*pc[j+1])
-				v2 := (1+(kyn[j+2]+kys[j+2])+(kxs[j+3]+kxs[j+2]))*pc[j+3] -
-					(kyn[j+2]*pn[j+2] + kys[j+2]*pso[j+2]) -
-					(kxs[j+3]*pc[j+4] + kxs[j+2]*pc[j+2])
-				v3 := (1+(kyn[j+3]+kys[j+3])+(kxs[j+4]+kxs[j+3]))*pc[j+4] -
-					(kyn[j+3]*pn[j+3] + kys[j+3]*pso[j+3]) -
-					(kxs[j+4]*pc[j+5] + kxs[j+3]*pc[j+3])
-				ws[j], ws[j+1], ws[j+2], ws[j+3] = v0, v1, v2, v3
-			}
-			for ; j < n; j++ {
-				ws[j] = (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc[j+1] -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-			}
+// eachRow calls row on every row of tile t in sweep order: o is the
+// storage index of the row's first cell, n its length.
+func (op *Operator) eachRow(t par.Tile, row func(o, n int)) {
+	g, n := op.Grid, t.X1-t.X0
+	for k := t.Z0; k < t.Z1; k++ {
+		for j := t.Y0; j < t.Y1; j++ {
+			row(g.Index(t.X0, j, k), n)
 		}
 	}
 }
 
-func (op *Operator) applyDot5(pd, wd []float64) func(t par.Tile, acc []float64) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
+// The tile bodies of the fused-dot sweeps. Each runs its variant's row
+// kernel and then folds the row into the tile's lane sums with dot2 or
+// dot4, so the unrolled lanes keep their historical association.
+
+func (op *Operator) applyDot5Body(pd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
 		var pw0, pw1, pw2, pw3 float64
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k, 0)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			pn := pd[o+s : o+s+n]
-			pso := pd[o-s : o-s+n]
-			pc := pd[o-1 : o+n+1]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				pc0, pc1, pc2, pc3 := pc[j+1], pc[j+2], pc[j+3], pc[j+4]
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*pc1 -
-					(kyn[j+1]*pn[j+1] + kys[j+1]*pso[j+1]) -
-					(kxs[j+2]*pc[j+3] + kxs[j+1]*pc[j+1])
-				v2 := (1+(kyn[j+2]+kys[j+2])+(kxs[j+3]+kxs[j+2]))*pc2 -
-					(kyn[j+2]*pn[j+2] + kys[j+2]*pso[j+2]) -
-					(kxs[j+3]*pc[j+4] + kxs[j+2]*pc[j+2])
-				v3 := (1+(kyn[j+3]+kys[j+3])+(kxs[j+4]+kxs[j+3]))*pc3 -
-					(kyn[j+3]*pn[j+3] + kys[j+3]*pso[j+3]) -
-					(kxs[j+4]*pc[j+5] + kxs[j+3]*pc[j+3])
-				ws[j], ws[j+1], ws[j+2], ws[j+3] = v0, v1, v2, v3
-				pw0 += pc0 * v0
-				pw1 += pc1 * v1
-				pw2 += pc2 * v2
-				pw3 += pc3 * v3
-			}
-			for ; j < n; j++ {
-				pc0 := pc[j+1]
-				v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				ws[j] = v
-				pw0 += pc0 * v
-			}
-		}
+		op.eachRow(t, func(o, n int) {
+			op.apply5(o, n, pd, wd)
+			pw0, pw1, pw2, pw3 = dot4(pw0, pw1, pw2, pw3, pd[o:][:n], wd[o:][:n])
+		})
 		acc[0] += (pw0 + pw1) + (pw2 + pw3)
 	}
 }
 
-func (op *Operator) applyDot25(pd, wd []float64) func(t par.Tile, acc []float64) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
+func (op *Operator) applyDot25Body(pd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
 		var pw0, pw1, pw2, pw3 float64
 		var ww0, ww1, ww2, ww3 float64
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k, 0)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			pn := pd[o+s : o+s+n]
-			pso := pd[o-s : o-s+n]
-			pc := pd[o-1 : o+n+1]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				pc0, pc1, pc2, pc3 := pc[j+1], pc[j+2], pc[j+3], pc[j+4]
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*pc1 -
-					(kyn[j+1]*pn[j+1] + kys[j+1]*pso[j+1]) -
-					(kxs[j+2]*pc[j+3] + kxs[j+1]*pc[j+1])
-				v2 := (1+(kyn[j+2]+kys[j+2])+(kxs[j+3]+kxs[j+2]))*pc2 -
-					(kyn[j+2]*pn[j+2] + kys[j+2]*pso[j+2]) -
-					(kxs[j+3]*pc[j+4] + kxs[j+2]*pc[j+2])
-				v3 := (1+(kyn[j+3]+kys[j+3])+(kxs[j+4]+kxs[j+3]))*pc3 -
-					(kyn[j+3]*pn[j+3] + kys[j+3]*pso[j+3]) -
-					(kxs[j+4]*pc[j+5] + kxs[j+3]*pc[j+3])
-				ws[j], ws[j+1], ws[j+2], ws[j+3] = v0, v1, v2, v3
-				pw0 += pc0 * v0
-				ww0 += v0 * v0
-				pw1 += pc1 * v1
-				ww1 += v1 * v1
-				pw2 += pc2 * v2
-				ww2 += v2 * v2
-				pw3 += pc3 * v3
-				ww3 += v3 * v3
-			}
-			for ; j < n; j++ {
-				pc0 := pc[j+1]
-				v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				ws[j] = v
-				pw0 += pc0 * v
-				ww0 += v * v
-			}
-		}
+		op.eachRow(t, func(o, n int) {
+			op.apply5(o, n, pd, wd)
+			ws := wd[o:][:n]
+			pw0, pw1, pw2, pw3 = dot4(pw0, pw1, pw2, pw3, pd[o:][:n], ws)
+			ww0, ww1, ww2, ww3 = dot4(ww0, ww1, ww2, ww3, ws, ws)
+		})
 		acc[0] += (pw0 + pw1) + (pw2 + pw3)
 		acc[1] += (ww0 + ww1) + (ww2 + ww3)
 	}
 }
 
-// applyPreDot5 keeps a rolling three-row window of u = minv ⊙ r
+func (op *Operator) applyDot7Body(pd, wd []float64) func(t par.Tile, acc []float64) {
+	return func(t par.Tile, acc []float64) {
+		var pw float64
+		op.eachRow(t, func(o, n int) { pw = op.applyDot7(o, n, pd, wd, pw) })
+		acc[0] += pw
+	}
+}
+
+func (op *Operator) applyDot27Body(pd, wd []float64) func(t par.Tile, acc []float64) {
+	return func(t par.Tile, acc []float64) {
+		var pw0, pw1, ww0, ww1 float64
+		op.eachRow(t, func(o, n int) {
+			op.apply7(o, n, pd, wd)
+			ws := wd[o:][:n]
+			pw0, pw1 = dot2(pw0, pw1, pd[o:][:n], ws)
+			ww0, ww1 = dot2(ww0, ww1, ws, ws)
+		})
+		acc[0] += pw0 + pw1
+		acc[1] += ww0 + ww1
+	}
+}
+
+// applyPreDot5Body keeps a rolling three-row window of u = minv ⊙ r
 // (extended one cell left/right) per tile, so every product is computed
 // once and m, r stream through exactly one read each — the buffer rows
 // stay L1-resident across the stencil evaluation. Edge cells recomputed
 // by the adjacent tile are the same pointwise products, so tiling leaves
 // the sweep's output unchanged.
-func (op *Operator) applyPreDot5(md, rd, wd []float64) func(t par.Tile, acc []float64) {
+func (op *Operator) applyPreDot5Body(md, rd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
 		width := n + 2
@@ -548,18 +514,7 @@ func (op *Operator) applyPreDot5(md, rd, wd []float64) func(t par.Tile, acc []fl
 		un := buf[2*width : 3*width : 3*width] // row k+1
 		fill := func(dst []float64, k int) {
 			o := g.Index(t.X0-1, k, 0)
-			ms := md[o : o+width : o+width]
-			rs := rd[o:][:width:width]
-			j := 0
-			for ; j+3 < width; j += 4 {
-				dst[j] = ms[j] * rs[j]
-				dst[j+1] = ms[j+1] * rs[j+1]
-				dst[j+2] = ms[j+2] * rs[j+2]
-				dst[j+3] = ms[j+3] * rs[j+3]
-			}
-			for ; j < width; j++ {
-				dst[j] = ms[j] * rs[j]
-			}
+			mulRow(dst, md[o:][:width], rd[o:][:width])
 		}
 		fill(us, t.Y0-1)
 		fill(uc, t.Y0)
@@ -567,139 +522,201 @@ func (op *Operator) applyPreDot5(md, rd, wd []float64) func(t par.Tile, acc []fl
 		for k := t.Y0; k < t.Y1; k++ {
 			fill(un, k+1)
 			o := g.Index(t.X0, k, 0)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+1 < n; j += 2 {
-				uc0 := uc[j+1]
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-					(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-					(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-				ws[j] = v0
-				uw0 += uc0 * v0
-				uc1 := uc[j+2]
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*uc1 -
-					(kyn[j+1]*un[j+2] + kys[j+1]*us[j+2]) -
-					(kxs[j+2]*uc[j+3] + kxs[j+1]*uc[j+1])
-				ws[j+1] = v1
-				uw1 += uc1 * v1
-			}
-			for ; j < n; j++ {
-				uc0 := uc[j+1]
-				v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-					(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-					(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-				ws[j] = v
-				uw0 += uc0 * v
-			}
+			op.applyBuf5(o, n, us, uc, un, wd)
+			uw0, uw1 = dot2(uw0, uw1, uc[1:][:n], wd[o:][:n])
 			us, uc, un = uc, un, us
 		}
 		acc[0] += uw0 + uw1
 	}
 }
 
-func (op *Operator) applyPreDotInit5(md, rd, wd []float64) func(t par.Tile, acc []float64) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
-		var ga, de, rs float64
-		for k := t.Y0; k < t.Y1; k++ {
-			rrw := sliceStencilRows(g, t, kx, ky, rd, k)
-			o := g.Index(t.X0, k, 0)
-			ws := wd[o : o+n : o+n]
-			if md == nil {
-				for j := 0; j < n; j++ {
-					rc := rrw.pc[j+1]
-					v := (1+(rrw.kyn[j]+rrw.kys[j])+(rrw.kxs[j+1]+rrw.kxs[j]))*rc -
-						(rrw.kyn[j]*rrw.pn[j] + rrw.kys[j]*rrw.pso[j]) -
-						(rrw.kxs[j+1]*rrw.pc[j+2] + rrw.kxs[j]*rrw.pc[j])
-					ws[j] = v
-					ga += rc * rc
-					de += rc * v
-					rs += rc * rc
-				}
-				continue
-			}
-			mn := md[o+s : o+s+n]
-			mso := md[o-s : o-s+n]
-			mc := md[o-1 : o+n+1]
-			for j := 0; j < n; j++ {
-				rc := rrw.pc[j+1]
-				uc := mc[j+1] * rc
-				v := (1+(rrw.kyn[j]+rrw.kys[j])+(rrw.kxs[j+1]+rrw.kxs[j]))*uc -
-					(rrw.kyn[j]*(mn[j]*rrw.pn[j]) + rrw.kys[j]*(mso[j]*rrw.pso[j])) -
-					(rrw.kxs[j+1]*(mc[j+2]*rrw.pc[j+2]) + rrw.kxs[j]*(mc[j]*rrw.pc[j]))
-				ws[j] = v
-				ga += rc * uc
-				de += uc * v
-				rs += rc * rc
-			}
+// mulRow writes dst = m ⊙ r; m and r must be at least as long as dst.
+func mulRow(dst, m, r []float64) {
+	m, r = m[:len(dst)], r[:len(dst)]
+	for i := range dst {
+		dst[i] = m[i] * r[i]
+	}
+}
+
+// dot2 adds Σ x·y to the two lane sums of a 2-way unrolled dot product:
+// element j < len(x)−1 lands in lane j mod 2 (in steps of two), a last odd
+// element in lane 0. y must be at least as long as x.
+func dot2(s0, s1 float64, x, y []float64) (float64, float64) {
+	y = y[:len(x)]
+	if m := len(x) - 1; m > 0 {
+		x0, x1 := x[:m], x[1:][:m]
+		y0, y1 := y[:m], y[1:][:m]
+		for j := 0; j < m; j += 2 {
+			s0 += x0[j] * y0[j]
+			s1 += x1[j] * y1[j]
 		}
-		acc[0] += ga
-		acc[1] += de
-		acc[2] += rs
 	}
-}
-
-// stencilRows bundles the re-sliced rows the 5-point kernels read for one
-// grid row k over columns [b.X0, b.X1): face coefficients, and the centre
-// row of p extended one cell each side (ps[j] = p(X0+j−1), ps[j+1] =
-// centre, ps[j+2] = east) plus the north/south rows. The three-index
-// re-slices let the compiler hoist every bounds check out of the j loop.
-type stencilRows struct {
-	kxs      []float64 // kxs[j] = Kx(X0+j), kxs[j+1] = Kx(X0+j+1)
-	kyn, kys []float64 // north/south face Ky rows
-	pn, pso  []float64 // north/south p rows
-	pc       []float64 // centre p row, extended [X0-1, X1+1)
-}
-
-func sliceStencilRows(g *grid.Grid, b par.Tile, kx, ky, p []float64, k int) stencilRows {
-	s := g.Stride()
-	o := g.Index(b.X0, k, 0)
-	n := b.X1 - b.X0
-	return stencilRows{
-		kxs: kx[o : o+n+1],
-		kyn: ky[o+s : o+s+n],
-		kys: ky[o : o+n],
-		pn:  p[o+s : o+s+n],
-		pso: p[o-s : o-s+n],
-		pc:  p[o-1 : o+n+1],
+	h := len(x) &^ 1
+	xt, yt := x[h:], y[h:]
+	for i := range xt {
+		s0 += xt[i] * yt[i]
 	}
+	return s0, s1
 }
 
-func (op *Operator) residual5(o, n int, u, b, r []float64) {
+// dot4 is dot2 with four lanes: element j < len(x)−3 lands in lane
+// j mod 4 (in steps of four), the remaining tail in lane 0.
+func dot4(s0, s1, s2, s3 float64, x, y []float64) (float64, float64, float64, float64) {
+	y = y[:len(x)]
+	if m := len(x) - 3; m > 0 {
+		x0, x1, x2, x3 := x[:m], x[1:][:m], x[2:][:m], x[3:][:m]
+		y0, y1, y2, y3 := y[:m], y[1:][:m], y[2:][:m], y[3:][:m]
+		for j := 0; j < m; j += 4 {
+			s0 += x0[j] * y0[j]
+			s1 += x1[j] * y1[j]
+			s2 += x2[j] * y2[j]
+			s3 += x3[j] * y3[j]
+		}
+	}
+	h := len(x) &^ 3
+	xt, yt := x[h:], y[h:]
+	for i := range xt {
+		s0 += xt[i] * yt[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// The 5-point row kernels: the Operator's sweeps on a flat grid, where
+// every row lies in the plane k = 0. Each takes the row's first storage
+// index o and length n and cuts every stream to exactly n cells, shifted
+// to its stencil offset (kxe[i] = Kx(i+1), pe[i] = p(i+1), ...), so the
+// loops index all of them with one bounds-check-free i.
+
+// faces5 cuts the face coefficient rows of the n cells from o: the west
+// and east Kx faces and the south and north Ky faces.
+func (op *Operator) faces5(o, n int) (kxw, kxe, kys, kyn []float64) {
 	s := op.Grid.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	for i := o; i < o+n; i++ {
-		au := (1+(ky[i+s]+ky[i])+(kx[i+1]+kx[i]))*u[i] -
-			(ky[i+s]*u[i+s] + ky[i]*u[i-s]) -
-			(kx[i+1]*u[i+1] + kx[i]*u[i-1])
-		r[i] = b[i] - au
+	return kx[o:][:n], kx[o+1:][:n], ky[o:][:n], ky[o+s:][:n]
+}
+
+// points5 cuts the five rows of p the 5-point stencil reads around the n
+// cells from o, with s the row stride: west, centre, east, south, north.
+func points5(p []float64, o, s, n int) (pw, pc, pe, ps, pn []float64) {
+	return p[o-1:][:n], p[o:][:n], p[o+1:][:n], p[o-s:][:n], p[o+s:][:n]
+}
+
+func (op *Operator) apply5(o, n int, pd, wd []float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	pw, pc, pe, ps, pn := points5(pd, o, op.Grid.Stride(), n)
+	ws := wd[o:][:n]
+	for i := range ws {
+		ws[i] = (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*pc[i] -
+			(kyn[i]*pn[i] + kys[i]*ps[i]) -
+			(kxe[i]*pe[i] + kxw[i]*pw[i])
 	}
 }
 
-func (op *Operator) jacobi5(o, n int, u, un, rhs []float64, sum float64) float64 {
+// applyBuf5 is apply5 on the rolling u = minv ⊙ r window of
+// applyPreDot5Body: us, uc, un are the south, centre and north rows of
+// u, each extended one cell west and east.
+func (op *Operator) applyBuf5(o, n int, us, uc, un, wd []float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	uw, ucc, ue := uc[:n], uc[1:][:n], uc[2:][:n]
+	usc, unc := us[1:][:n], un[1:][:n]
+	ws := wd[o:][:n]
+	for i := range ws {
+		ws[i] = (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*ucc[i] -
+			(kyn[i]*unc[i] + kys[i]*usc[i]) -
+			(kxe[i]*ue[i] + kxw[i]*uw[i])
+	}
+}
+
+func (op *Operator) applyPreDotInit5(o, n int, md, rd, wd []float64, ga, de, rs float64) (float64, float64, float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
 	s := op.Grid.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	for i := o; i < o+n; i++ {
-		diag := 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
+	pw, pc, pe, ps, pn := points5(rd, o, s, n)
+	ws := wd[o:][:n]
+	if md == nil {
+		for i := range ws {
+			rc := pc[i]
+			v := (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*rc -
+				(kyn[i]*pn[i] + kys[i]*ps[i]) -
+				(kxe[i]*pe[i] + kxw[i]*pw[i])
+			ws[i] = v
+			ga += rc * rc
+			de += rc * v
+			rs += rc * rc
+		}
+		return ga, de, rs
+	}
+	mw, mc, me, ms, mn := points5(md, o, s, n)
+	for i := range ws {
+		rc := pc[i]
+		uc := mc[i] * rc
+		v := (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*uc -
+			(kyn[i]*(mn[i]*pn[i]) + kys[i]*(ms[i]*ps[i])) -
+			(kxe[i]*(me[i]*pe[i]) + kxw[i]*(mw[i]*pw[i]))
+		ws[i] = v
+		ga += rc * uc
+		de += uc * v
+		rs += rc * rc
+	}
+	return ga, de, rs
+}
+
+func (op *Operator) ppcgInner5(o, n int, alpha, beta float64, md, sdd, snd, rd []float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	pw, pc, pe, ps, pn := points5(sdd, o, op.Grid.Stride(), n)
+	rs, ns := rd[o:][:n], snd[o:][:n]
+	if md == nil {
+		for i := range ns {
+			w := (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*pc[i] -
+				(kyn[i]*pn[i] + kys[i]*ps[i]) -
+				(kxe[i]*pe[i] + kxw[i]*pw[i])
+			v := rs[i] - w
+			rs[i] = v
+			ns[i] = alpha*pc[i] + beta*v
+		}
+		return
+	}
+	ms := md[o:][:n]
+	for i := range ns {
+		w := (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*pc[i] -
+			(kyn[i]*pn[i] + kys[i]*ps[i]) -
+			(kxe[i]*pe[i] + kxw[i]*pw[i])
+		v := rs[i] - w
+		rs[i] = v
+		ns[i] = alpha*pc[i] + beta*(ms[i]*v)
+	}
+}
+
+func (op *Operator) residual5(o, n int, ud, bd, rd []float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	uw, uc, ue, us, un := points5(ud, o, op.Grid.Stride(), n)
+	bs, rs := bd[o:][:n], rd[o:][:n]
+	for i := range rs {
+		au := (1+(kyn[i]+kys[i])+(kxe[i]+kxw[i]))*uc[i] -
+			(kyn[i]*un[i] + kys[i]*us[i]) -
+			(kxe[i]*ue[i] + kxw[i]*uw[i])
+		rs[i] = bs[i] - au
+	}
+}
+
+func (op *Operator) jacobi5(o, n int, ud, nd, bd []float64, sum float64) float64 {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	uw, uc, ue, us, un := points5(nd, o, op.Grid.Stride(), n)
+	rhs, u := bd[o:][:n], ud[o:][:n]
+	for i := range u {
+		diag := 1 + (kyn[i] + kys[i]) + (kxe[i] + kxw[i])
 		v := (rhs[i] +
-			ky[i+s]*un[i+s] + ky[i]*un[i-s] +
-			kx[i+1]*un[i+1] + kx[i]*un[i-1]) / diag
+			kyn[i]*un[i] + kys[i]*us[i] +
+			kxe[i]*ue[i] + kxw[i]*uw[i]) / diag
 		u[i] = v
-		sum += math.Abs(v - un[i])
+		sum += math.Abs(v - uc[i])
 	}
 	return sum
 }
 
-func (op *Operator) diagonal5(o, n int, d []float64) {
-	s := op.Grid.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	for i := o; i < o+n; i++ {
-		d[i] = 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
+func (op *Operator) diagonal5(o, n int, dd []float64) {
+	kxw, kxe, kys, kyn := op.faces5(o, n)
+	d := dd[o:][:n]
+	for i := range d {
+		d[i] = 1 + (kyn[i] + kys[i]) + (kxe[i] + kxw[i])
 	}
 }
