@@ -48,7 +48,8 @@ func data(f *grid.Field) []float64 {
 // dot4 adds Σ x·y to the four lane sums of a 4-way unrolled dot product:
 // element j of the unrolled part (j < len(x)−3, in steps of four) lands in
 // lane j mod 4, the remaining tail in lane 0. y must be at least as long
-// as x.
+// as x. Package stencil keeps its own copy for its fused-dot sweeps: the
+// kernels tests import stencil, so neither package can import the other.
 func dot4(s0, s1, s2, s3 float64, x, y []float64) (float64, float64, float64, float64) {
 	y = y[:len(x)]
 	if m := len(x) - 3; m > 0 {

@@ -1151,9 +1151,9 @@ func newInnerCore(e *engine, sched *cheby.Schedule, powers *halo.Schedule,
 // leaving the polynomial-preconditioned residual in s.z. With the
 // diagonal folded the prologue is one interior sweep (PPCGInnerInit) and
 // each step one stencil sweep (Operator.ApplyPPCGInner) that writes the
-// new direction into s.w and swaps it with s.sd. The trace still counts
-// the unfused schedule's matvec and vector passes, so its counters do not
-// depend on how far the sweeps are fused.
+// new direction into s.w and swaps it with s.sd. The trace keeps
+// counting three vector passes for the prologue and one matvec and one
+// vector pass per step, however far the sweeps are fused.
 func (s *innerCore) apply(r *grid.Field) error {
 	e := s.e
 	sys := e.sys

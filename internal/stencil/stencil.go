@@ -23,6 +23,19 @@
 // 7-point ones in stencil7.go. Each kernel keeps its own accumulation
 // order, so a flat solve reproduces the 2D stencil bit for bit and a 3D
 // solve the 7-point one.
+//
+// A row kernel is a plain method taking a row's first storage index o and
+// its length n. It cuts every stream it reads to exactly n cells at its
+// stencil offset — kxe := Kx[o+1:][:n] is the east face, pe := p[o+1:][:n]
+// the east neighbour — and loops `for i := range ws`, so one index reaches
+// every stream and the compiler drops every in-loop bounds check; the
+// per-row slice expressions keep theirs, so an out-of-range row still
+// panics. The tile closures the worker pool runs only walk rows and call
+// the kernels: a closure inlined into its caller does not get its own
+// calls inlined, which would leave the row cuts opaque to the compiler.
+// Reductions with unrolled lanes run the row and then fold it into the
+// lane sums with dot2 or dot4. TestHotLoopsBoundsCheckFree holds every
+// row kernel's loop to zero compiler-reported bounds checks.
 package stencil
 
 import (
@@ -582,10 +595,8 @@ func dot4(s0, s1, s2, s3 float64, x, y []float64) (float64, float64, float64, fl
 }
 
 // The 5-point row kernels: the Operator's sweeps on a flat grid, where
-// every row lies in the plane k = 0. Each takes the row's first storage
-// index o and length n and cuts every stream to exactly n cells, shifted
-// to its stencil offset (kxe[i] = Kx(i+1), pe[i] = p(i+1), ...), so the
-// loops index all of them with one bounds-check-free i.
+// every row lies in the plane k = 0. The package comment describes how
+// they cut their rows.
 
 // faces5 cuts the face coefficient rows of the n cells from o: the west
 // and east Kx faces and the south and north Ky faces.

@@ -3,10 +3,8 @@ package stencil
 import "math"
 
 // The 7-point row kernels: the Operator's sweeps on a 3D grid. See the
-// package comment for why they are kept apart from the 5-point ones. Like
-// the 5-point kernels, each cuts every stream to exactly the row's n cells
-// at its stencil offset, so one range index reaches all of them without
-// bounds checks.
+// package comment for why they are kept apart from the 5-point ones and
+// how they cut their rows.
 
 // faces7 cuts the face coefficient rows of the n cells from o: the west
 // and east Kx faces, the south and north Ky faces and the back and front
@@ -37,19 +35,19 @@ func (op *Operator) apply7(o, n int, pd, wd []float64) {
 	}
 }
 
-func (op *Operator) applyDot7(o, n int, pd, wd []float64, pw float64) float64 {
+func (op *Operator) applyDot7(o, n int, pd, wd []float64, sum float64) float64 {
 	kxw, kxe, kys, kyn, kzb, kzf := op.faces7(o, n)
-	pwe, pc, pe, ps, pn, pb, pf := op.points7(pd, o, n)
+	pw, pc, pe, ps, pn, pb, pf := op.points7(pd, o, n)
 	ws := wd[o:][:n]
 	for i := range ws {
 		v := (1+(kxe[i]+kxw[i])+(kyn[i]+kys[i])+(kzf[i]+kzb[i]))*pc[i] -
-			(kxe[i]*pe[i] + kxw[i]*pwe[i]) -
+			(kxe[i]*pe[i] + kxw[i]*pw[i]) -
 			(kyn[i]*pn[i] + kys[i]*ps[i]) -
 			(kzf[i]*pf[i] + kzb[i]*pb[i])
 		ws[i] = v
-		pw += pc[i] * v
+		sum += pc[i] * v
 	}
-	return pw
+	return sum
 }
 
 func (op *Operator) applyPreDot7(o, n int, md, rd, wd []float64, delta float64) float64 {
