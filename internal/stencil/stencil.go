@@ -339,6 +339,9 @@ func (op *Operator) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w *g
 // the one Apply followed by the separate residual, direction and
 // correction updates computes, bit for bit.
 func (op *Operator) ApplyPPCGInner(pool *par.Pool, b, in grid.Bounds, alpha, beta float64, minv, sd, sdNext, rtemp, z *grid.Field) {
+	if sd == sdNext {
+		panic("stencil: ApplyPPCGInner needs distinct sd and sdNext buffers")
+	}
 	if b.Empty() {
 		return
 	}
