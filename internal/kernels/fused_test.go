@@ -7,6 +7,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/stencil"
 )
 
 // The fusion contract: every fused kernel matches the composition of its
@@ -192,6 +193,56 @@ func TestFusedCGUpdateMatchesComposed(t *testing.T) {
 	}
 }
 
+// TestFusedPPCGInnerMatchesComposed checks the fused inner PPCG step
+// (stencil.Operator.ApplyPPCGInner, matvec included) against Apply
+// followed by the separate BLAS1 kernels it replaces, on the interior and
+// on matrix-powers style extended bounds.
+func TestFusedPPCGInnerMatchesComposed(t *testing.T) {
+	g := grid.UnitGrid(19, 13, 1, 3)
+	op := fusionOp(t, g, 80)
+	minv := testField(g, 81)
+	sd := testField(g, 82)
+	in := g.Interior()
+	const alpha, beta = 0.83, 0.29
+	// Matrix-powers style: extended bounds ⊇ interior, plus the plain
+	// interior case.
+	for _, b := range []grid.Bounds{in, in.Expand(1, g), in.Expand(2, g)} {
+		for name, pool := range fusionPools() {
+			// Reference: w = A·sd; rtemp −= w; zscr = minv⊙rtemp;
+			// sdNext = α·sd + β·zscr (all over b); z += sdNext (interior only).
+			rtempRef, sdRef, zRef := testField(g, 83), testField(g, 84), testField(g, 85)
+			w := grid.NewField(g)
+			op.Apply(par.Serial, b, sd, w)
+			Axpy(par.Serial, b, -1, w, rtempRef)
+			zscr := grid.NewField(g)
+			Mul(par.Serial, b, minv, rtempRef, zscr)
+			Axpby(par.Serial, b, alpha, sd, beta, zscr, sdRef)
+			Axpy(par.Serial, in, 1, sdRef, zRef)
+
+			rtemp, sdNext, z := testField(g, 83), testField(g, 84), testField(g, 85)
+			op.ApplyPPCGInner(pool, b, in, alpha, beta, minv, sd, sdNext, rtemp, z)
+			fieldsClose13(t, name+" rtemp", rtemp, rtempRef)
+			fieldsClose13(t, name+" sd", sdNext, sdRef)
+			fieldsClose13(t, name+" z", z, zRef)
+		}
+	}
+}
+
+// fusionOp builds a conductivity operator on g from a positive random
+// density, with every face coupled so extended bounds read real halo data.
+func fusionOp(t *testing.T, g *grid.Grid, seed int64) *stencil.Operator {
+	t.Helper()
+	density := testField(g, seed)
+	for i, v := range density.Data {
+		density.Data[i] = 0.1 + 5*math.Abs(v)
+	}
+	op, err := stencil.BuildOperator(par.Serial, density, 0.05, stencil.Conductivity, grid.Sides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
 func TestFused3DKernelsMatchComposed(t *testing.T) {
 	g3, err := grid.NewGrid3D(11, 7, 5, 1, 0, 1, 0, 1, 0, 1)
 	if err != nil {
@@ -312,6 +363,52 @@ func fields3Close13(t *testing.T, name string, got, want *grid.Field) {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-13 {
 			t.Fatalf("%s: differs at %d: %v vs %v", name, i, got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// TestFusedPPCGInner3DMatchesComposed checks the fused 3D inner step
+// against the composed sequence on extended bounds with a folded diagonal.
+func TestFusedPPCGInner3DMatchesComposed(t *testing.T) {
+	g3 := grid.UnitGrid(8, 7, 6, 2)
+	op := fusionOp(t, g3, 19)
+	in := g3.Interior()
+	b := in.ExpandSides(1, 1, 0, 1, 1, 1, g3)
+	mk := func(seed int64) *grid.Field {
+		f := grid.NewField(g3)
+		rng := newRng(seed)
+		for i := range f.Data {
+			f.Data[i] = rng.Float64()*2 - 1
+		}
+		return f
+	}
+	const alpha, beta = 0.42, 0.58
+	for name, pool := range fusionPools() {
+		sd, minv := mk(20), mk(21)
+		for i := range minv.Data {
+			minv.Data[i] = 0.5 + math.Abs(minv.Data[i])
+		}
+		rtRef, sdRef, zRef := mk(22), mk(23), mk(24)
+		rt, sdNext, z := mk(22), mk(23), mk(24)
+
+		// Composed reference.
+		w := grid.NewField(g3)
+		op.Apply(par.Serial, b, sd, w)
+		Axpy(par.Serial, b, -1, w, rtRef)
+		zscr := grid.NewField(g3)
+		for k := b.Z0; k < b.Z1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				for i := b.X0; i < b.X1; i++ {
+					zscr.SetCell(i, j, k, minv.Cell(i, j, k)*rtRef.Cell(i, j, k))
+					sdRef.SetCell(i, j, k, alpha*sd.Cell(i, j, k)+beta*zscr.Cell(i, j, k))
+				}
+			}
+		}
+		Axpy(par.Serial, in, 1, sdRef, zRef)
+
+		op.ApplyPPCGInner(pool, b, in, alpha, beta, minv, sd, sdNext, rt, z)
+		fields3Close13(t, name+" rtemp", rt, rtRef)
+		fields3Close13(t, name+" sd", sdNext, sdRef)
+		fields3Close13(t, name+" z", z, zRef)
 	}
 }
 
