@@ -40,26 +40,25 @@ func main() {
 }
 
 type config struct {
-	exp         string
-	mesh        int
-	steps       int
-	ladder      []int
-	outDir      string
-	full        bool
-	inner       int
-	benchOut    string
-	deflOut     string
-	overlapOut  string
-	tilesOut    string
-	temporalOut string
-	fuzzSeed    int64
-	fuzzN       int
-	fuzzOut     string
+	exp        string
+	mesh       int
+	steps      int
+	ladder     []int
+	outDir     string
+	full       bool
+	inner      int
+	benchOut   string
+	deflOut    string
+	overlapOut string
+	tilesOut   string
+	fuzzSeed   int64
+	fuzzN      int
+	fuzzOut    string
 }
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig3|fig4|fig5|fig6|fig7|fig8|precond|halodepth|weak|bench|overlap|tiles|temporal|fuzz|all")
+		exp        = flag.String("exp", "all", "experiment: table1|fig3|fig4|fig5|fig6|fig7|fig8|precond|halodepth|weak|bench|overlap|tiles|fuzz|all")
 		mesh       = flag.Int("mesh", 192, "measured mesh size for fig3 (quick mode)")
 		steps      = flag.Int("steps", 0, "measured steps for fig3/fig4 (0 = per-experiment default)")
 		ladder     = flag.String("ladder", "32,48,64,96", "calibration mesh ladder")
@@ -70,14 +69,13 @@ func run() error {
 		deflOut    = flag.String("deflout", "BENCH_deflation.json", "output path for the -exp deflation JSON report")
 		overlapOut = flag.String("overlapout", "BENCH_overlap.json", "output path for the -exp overlap JSON report")
 		tilesOut   = flag.String("tilesout", "BENCH_tiling.json", "output path for the -exp tiles JSON report")
-		tempOut    = flag.String("temporalout", "BENCH_temporal.json", "output path for the -exp temporal JSON report")
 		fuzzSeed   = flag.Int64("seed", 1, "deck-generator seed for -exp fuzz")
 		fuzzN      = flag.Int("n", 25, "number of generated decks for -exp fuzz")
 		fuzzOut    = flag.String("fuzzout", "BENCH_fuzz.json", "output path for the -exp fuzz JSON report")
 	)
 	flag.Parse()
 
-	cfg := config{exp: *exp, mesh: *mesh, steps: *steps, outDir: *outDir, full: *full, inner: *inner, benchOut: *benchOut, deflOut: *deflOut, overlapOut: *overlapOut, tilesOut: *tilesOut, temporalOut: *tempOut, fuzzSeed: *fuzzSeed, fuzzN: *fuzzN, fuzzOut: *fuzzOut}
+	cfg := config{exp: *exp, mesh: *mesh, steps: *steps, outDir: *outDir, full: *full, inner: *inner, benchOut: *benchOut, deflOut: *deflOut, overlapOut: *overlapOut, tilesOut: *tilesOut, fuzzSeed: *fuzzSeed, fuzzN: *fuzzN, fuzzOut: *fuzzOut}
 	for _, tok := range strings.Split(*ladder, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil {
@@ -111,7 +109,6 @@ func run() error {
 		"smoke":     smokeExperiment,
 		"overlap":   overlapExperiment,
 		"tiles":     tilesExperiment,
-		"temporal":  temporalExperiment,
 		"fuzz":      fuzzExperiment,
 	}
 	if cfg.exp == "all" {
@@ -756,37 +753,6 @@ func smokeExperiment(cfg config) error {
 			resD.Summary.TotalIterations, sumD.TotalIterations)
 	}
 	fmt.Printf("2D  deflated  2x2 ranks: iters=%d (rank-invariant)\n", resD.Summary.TotalIterations)
-
-	// Temporal-blocked deep-halo chain wiring (tl_temporal): the chained
-	// solve must agree with the plain run's physics, serial and on
-	// goroutine ranks. Chained↔unchained bit-identity itself is pinned by
-	// the solver suite and propcheck; this pins deck → core reachability.
-	dt := problem.BenchmarkDeck(32)
-	dt.Solver = "cg"
-	dt.Tiling = true
-	dt.TileY = 4
-	dt.HaloDepth = 3
-	dt.Temporal = true
-	instT, err := core.NewSerial(dt, par.NewPool(0))
-	if err != nil {
-		return err
-	}
-	sumT, err := instT.Run(2)
-	if err != nil {
-		return fmt.Errorf("2D temporal: %w", err)
-	}
-	fmt.Printf("2D  temporal  32^2 d=3: iters=%d ie=%.6g\n", sumT.TotalIterations, sumT.InternalEnergy)
-	dtd := problem.BenchmarkDeck(32)
-	dtd.Solver = "cg"
-	dtd.Tiling = true
-	dtd.TileY = 4
-	dtd.HaloDepth = 3
-	dtd.Temporal = true
-	resT, err := core.RunDistributed(dtd, 2, 2, 1, 2, 1)
-	if err != nil {
-		return fmt.Errorf("2D distributed temporal: %w", err)
-	}
-	fmt.Printf("2D  temporal  2x2 ranks: iters=%d\n", resT.Summary.TotalIterations)
 
 	// 3D deflation with the nested two-level hierarchy, distributed.
 	ds3 := problem.StiffDeck3D(12)

@@ -61,8 +61,6 @@ func run() error {
 		tileX     = flag.Int("tile-x", 0, "override tile x edge (tl_tile_x; implies -tiled; 0 = auto)")
 		tileY     = flag.Int("tile-y", 0, "override tile y edge (tl_tile_y; implies -tiled; 0 = auto)")
 		tileZ     = flag.Int("tile-z", 0, "override tile z edge (tl_tile_z; implies -tiled; 0 = auto; 3D runs)")
-		temporal  = flag.Bool("temporal", false, "temporal-block deep-halo solve cycles: chain each iteration's sweeps per LLC band (tl_temporal; implies -tiled; needs -halo-depth > 1)")
-		chainB    = flag.Int("chain-bands", 0, "override chain band height in cells (tl_chain_bands; implies -temporal; 0 = auto from the LLC model)")
 		netMode   = flag.String("net", "hub", "comm backend for decomposed runs: hub (goroutine ranks), tcp (this process is one rank; needs -rank/-peers), launch (fork local tcp ranks)")
 		rank      = flag.Int("rank", 0, "this process's rank (with -net tcp)")
 		peers     = flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -net tcp)")
@@ -129,16 +127,6 @@ func run() error {
 		}
 		if *tileZ > 0 {
 			d.TileZ = *tileZ
-		}
-	}
-	if *temporal || *chainB > 0 {
-		// tl_temporal requires the tiled scheduler (deck.Validate enforces
-		// it); the flag implies -tiled the way tl_chain_bands implies
-		// tl_temporal.
-		d.Temporal = true
-		d.Tiling = true
-		if *chainB > 0 {
-			d.ChainBands = *chainB
 		}
 	}
 	if d.UseDeflation {
@@ -275,7 +263,7 @@ func layout(d *deck.Deck, px, py, pz int) string {
 }
 
 // printPlan reports, unless quiet, the solver plan a run resolved: the
-// engine that ran, its cycle depth, chaining and every fallback taken.
+// engine that ran, its cycle depth and every fallback taken.
 func printPlan(p solver.Plan, quiet bool) {
 	if !quiet {
 		fmt.Printf("plan: %v\n", p)

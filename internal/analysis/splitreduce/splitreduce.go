@@ -10,15 +10,15 @@
 // round and desynchronises every later collective on the communicator.
 //
 // Tagged rounds (AllReduceSumNStartTagged) deliberately overlap the
-// untagged round — the temporal-blocked deflated pipelined cycle keeps
-// its coarse projection posted on its own tag across the chained compute
-// block while the scalar round is still in flight. In this codebase such
-// long-lived rounds are always stashed in a struct field (chainState.h1),
-// so the analyzer models a field-stash as a transfer of the Finish
-// obligation out of the local frame, exactly like returning the handle:
-// the stash's owner must drain it before the next same-tag round, a
-// discipline pinned by the comm split-phase tests rather than this
-// package-local pass.
+// untagged round: deflate.(*Deflation).ProjectWBoundsStart posts the
+// coarse projection's round on its own tag, so it can sit in flight
+// alongside a scalar round until ProjectWBoundsFinish. A caller that
+// keeps such a long-lived round across calls stashes its handle in a
+// struct field, so the analyzer models a field-stash as a transfer of
+// the Finish obligation out of the local frame, exactly like returning
+// the handle: the stash's owner must drain it before the next same-tag
+// round, a discipline pinned by the comm split-phase tests rather than
+// this package-local pass.
 package splitreduce
 
 import (
@@ -104,9 +104,9 @@ func finishesReduction(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // stashedStarts returns the Start calls in an assignment whose handle
-// lands in a struct field (`cs.h1 = sd.ProjectWBoundsStart(n)`): the
+// lands in a struct field (`s.h1 = d.ProjectWBoundsStart(w)`): the
 // Finish obligation transfers to the stash's owner, which drains the
-// round outside this frame — the temporal chain's tagged-round pattern.
+// round outside this frame — the long-lived tagged-round pattern.
 // Package-qualified names are not field selections and do not transfer.
 func stashedStarts(info *types.Info, as *ast.AssignStmt) []*ast.CallExpr {
 	if len(as.Lhs) != len(as.Rhs) {
@@ -325,7 +325,7 @@ func (c *checker) stmt(s ast.Stmt, state int) (int, bool) {
 			state = c.scanExpr(l, state)
 		}
 		// A handle assigned to a struct field leaves this frame: the
-		// stash's owner finishes the round (temporal chain tagged-round
+		// stash's owner finishes the round (long-lived tagged-round
 		// pattern), so the local obligation ends at the assignment.
 		for range stashedStarts(c.pass.TypesInfo, s) {
 			if state > 0 {

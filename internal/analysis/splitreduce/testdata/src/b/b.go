@@ -87,23 +87,23 @@ func balancedBranches(c comm.Communicator, p bool) []float64 {
 	return res
 }
 
-// chain mirrors the solver's chainState: a long-lived tagged round
-// stashed in a field, posted inside another round's overlap window and
-// drained by the owner before the next same-tag round.
+// chain owns a long-lived tagged round stashed in a field, posted inside
+// another round's overlap window and drained by the owner before the
+// next same-tag round.
 type chain struct {
 	c  comm.Communicator
 	h1 comm.ReduceHandle
 }
 
 // postTagged posts the coarse projection on its own tag and stashes the
-// handle — the temporal-blocked deflated pipelined matvec. The stash
+// handle, as a split-phase deflated projection does. The stash
 // transfers the Finish obligation to the chain, so returning here with
 // the round posted is the contract, not a leak.
 func (s *chain) postTagged(vals []float64) {
 	s.h1 = s.c.AllReduceSumNStartTagged(1, vals)
 }
 
-// drain finishes the stashed round; idempotent like pipelinedDrain.
+// drain finishes the stashed round; idempotent.
 func (s *chain) drain() []float64 {
 	if s.h1 == nil {
 		return nil

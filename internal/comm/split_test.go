@@ -157,11 +157,11 @@ func TestTCPSplitPhaseMatchesBlocking(t *testing.T) {
 	}
 }
 
-// multiTagRounds runs the temporal chain's two-tags-in-flight pattern on
-// any backend: the untagged scalar round posts first, the tagged coarse
-// round posts inside its overlap window, a halo exchange lands between
-// the two Finishes, and the handles complete in both orders on alternate
-// iterations. Sums must match the blocking reduction on every round.
+// multiTagRounds runs the split-phase deflated projection's
+// two-tags-in-flight pattern on any backend: the untagged scalar round
+// posts first, the tagged coarse round posts inside its overlap window,
+// a halo exchange lands between the two Finishes, and the handles
+// complete in both orders on alternate iterations. Sums must match the blocking reduction on every round.
 func multiTagRounds(t *testing.T, c Communicator, part *grid.Partition, iters int) error {
 	t.Helper()
 	ext := part.ExtentOf(c.Rank())
@@ -270,7 +270,7 @@ func TestHubReduceFoldRankOrder(t *testing.T) {
 // path: a peer that dies while a tagged round is in flight surfaces as a
 // *TCPError panic from Finish, which Protect converts into an ordinary
 // error — the same unrecoverable-transport contract as the blocking
-// reductions, so the temporal chain's posted coarse round cannot hang or
+// reductions, so a posted tagged coarse round cannot hang or
 // silently corrupt a solve when a rank is lost.
 func TestTCPTaggedFailureThroughProtect(t *testing.T) {
 	if testing.Short() {

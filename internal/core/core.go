@@ -109,20 +109,6 @@ func tiledPool(d *deck.Deck, pool *par.Pool, g *grid.Grid) *par.Pool {
 	return pool.WithTiles(tx, ty, tz)
 }
 
-// chainBandCells resolves tl_chain_bands for the temporal-blocked deep
-// solve cycles: an explicit value pins the band height in cells along
-// the chain axis, 0 auto-sizes it from the host's LLC model for the
-// deck's halo depth — staying 0 (one spanning band) when the working
-// set already fits the cache. The chained sweeps co-walk up to eight
-// arrays per cell (the pipelined step's recurrence vectors plus the
-// folded diagonal), same as the widest 3D tiled sweep.
-func chainBandCells(d *deck.Deck, g *grid.Grid) int {
-	if !d.Temporal || d.ChainBands > 0 {
-		return d.ChainBands
-	}
-	return machine.HostDevice().ChainBandRows(g.NX, g.NY, zCells(g), 8, HaloFor(d))
-}
-
 // NewSerial builds a single-rank instance covering the whole deck domain.
 func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
 	g, err := GlobalGrid(d)
@@ -175,17 +161,15 @@ func NewInstance(d *deck.Deck, g *grid.Grid, pool *par.Pool, c comm.Communicator
 		return nil, err
 	}
 	inst.opts = solver.Options{
-		Tol:            d.Eps,
-		MaxIters:       d.MaxIters,
-		Pool:           pool,
-		Comm:           c,
-		Precond:        m,
-		EigenCGIters:   d.EigenCGIters,
-		InnerSteps:     d.InnerSteps,
-		HaloDepth:      d.HaloDepth,
-		Engine:         engineFor(d),
-		Temporal:       d.Temporal,
-		ChainBandCells: chainBandCells(d, g),
+		Tol:          d.Eps,
+		MaxIters:     d.MaxIters,
+		Pool:         pool,
+		Comm:         c,
+		Precond:      m,
+		EigenCGIters: d.EigenCGIters,
+		InnerSteps:   d.InnerSteps,
+		HaloDepth:    d.HaloDepth,
+		Engine:       engineFor(d),
 	}
 	if d.UseDeflation {
 		// tl_use_deflation: build the distributed coarse subdomain

@@ -19,7 +19,7 @@ import (
 )
 
 // The bit-exact pin: a table of small decks spanning both dimensionalities,
-// every solver and CG engine, the deep-halo, deflated and temporal paths,
+// every solver and CG engine, the deep-halo and deflated paths,
 // and the Serial, Hub and TCP backends, each recorded in testdata/pin.json
 // as, per rank, the SHA-256 of the final energy interior's bits, the
 // outer and inner iterations of every step, the resolved solver plan and
@@ -140,7 +140,7 @@ func pinCases() []pinCase {
 	cs = append(cs, pinCase{name: "2d/cg-temporal-depth3/serial-2workers", dims: 2, backend: "serial",
 		ranks: 1, workers: 2, tune: func(d *deck.Deck) {
 			d.Solver, d.Precond, d.HaloDepth = "cg", "jac_diag", 3
-			d.Tiling, d.TileY, d.Temporal, d.ChainBands = true, 4, true, 8
+			d.Tiling, d.TileY = true, 4
 		}})
 	return cs
 }

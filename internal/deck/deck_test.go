@@ -243,6 +243,28 @@ func TestFusedDotsAndEigenIters(t *testing.T) {
 	}
 }
 
+// tl_temporal and tl_chain_bands=N are accepted no-ops since the
+// temporal-blocked CG chain was removed: a deck carrying both parses to
+// the same Deck as one without them (so it runs identically), and Format
+// writes neither key.
+func TestRetiredChainKeysAreNoOps(t *testing.T) {
+	const body = "*tea\nstate 1 density=1 energy=1\ntl_ppcg_halo_depth=3\ntl_tiling\n%s*endtea"
+	with, err := ParseString(fmt.Sprintf(body, "tl_temporal\ntl_chain_bands=8\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := ParseString(fmt.Sprintf(body, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Errorf("tl_temporal/tl_chain_bands changed the parsed deck:\n with    %+v\n without %+v", with, without)
+	}
+	if f := with.Format(); strings.Contains(f, "tl_temporal") || strings.Contains(f, "tl_chain_bands") {
+		t.Errorf("Format emitted a retired chain key:\n%s", f)
+	}
+}
+
 func TestTilingKeys(t *testing.T) {
 	// tl_tiling alone: auto tile shape.
 	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_tiling\n*endtea")

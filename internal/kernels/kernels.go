@@ -523,22 +523,8 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 	return acc[0], acc[1]
 }
 
-// FusedCGUpdateChain is FusedCGUpdate restricted to one chain band's
-// tile range [t0,t1): same tile body, but the (γ, rr) partials land in
-// the per-tile accumulator instead of being folded immediately, so a
-// temporal-blocked cycle can run the update band-by-band and fold once
-// at the end of the sweep with ForTilesReduceN's exact bits. With a nil
-// minv the folded acc[0] equals acc[1] (γ == rr), as in FusedCGUpdate.
-func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field) {
-	g := r.Grid
-	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
-	md := data(minv)
-	pl.ForTilesChunk(acc, t0, t1, fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
-}
-
-// fusedCGUpdateBody is the tile body shared by FusedCGUpdate and
-// FusedCGUpdateChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
+// fusedCGUpdateBody is FusedCGUpdate's tile body: the (γ, rr) partials
+// of one tile.
 func fusedCGUpdateBody(g *grid.Grid, alpha float64, pd, sd, xd, rd, md []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
@@ -644,21 +630,8 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field, be
 	return acc[0], acc[1], acc[2]
 }
 
-// PipelinedCGStepChain is PipelinedCGStep restricted to one chain band's
-// tile range [t0,t1): same tile body, with the (γ, δ, rr) partials
-// landing in the per-tile accumulator for an end-of-sweep fold. With a
-// nil minv the caller maps the folded γ to rr, exactly as
-// PipelinedCGStep's return does.
-func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field, beta, alpha float64, p, s, z, x *grid.Field) {
-	g := r.Grid
-	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	md := data(minv)
-	pl.ForTilesChunk(acc, t0, t1, pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
-}
-
-// pipelinedCGStepBody is the tile body shared by PipelinedCGStep and
-// PipelinedCGStepChain — one closure, so the chained and unchained
-// sweeps cannot drift bit-wise.
+// pipelinedCGStepBody is PipelinedCGStep's tile body: the (γ, δ, rr)
+// partials of one tile.
 func pipelinedCGStepBody(g *grid.Grid, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0

@@ -253,9 +253,6 @@ var checkers = []checkerDef{
 	{name: "halo-depth",
 		applies: func(d *deck.Deck) bool { return d.Precond != "jac_block" },
 		run:     checkHaloDepth},
-	{name: "temporal-chain",
-		applies: func(d *deck.Deck) bool { return d.Solver == "cg" && d.Precond != "jac_block" },
-		run:     checkTemporalChain},
 	{name: "flat-embedding",
 		applies: func(d *deck.Deck) bool { return d.Dims != 3 },
 		run:     checkFlatEmbedding},
@@ -447,59 +444,6 @@ func checkHaloDepth(h *harness) error {
 	}
 	if diff := maxDiff(d1, d3); diff > tol {
 		return fmt.Errorf("halo depth 3 vs 1 differ by %.3e (tol %.3e)", diff, tol)
-	}
-	return nil
-}
-
-// checkTemporalChain: the temporal-blocked chained deep-halo cycle
-// (tl_temporal) must be bit-identical to the unchained cycle — same
-// iterates, same iteration counts — at chained depths 2 and 3 and at
-// every worker count. The chain re-orders sweeps band by band but folds
-// its per-tile partials in the same fixed tile order as the unchained
-// reducers, so any deviating bit is a scheduler bug, not roundoff.
-// (jac_block is depth-incompatible and the chain only exists in the CG
-// engines, hence the applies gate.)
-func checkTemporalChain(h *harness) error {
-	for _, depth := range []int{2, 3} {
-		mk := func(temporal bool) *deck.Deck {
-			c := Clone(h.d)
-			c.HaloDepth = depth
-			c.Tiling = true
-			// Pin tile edges as checkTiled does, and force band cells small
-			// enough that the chain sees several bands on tiny meshes.
-			if c.TileX == 0 {
-				c.TileX = maxInt(4, c.XCells/2)
-			}
-			if c.TileY == 0 {
-				c.TileY = maxInt(2, c.YCells/3)
-			}
-			if c.Dims == 3 && c.TileZ == 0 {
-				c.TileZ = maxInt(2, c.ZCells/2)
-			}
-			c.Temporal = temporal
-			if temporal {
-				c.ChainBands = 5
-			}
-			return c
-		}
-		for _, workers := range []int{1, 2, 4} {
-			un, err := h.runSerial(mk(false), fmt.Sprintf("temporal-un-d%d-w%d", depth, workers), workers, nil)
-			if err != nil {
-				return err
-			}
-			ch, err := h.runSerial(mk(true), fmt.Sprintf("temporal-ch-d%d-w%d", depth, workers), workers, nil)
-			if err != nil {
-				return err
-			}
-			if un.iters != ch.iters {
-				return fmt.Errorf("depth %d workers %d: chained solve took %d iterations, unchained %d",
-					depth, workers, ch.iters, un.iters)
-			}
-			if cells, worst := bitDiff(un, ch); cells > 0 {
-				return fmt.Errorf("depth %d workers %d: chained vs unchained differ in %d cells (worst %.3e); expected bit-identical",
-					depth, workers, cells, worst)
-			}
-		}
 	}
 	return nil
 }

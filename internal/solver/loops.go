@@ -236,7 +236,6 @@ func runCGFusedCore(e *engine, maxIters int, tol float64) (Result, *cgState, err
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e)
 
 	alpha := gamma / delta
 	beta := 0.0
@@ -254,23 +253,17 @@ func runCGFusedCore(e *engine, maxIters int, tol float64) (Result, *cgState, err
 			}
 			ab := sys.Extend(depth - j)     // direction/update bounds
 			mb := sys.Extend(depth - 1 - j) // matvec bounds, one cell inside
-			if cs != nil {
-				// Temporal blocking: the same three sweeps, chained per
-				// LLC band so each band streams through cache once.
-				gammaNew, rrNew, deltaNew = cs.fusedIter(e, ab, mb, minv, r, w, pvec, svec, alpha, beta)
-			} else {
-				kernels.FusedCGDirections(sys.p, ab, minv, r, w, beta, pvec, svec)
-				e.vectorPass(ab)
-				// The x update and the dots are interior-only; r's extended
-				// ring gets the matching r −= α·s separately so the next
-				// matvec reads a consistent r one cell beyond mb.
-				gammaNew, rrNew = kernels.FusedCGUpdate(sys.p, in, alpha, pvec, svec, e.u, r, minv)
-				for _, rb := range sys.Rings(ab) {
-					kernels.Axpy(sys.p, rb, -alpha, svec, r)
-				}
-				e.vectorPass(ab)
-				deltaNew = e.applyPreDotDeep(mb, minv, r, w)
+			kernels.FusedCGDirections(sys.p, ab, minv, r, w, beta, pvec, svec)
+			e.vectorPass(ab)
+			// The x update and the dots are interior-only; r's extended
+			// ring gets the matching r −= α·s separately so the next
+			// matvec reads a consistent r one cell beyond mb.
+			gammaNew, rrNew = kernels.FusedCGUpdate(sys.p, in, alpha, pvec, svec, e.u, r, minv)
+			for _, rb := range sys.Rings(ab) {
+				kernels.Axpy(sys.p, rb, -alpha, svec, r)
 			}
+			e.vectorPass(ab)
+			deltaNew = e.applyPreDotDeep(mb, minv, r, w)
 			if defl != nil {
 				defl.(deepDeflator).ProjectWBounds(mb, w)
 				deltaNew = e.deflDelta(minv, zd, r, w)
@@ -452,18 +445,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e)
-	var sdefl splitDeflator // non-nil exactly when cs chains a deflated solve
-	if cs != nil && defl != nil {
-		sdefl = defl.(splitDeflator)
-	}
-	// drain completes a chained pass's deferred matvec bands and posted
-	// coarse round before any exit from the loop (no-op unchained).
-	drain := func() {
-		if cs != nil {
-			cs.pipelinedDrain(e)
-		}
-	}
 
 	var alpha, gammaOld, rr0 float64
 	var mb grid.Bounds // this pass's matvec bounds (deep path)
@@ -485,12 +466,8 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 				}
 			}
 			mb = sys.Extend(depth - 1 - j)
-			if cs != nil {
-				cs.pipelinedMatvec(e, mb, minv, w, nvec, sdefl)
-			} else {
-				sys.op.ApplyPreDot(sys.p, mb, minv, w, nvec)
-				e.tr.AddMatvec(mb.Cells())
-			}
+			sys.op.ApplyPreDot(sys.p, mb, minv, w, nvec)
+			e.tr.AddMatvec(mb.Cells())
 		} else if _, err := e.applyPreDotX(minv, w, nvec); err != nil {
 			// Drain the posted round before surfacing the error: the other
 			// ranks are already in the butterfly, and the communicator must
@@ -506,7 +483,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 			rr0 = rr
 			if rr0 == 0 {
 				result.Converged = true
-				drain()
 				return result, mkState(0, 0, 0), nil
 			}
 			var done bool
@@ -518,7 +494,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 				// noise-scale residual can legitimately present δ ≤ 0.
 				result.Converged = true
 				result.FinalResidual = relResidual(rr0, base)
-				drain()
 				return result, mkState(gamma, rr0, rr0), nil
 			}
 			if delta <= 0 || math.IsNaN(delta) {
@@ -526,7 +501,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 				// on the fused engine.
 				result.FinalResidual = 1
 				result.Breakdown = true
-				drain()
 				return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 			}
 		} else {
@@ -537,9 +511,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 			if rel <= tol {
 				result.Converged = true
 				result.FinalResidual = rel
-				// Complete the chained pass before finishDeflated's
-				// collectives: a posted coarse round must be drained first.
-				drain()
 				if defl != nil {
 					rel, err := e.finishDeflated(defl, r, base)
 					if err != nil {
@@ -552,20 +523,14 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 			}
 		}
 		if result.Iterations >= maxIters {
-			drain()
 			break
 		}
 		if defl != nil {
-			switch {
-			case sdefl != nil:
-				// n = P·A·M⁻¹w consuming the coarse round the chained pass
-				// posted alongside the scalar round.
-				cs.pipelinedProject(sdefl)
-			case depth > 1:
+			if depth > 1 {
 				// n = P·A·M⁻¹w on the extended matvec bounds, strictly after
 				// Finish (the projector's coarse round is a collective).
 				defl.(deepDeflator).ProjectWBounds(mb, nvec)
-			default:
+			} else {
 				defl.ProjectW(nvec) // n = P·A·M⁻¹w, strictly after Finish
 			}
 		}
@@ -580,7 +545,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 				// The three-term recurrences lost conjugacy; stop like the
 				// fused engine's in-loop guard.
 				result.Breakdown = true
-				drain()
 				break
 			}
 			result.Betas = append(result.Betas, betaNew)
@@ -588,13 +552,6 @@ func runCGPipelinedCore(e *engine, maxIters int, tol float64) (Result, *cgState,
 			alpha = gamma / denom
 		}
 		gammaOld = gamma
-		if cs != nil {
-			// Temporal blocking: the pass's remaining matvec bands and the
-			// step sweep chain band-by-band, the step one band behind.
-			gamma, delta, rr = cs.pipelinedStep(e, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
-			e.vectorPass(mb)
-			continue
-		}
 		gamma, delta, rr = kernels.PipelinedCGStep(sys.p, in, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
 		if depth > 1 {
 			// Extend every recurrence except x (a solution cell is owned by

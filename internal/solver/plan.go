@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tealeaf/internal/grid"
-	"tealeaf/internal/par"
 	"tealeaf/internal/precond"
 )
 
@@ -59,8 +58,6 @@ type Plan struct {
 	// (1 = a depth-1 exchange every iteration, always so on the classic
 	// engine).
 	CycleDepth int
-	// Chained reports temporal-blocked deep-halo cycles (Options.Temporal).
-	Chained bool
 	// Fallbacks holds one line per fallback taken, e.g.
 	// "pipelined→classic: ...".
 	Fallbacks []string
@@ -68,8 +65,8 @@ type Plan struct {
 
 func (p Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s folded=%t cycle-depth=%d chained=%t",
-		p.Engine, p.Folded, p.CycleDepth, p.Chained)
+	fmt.Fprintf(&b, "engine=%s folded=%t cycle-depth=%d",
+		p.Engine, p.Folded, p.CycleDepth)
 	for _, f := range p.Fallbacks {
 		b.WriteString("; fallback ")
 		b.WriteString(f)
@@ -77,9 +74,8 @@ func (p Plan) String() string {
 	return b.String()
 }
 
-// resolvePlan decides the solve's plan (see Plan), the folded inverse
-// diagonal (zero = identity) and, when chaining, the temporal-blocking
-// bands.
+// resolvePlan decides the solve's plan (see Plan) and the folded inverse
+// diagonal (zero = identity).
 //
 // Folding a diagonal preconditioner into the CG matvec sweep needs minv
 // valid one cell beyond the interior. The Jacobi constructors can only
@@ -90,7 +86,7 @@ func (p Plan) String() string {
 // rank boundaries the coupling is real: the CG engine falls back to the
 // classic loop rather than silently dropping it. The Chebyshev and PPCG
 // inner updates apply minv pointwise and keep it folded.
-func resolvePlan(sys *system, o Options, ranks int) (Plan, *grid.Field, []par.ChainBand) {
+func resolvePlan(sys *system, o Options, ranks int) (Plan, *grid.Field) {
 	p := Plan{Engine: o.Engine, CycleDepth: 1}
 	minv, foldable := precond.FoldableDiag(sys.m)
 	if o.Engine != EngineClassic {
@@ -116,25 +112,7 @@ func resolvePlan(sys *system, o Options, ranks int) (Plan, *grid.Field, []par.Ch
 			p.fallback("cycle depth %d→1: the deflator cannot project on extended bounds", o.HaloDepth)
 		}
 	}
-
-	var bands []par.ChainBand
-	if o.Temporal {
-		_, split := defl.(splitDeflator)
-		switch {
-		case p.Engine == EngineClassic:
-			p.fallback("temporal→unchained: the classic engine has no deep-halo cycle")
-		case p.CycleDepth <= 1:
-			p.fallback("temporal→unchained: the cycle depth is 1")
-		case p.Engine == EnginePipelined && defl != nil && !split:
-			p.fallback("temporal→unchained: the deflator cannot post its coarse round split-phase")
-		default:
-			if bands = sys.ChainBands(o.ChainBandCells); bands == nil {
-				p.fallback("temporal→unchained: the pool is not tiled")
-			}
-		}
-		p.Chained = bands != nil
-	}
-	return p, minv, bands
+	return p, minv
 }
 
 func (p *Plan) fallback(format string, args ...any) {

@@ -134,28 +134,6 @@ type Options struct {
 	// project the matvec result, pipelined projects after its split-phase
 	// round finishes (no other collective may run while it is in flight).
 	Engine Engine
-	// Temporal enables temporal-blocked deep-halo solve cycles
-	// (tl_temporal): with HaloDepth > 1 and a tiled pool, each deep-halo
-	// iteration of the fused and pipelined CG engines executes its grid
-	// sweeps chained band-by-band over LLC-sized bands of whole tile rows,
-	// so every band streams through cache once per iteration instead of
-	// once per sweep. Per-tile dot partials are folded in fixed tile order
-	// at the end of each chained sweep, so the iterates are bit-identical
-	// to the unchained deep-halo path for every band size, worker count
-	// and rank count. On an untiled pool, at HaloDepth <= 1 and on the
-	// classic loop the engines run the unchained cycle and report the
-	// fallback in Result.Plan (the deck layer refuses an untiled pool).
-	// A deflated pipelined solve additionally posts the projector's coarse
-	// round split-phase on its own tag, keeping two tagged reductions in
-	// flight across the chained matvec block — at the cost of exactly one
-	// drained coarse round per solve on the pass that detects convergence.
-	Temporal bool
-	// ChainBandCells is the approximate temporal-blocking band height in
-	// cells along the chain axis (tl_chain_bands; rounded up to whole tile
-	// rows). <= 0 selects one spanning band — callers wanting cache-sized
-	// bands compute them from the machine model (machine.ChainBandRows),
-	// which is what the deck layer does.
-	ChainBandCells int
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free
 	// except for these periodic checks.

@@ -97,40 +97,6 @@ func (s *system) Rings(outer grid.Bounds) []grid.Bounds {
 	return rs
 }
 
-// interiorBox is the interior as a par iteration box — the box every
-// chained accumulator and band schedule is built over, so chain folds
-// replicate the unchained interior reductions' tile decomposition.
-func (s *system) interiorBox() par.Box {
-	return s.op.Grid.Box(s.op.Grid.Interior())
-}
-
-// ChainBands cuts the interior into temporal-blocking bands of whole tile
-// rows along the outermost axis (y on a flat grid, z in 3D) of roughly
-// bandCells cells each; nil when the pool is untiled (chained reductions
-// need the fixed tile-order fold). See par.Pool.ChainBands.
-func (s *system) ChainBands(bandCells int) []par.ChainBand {
-	return s.p.ChainBands(s.interiorBox(), bandCells)
-}
-
-// NewChainAccum allocates a k-wide per-tile partial table over the
-// interior box; its Fold reproduces ForTilesReduceN's bits when every
-// interior tile's body ran exactly once per cycle.
-func (s *system) NewChainAccum(k int) *par.ChainAccum {
-	return s.p.NewChainAccum(k, s.interiorBox())
-}
-
-// ChainClip clips b to the chain-axis cell range [lo,hi), reporting
-// whether the intersection is non-empty — how ring and extended bounds
-// are assigned to chain bands.
-func (s *system) ChainClip(b grid.Bounds, lo, hi int) (grid.Bounds, bool) {
-	if s.op.Grid.Flat() {
-		b.Y0, b.Y1 = max(b.Y0, lo), min(b.Y1, hi)
-	} else {
-		b.Z0, b.Z1 = max(b.Z0, lo), min(b.Z1, hi)
-	}
-	return b, !b.Empty()
-}
-
 // PrecondApply applies the configured preconditioner z = M⁻¹r over b.
 func (s *system) PrecondApply(b grid.Bounds, r, z *grid.Field) { s.m.Apply(s.p, b, r, z) }
 
@@ -150,21 +116,6 @@ type deepDeflator interface {
 	ProjectWBounds(b grid.Bounds, w *grid.Field)
 }
 
-// splitDeflator is the optional deflator extension the temporal-blocked
-// pipelined engine uses: ProjectWBoundsStart restricts w and posts the
-// projector's coarse reduction round split-phase on a dedicated tag
-// (comm.AllReduceSumNStartTagged), so it can sit in flight alongside the
-// iteration's scalar round; ProjectWBoundsFinish completes the round,
-// the replicated coarse solve and the fine-grid correction over b.
-// Every Start must be matched by exactly one Finish — on paths that
-// abandon the projection (convergence detected by the scalar round) the
-// handle is still Finished and its result discarded, which all ranks do
-// symmetrically. Deflators without it fall back to the unchained cycle.
-type splitDeflator interface {
-	ProjectWBoundsStart(w *grid.Field) comm.ReduceHandle
-	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field)
-}
-
 // engine bundles a system with the per-solve execution context — the
 // communicator, its trace, and the solve options — and provides the
 // traced, globally-reduced operations the loops are written against.
@@ -179,11 +130,9 @@ type engine struct {
 	// the right-hand side. Both live on the system's grid.
 	u, rhs *grid.Field
 	// plan is the engine choice resolved once for the solve; every loop
-	// reads it. minv is the folded inverse diagonal (nil = identity) and
-	// bands the temporal-blocking bands (non-nil exactly when chained).
-	plan  Plan
-	minv  *grid.Field
-	bands []par.ChainBand
+	// reads it. minv is the folded inverse diagonal (nil = identity).
+	plan Plan
+	minv *grid.Field
 }
 
 func newEngine(p Problem, o Options) *engine {
@@ -193,7 +142,7 @@ func newEngine(p Problem, o Options) *engine {
 		sys: sys, o: o, c: o.Comm, tr: o.Comm.Trace(),
 		in: in, cells: in.Cells(), u: p.U, rhs: p.RHS,
 	}
-	e.plan, e.minv, e.bands = resolvePlan(sys, o, o.Comm.Size())
+	e.plan, e.minv = resolvePlan(sys, o, o.Comm.Size())
 	return e
 }
 

@@ -265,27 +265,10 @@ func (op *Operator) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *grid.
 	return pool.ForTilesReduceN(1, op.Grid.Box(b), op.applyPreDotBody(minv, r, w))[0]
 }
 
-// ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
-// range [t0,t1) of the accumulator's box: same tile body, with the u·w
-// partial landing in slot 0 of the per-tile accumulator instead of being
-// folded immediately, so a temporal-blocked cycle can run the matvec
-// band-by-band and fold once at the end of the sweep with
-// ForTilesReduceN's exact bits. acc must be at least 2 wide: the 3D
-// identity path chunks ApplyDot2's two-lane body.
-func (op *Operator) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field) {
-	pool.ForTilesChunk(acc, t0, t1, op.applyPreDotBody(minv, r, w))
-}
-
-// applyPreDotBody is the tile body shared by ApplyPreDot and
-// ApplyPreDotChain — one closure per variant, so the chained and
-// unchained sweeps cannot drift bit-wise.
+// applyPreDotBody is ApplyPreDot's tile body for a non-nil minv: the u·w
+// partial of one tile in acc[0].
 func (op *Operator) applyPreDotBody(minv, r, w *grid.Field) func(t par.Tile, acc []float64) {
-	switch {
-	case minv == nil && op.flat():
-		return op.applyDot5Body(r.Data, w.Data)
-	case minv == nil:
-		return op.applyDot27Body(r.Data, w.Data)
-	case op.flat():
+	if op.flat() {
 		return op.applyPreDot5Body(minv.Data, r.Data, w.Data)
 	}
 	md, rd, wd := minv.Data, r.Data, w.Data
